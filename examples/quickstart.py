@@ -34,7 +34,7 @@ def main() -> None:
     config = fast_config()
 
     # --- the AutoNCS flow (the stable facade: repro.map_network) ----------
-    result = repro.map_network(network, config=config, seed=42)
+    result = repro.map_network(network, options=repro.FlowOptions(config=config, seed=42))
     print(f"\nISC finished in {result.isc.iterations} iterations")
     print(f"  crossbars placed   : {result.mapping.num_crossbars}")
     print(f"  crossbar sizes     : {result.mapping.crossbar_size_histogram()}")

@@ -40,7 +40,7 @@ def main() -> None:
     for n in (96, 160, 224, 288):
         network = scattered_blocks(n, rng_seed=n)
         start = time.perf_counter()
-        report = repro.compare(network, config=config, seed=7)
+        report = repro.compare(network, options=repro.FlowOptions(config=config, seed=7))
         elapsed = time.perf_counter() - start
         print(
             f"{network.size:>6}"

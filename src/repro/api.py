@@ -14,9 +14,7 @@ the package top level::
 All flow settings live in one documented :class:`FlowOptions` dataclass,
 so every entry point shares a single configuration surface and the
 runtime cache can key on ``options.cache_key()`` together with
-``network.digest()``.  The pre-1.7 per-call keyword arguments
-(``seed=``, ``config=``, ``verify=``, …) are still accepted through
-deprecation shims, so existing callers keep working unchanged.
+``network.digest()``.
 
 Return types are the documented result dataclasses
 (:class:`~repro.core.autoncs.AutoNcsResult`,
@@ -43,7 +41,7 @@ snapshot test (``tests/test_public_api.py``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.core.autoncs import AutoNCS, AutoNcsResult
@@ -52,7 +50,6 @@ from repro.core.report import ComparisonReport
 from repro.mapping.netlist import MappingResult
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.physical.layout import PhysicalDesign
-from repro.utils.deprecation import warn_deprecated
 from repro.utils.rng import RngLike
 from repro.verify.report import VerificationReport
 
@@ -74,10 +71,8 @@ class FlowOptions:
         Flow configuration; ``None`` means the paper defaults
         (:class:`~repro.core.config.AutoNcsConfig`; see also
         :func:`~repro.core.config.fast_config`).  Clustering scale-up,
-        routing algorithm and kernel (``config.routing.kernel``:
-        compiled Numba maze search vs the bit-identical python
-        reference), technology — everything pipeline-level — lives
-        here.
+        routing algorithm, technology — everything pipeline-level —
+        lives here.
     seed:
         RNG seed material (int, :class:`numpy.random.Generator` or
         ``None`` for nondeterministic).
@@ -159,39 +154,6 @@ class FlowOptions:
         )
 
 
-def _resolve_options(
-    function: str,
-    options: Optional[FlowOptions],
-    legacy: dict,
-    allowed: Tuple[str, ...],
-) -> FlowOptions:
-    """Merge deprecated per-call kwargs into a :class:`FlowOptions`.
-
-    Legacy keywords override fields of ``options`` (matching the pre-1.7
-    behaviour where they were the only configuration channel) and emit
-    one deprecation warning per call.
-    """
-    unknown = sorted(set(legacy) - set(allowed))
-    if unknown:
-        raise TypeError(
-            f"{function}() got unexpected keyword argument(s): {', '.join(unknown)}"
-        )
-    provided = {key: value for key, value in legacy.items() if value is not _UNSET}
-    if not provided:
-        return options if options is not None else FlowOptions()
-    warn_deprecated(
-        f"repro.{function}({', '.join(sorted(provided))}=...) keyword arguments",
-        "FlowOptions via the options= parameter",
-        stacklevel=4,
-    )
-    base = options if options is not None else FlowOptions()
-    return replace(base, **provided)
-
-
-#: Sentinel distinguishing "legacy kwarg not passed" from explicit None.
-_UNSET = object()
-
-
 def load_network(
     path: Union[str, "os.PathLike[str]"],
     name: Optional[str] = None,
@@ -218,9 +180,6 @@ def map_network(
     network: ConnectionMatrix,
     *,
     options: Optional[FlowOptions] = None,
-    config=_UNSET,
-    seed=_UNSET,
-    verify=_UNSET,
 ) -> AutoNcsResult:
     """Run the full AutoNCS flow (ISC → mapping → placement → routing).
 
@@ -231,9 +190,6 @@ def map_network(
     options:
         All flow settings (see :class:`FlowOptions`); relevant fields are
         ``config``, ``seed`` and ``verify``.
-    config / seed / verify:
-        Deprecated per-call equivalents of the same-named
-        :class:`FlowOptions` fields.
 
     Returns
     -------
@@ -242,12 +198,7 @@ def map_network(
         diagnostics in ``metadata`` and the ``.to_dict()`` /
         ``.format_table()`` result surface.
     """
-    opts = _resolve_options(
-        "map_network",
-        options,
-        {"config": config, "seed": seed, "verify": verify},
-        ("config", "seed", "verify"),
-    )
+    opts = options if options is not None else FlowOptions()
     return AutoNCS(opts.config).run(network, rng=opts.seed, verify=opts.verify)
 
 
@@ -255,11 +206,6 @@ def compare(
     network: ConnectionMatrix,
     *,
     options: Optional[FlowOptions] = None,
-    config=_UNSET,
-    seed=_UNSET,
-    n_jobs=_UNSET,
-    label=_UNSET,
-    resilience=_UNSET,
 ) -> ComparisonReport:
     """Run AutoNCS and the FullCro baseline; report the Table 1 comparison.
 
@@ -272,9 +218,6 @@ def compare(
         ``config``, ``seed``, ``n_jobs``, ``label`` and ``resilience``.
         Each flow draws from its own child stream spawned from ``seed``,
         so either side is reproducible in isolation, for any ``n_jobs``.
-    config / seed / n_jobs / label / resilience:
-        Deprecated per-call equivalents of the same-named
-        :class:`FlowOptions` fields.
 
     Returns
     -------
@@ -282,18 +225,7 @@ def compare(
         Wirelength/area/delay of both designs plus reduction
         percentages, with ``.to_dict()`` / ``.format_table()``.
     """
-    opts = _resolve_options(
-        "compare",
-        options,
-        {
-            "config": config,
-            "seed": seed,
-            "n_jobs": n_jobs,
-            "label": label,
-            "resilience": resilience,
-        },
-        ("config", "seed", "n_jobs", "label", "resilience"),
-    )
+    opts = options if options is not None else FlowOptions()
     if opts.n_jobs <= 1 and opts.resilience is None:
         return AutoNCS(opts.config).compare(network, label=opts.label, rng=opts.seed)
     from repro.runtime import Job, Runner
@@ -332,11 +264,6 @@ def verify(
     target: Union[ConnectionMatrix, AutoNcsResult, PhysicalDesign, MappingResult],
     *,
     options: Optional[FlowOptions] = None,
-    config=_UNSET,
-    seed=_UNSET,
-    baseline=_UNSET,
-    checks=_UNSET,
-    hopfield=_UNSET,
 ) -> VerificationReport:
     """Independently verify a flow artifact (or run the flow, then verify).
 
@@ -352,9 +279,6 @@ def verify(
     options:
         All flow settings (see :class:`FlowOptions`); relevant fields are
         ``config``, ``seed``, ``baseline``, ``checks`` and ``hopfield``.
-    config / seed / baseline / checks / hopfield:
-        Deprecated per-call equivalents of the same-named
-        :class:`FlowOptions` fields.
 
     Returns
     -------
@@ -365,18 +289,7 @@ def verify(
     """
     from repro.verify.verifier import verify_flow, verify_mapping
 
-    opts = _resolve_options(
-        "verify",
-        options,
-        {
-            "config": config,
-            "seed": seed,
-            "baseline": baseline,
-            "checks": checks,
-            "hopfield": hopfield,
-        },
-        ("config", "seed", "baseline", "checks", "hopfield"),
-    )
+    opts = options if options is not None else FlowOptions()
     if isinstance(target, ConnectionMatrix):
         flow = AutoNCS(opts.config)
         if opts.baseline:

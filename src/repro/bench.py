@@ -14,13 +14,7 @@ Suites
     paper testbench is clustered, mapped and placed once, then routed
     with both algorithms (``ordered`` and ``negotiated``).  QoR is
     wirelength / overflow / rip-up statistics; counters are the maze
-    search totals (heap pushes/pops, visited bins).  When the compiled
-    routing kernel is available (``--kernel``, optional Numba
-    dependency), each case is additionally run through the kernel as a
-    ``tb<i>.<algorithm>.kernel`` record carrying ``speedup_vs_python``
-    (same-run wall-time ratio, machine-independent); ``--check`` then
-    enforces bit-identical QoR/counters against the python record and
-    the ``KERNEL_SPEEDUP_FLOOR`` (≥5×) target.
+    search totals (heap pushes/pops, visited bins).
 ``flow``
     End-to-end ``AutoNCS.run`` on testbench 1 with both routing
     algorithms — wall time, per-stage seconds and the eq. (3) cost
@@ -91,22 +85,6 @@ BASELINE_FILES = {suite: f"BENCH_{suite}.json" for suite in SUITES}
 #: Default regression threshold (percent) for QoR metrics and counters.
 DEFAULT_THRESHOLD_PCT = 20.0
 
-#: Minimum compiled-kernel speedup over the python reference that
-#: ``--check`` enforces on routing ``.kernel`` records (the ROADMAP
-#: "native-speed routing hot path" target).
-KERNEL_SPEEDUP_FLOOR = 5.0
-
-#: Routing counters that legitimately differ between the python and
-#: kernel engines (batch bookkeeping; the python path memoizes
-#: heuristics the kernel computes inline) — excluded from the parity
-#: comparison of ``kernel_gate_failures``.
-_KERNEL_ONLY_COUNTERS = frozenset((
-    "routing.kernel_batches",
-    "routing.kernel_wires",
-    "routing.heuristic_builds",
-    "routing.heuristic_hits",
-))
-
 #: Suite-default testbench dimensions: CI smoke vs full trajectory.
 FAST_DIMENSION = 64
 FULL_DIMENSION = 120
@@ -157,7 +135,7 @@ def metric_gate(name: str) -> str:
     lowered = name.lower()
     if any(
         marker in lowered
-        for marker in ("throughput", "rps", "per_second", "speedup")
+        for marker in ("throughput", "rps", "per_second")
     ):
         return "never"
     if any(marker in lowered for marker in ("seconds", "latency")):
@@ -277,18 +255,12 @@ def _counters_of(snapshot, prefix: str = "routing.") -> Dict[str, float]:
     }
 
 
-def _bench_routing_case(rng, *, netlist, placement, technology, algorithm,
-                        kernel="python"):
+def _bench_routing_case(rng, *, netlist, placement, technology, algorithm):
     """Route one placed netlist with ``algorithm``; return measurements."""
     from repro.observability import Recorder, recording
     from repro.physical.routing.router import RoutingConfig, route
     from repro.utils.timers import Timer
 
-    if kernel != "python":
-        from repro.physical.routing.kernel import resolve_kernel
-
-        if resolve_kernel(kernel) == "numba":
-            _warm_routing_kernel()
     recorder = Recorder()
     with recording(recorder):
         with Timer() as timer:
@@ -296,7 +268,7 @@ def _bench_routing_case(rng, *, netlist, placement, technology, algorithm,
                 netlist,
                 placement,
                 technology=technology,
-                config=RoutingConfig(algorithm=algorithm, kernel=kernel),
+                config=RoutingConfig(algorithm=algorithm),
             )
     return {
         "wall_seconds": timer.elapsed,
@@ -309,26 +281,6 @@ def _bench_routing_case(rng, *, netlist, placement, technology, algorithm,
         },
         "counters": _counters_of(recorder.snapshot()),
     }
-
-
-def _warm_routing_kernel() -> None:
-    """Trigger JIT compilation outside the timed region (tiny route)."""
-    from repro.physical.routing.grid import RoutingGrid
-    from repro.physical.routing.kernel import route_wires_kernel
-    from repro.physical.routing.maze import MazeWorkspace
-
-    grid = RoutingGrid(
-        origin=(0.0, 0.0), width=30.0, height=30.0, bin_um=10.0, capacity=2
-    )
-    workspace = MazeWorkspace(grid)
-    route_wires_kernel(
-        grid, workspace, [((0, 0), (2, 2))],
-        window_margin=2, congestion_weight=2.0,
-    )
-    route_wires_kernel(
-        grid, workspace, [((2, 2), (0, 0))],
-        window_margin=2, congestion_weight=2.0, present_weight=0.5,
-    )
 
 
 def _bench_flow_case(rng, *, network, config):
@@ -608,16 +560,12 @@ def run_suite(
     dimension: Optional[int] = None,
     testbenches: Sequence[int] = (1, 2, 3),
     resilience=None,
-    kernel: str = "auto",
 ) -> SuiteResult:
     """Run one benchmark suite and return its :class:`SuiteResult`.
 
     ``dimension`` overrides the suite-default scaled-testbench size
     (useful for tests and quick local iteration); ``testbenches``
-    narrows the paper testbenches covered.  ``kernel`` controls the
-    routing suite's compiled-kernel records: python-reference records
-    are always emitted; ``"auto"`` adds ``.kernel`` records when Numba
-    is importable, ``"numba"`` requires it, ``"python"`` skips them.
+    narrows the paper testbenches covered.
     """
     import repro
     from repro.runtime import Job, Runner
@@ -645,11 +593,6 @@ def run_suite(
     jobs_list: List[Job] = []
     names: List[Tuple[str, List[str]]] = []
     if suite == "routing":
-        from repro.physical.routing.kernel import resolve_kernel
-
-        # Resolving here (not per job) makes an explicit --kernel numba
-        # without the dependency fail the whole run loudly up front.
-        with_kernel = kernel != "python" and resolve_kernel(kernel) == "numba"
         for index in testbenches:
             network, netlist, placement, technology = _placed_testbench(
                 index, dim, seed
@@ -665,28 +608,13 @@ def run_suite(
                     Job(
                         kind="bench_routing",
                         label=f"route tb{index} {algorithm}",
-                        payload={**payload, "kernel": "python"},
+                        payload=payload,
                         seed=seed,
                     )
                 )
                 names.append(
                     (f"tb{index}.{algorithm}", ["routing", algorithm, f"tb{index}"])
                 )
-                if with_kernel:
-                    jobs_list.append(
-                        Job(
-                            kind="bench_routing",
-                            label=f"route tb{index} {algorithm} kernel",
-                            payload={**payload, "kernel": "numba"},
-                            seed=seed,
-                        )
-                    )
-                    names.append(
-                        (
-                            f"tb{index}.{algorithm}.kernel",
-                            ["routing", algorithm, f"tb{index}", "kernel"],
-                        )
-                    )
     else:  # flow
         from repro.core.config import AutoNcsConfig
         from repro.experiments.testbenches import build_testbench, scaled_testbench
@@ -737,66 +665,7 @@ def run_suite(
                 counters=measurement["counters"],
             )
         )
-    if suite == "routing":
-        # Same-run wall-time ratio: machine-independent (both engines ran
-        # on this host seconds apart), so it is meaningful to gate.
-        by_name = {record.name: record for record in result.benchmarks}
-        for record in result.benchmarks:
-            if "kernel" not in record.tags:
-                continue
-            reference = by_name.get(record.name[: -len(".kernel")])
-            if reference is not None:
-                record.qor["speedup_vs_python"] = reference.wall_seconds / max(
-                    record.wall_seconds, 1e-12
-                )
     return result
-
-
-def kernel_gate_failures(
-    result: SuiteResult, floor: float = KERNEL_SPEEDUP_FLOOR
-) -> List[str]:
-    """Kernel-record gate: bit-identical QoR/counters plus the speed floor.
-
-    Every routing ``.kernel`` record must match its python twin exactly
-    on all QoR metrics and all shared counters (the parity contract —
-    ``speedup_vs_python`` and the kernel-only bookkeeping counters are
-    exempt), and its same-run speedup must reach ``floor``.  Empty when
-    the run has no kernel records (Numba absent / ``--kernel python``).
-    """
-    failures: List[str] = []
-    if result.suite != "routing":
-        return failures
-    by_name = {record.name: record for record in result.benchmarks}
-    for record in result.benchmarks:
-        if "kernel" not in record.tags:
-            continue
-        reference = by_name.get(record.name[: -len(".kernel")])
-        if reference is None:
-            failures.append(f"{record.name}: python reference record is missing")
-            continue
-        for metric, value in reference.qor.items():
-            mine = record.qor.get(metric)
-            if mine != value:
-                failures.append(
-                    f"{record.name}: parity broken — {metric} "
-                    f"{value!r} (python) vs {mine!r} (kernel)"
-                )
-        for metric, value in reference.counters.items():
-            if metric in _KERNEL_ONLY_COUNTERS:
-                continue
-            mine = record.counters.get(metric)
-            if mine != value:
-                failures.append(
-                    f"{record.name}: parity broken — counter {metric} "
-                    f"{value!r} (python) vs {mine!r} (kernel)"
-                )
-        speedup = record.qor.get("speedup_vs_python")
-        if speedup is not None and speedup < floor:
-            failures.append(
-                f"{record.name}: kernel speedup {speedup:.2f}x is below "
-                f"the {floor:g}x floor"
-            )
-    return failures
 
 
 # ----------------------------------------------------------------------
@@ -807,17 +676,13 @@ def compare_to_baseline(
     baseline: SuiteResult,
     threshold_pct: float = DEFAULT_THRESHOLD_PCT,
     time_threshold_pct: Optional[float] = None,
-    skip_tags: Sequence[str] = (),
 ) -> List[str]:
     """All regressions of ``candidate`` vs ``baseline`` as human messages.
 
     An empty list means the gate passes.  Metrics are lower-is-better:
     a regression is ``candidate > baseline · (1 + threshold/100) + atol``.
     New benchmarks in the candidate pass (there is nothing to compare);
-    benchmarks missing from the candidate fail (silent coverage loss)
-    unless they carry one of ``skip_tags`` — used to skip baseline
-    ``kernel`` records on machines where the optional Numba dependency
-    is not installed.
+    benchmarks missing from the candidate fail (silent coverage loss).
     """
     failures: List[str] = []
     if candidate.suite != baseline.suite:
@@ -836,8 +701,6 @@ def compare_to_baseline(
     for base in baseline.benchmarks:
         mine = by_name.get(base.name)
         if mine is None:
-            if any(tag in base.tags for tag in skip_tags):
-                continue
             failures.append(f"{base.name}: benchmark disappeared from the run")
             continue
         gated = [
@@ -896,12 +759,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--testbenches", type=int, nargs="+", default=[1, 2, 3],
                         choices=(1, 2, 3),
                         help="paper testbenches to cover (default 1 2 3)")
-    parser.add_argument("--kernel", choices=("auto", "numba", "python"),
-                        default="auto",
-                        help="routing-suite compiled-kernel records: python "
-                             "reference records are always emitted; 'auto' "
-                             "adds .kernel records when Numba is importable, "
-                             "'numba' requires it, 'python' skips them")
     parser.add_argument("--retries", type=int, default=1, metavar="N",
                         help="max attempts per benchmark job (default 1)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
@@ -953,19 +810,10 @@ def run_bench_command(args: argparse.Namespace) -> int:
             dimension=args.dimension or None,
             testbenches=tuple(args.testbenches),
             resilience=resilience,
-            kernel=getattr(args, "kernel", "auto"),
         )
         print(result.format_table())
         baseline_path = baseline_dir / BASELINE_FILES[suite]
         if args.check:
-            skip_tags: Tuple[str, ...] = ()
-            if suite == "routing":
-                from repro.physical.routing.kernel import kernel_available
-
-                if getattr(args, "kernel", "auto") == "python" or not kernel_available():
-                    # Baseline kernel records cannot be reproduced here;
-                    # skip (not fail) them — the numba CI leg gates them.
-                    skip_tags = ("kernel",)
             if not baseline_path.exists():
                 print(f"FAIL {suite}: no baseline at {baseline_path} — "
                       "create one with `python -m repro bench --update-baseline`")
@@ -981,9 +829,7 @@ def run_bench_command(args: argparse.Namespace) -> int:
                         result, baseline,
                         threshold_pct=args.threshold,
                         time_threshold_pct=args.time_threshold,
-                        skip_tags=skip_tags,
                     )
-                    failures.extend(kernel_gate_failures(result))
                     if failures:
                         exit_status = 1
                         print(f"FAIL {suite}: {len(failures)} regression(s) "

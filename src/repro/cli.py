@@ -147,20 +147,17 @@ def _resilience_from_args(args: argparse.Namespace, fail_fast: bool = True):
 
 
 def _apply_routing_overrides(
-    config: AutoNcsConfig, router: Optional[str], kernel: Optional[str] = None
+    config: AutoNcsConfig, router: Optional[str]
 ) -> AutoNcsConfig:
-    """Apply ``--router`` / ``--kernel`` overrides to the routing config."""
-    if not router and not kernel:
+    """Apply the ``--router`` override to the routing config."""
+    if not router:
         return config
     import dataclasses
 
     from repro.physical.routing.router import RoutingConfig
 
     routing = config.routing if config.routing is not None else RoutingConfig()
-    if router:
-        routing = dataclasses.replace(routing, algorithm=router)
-    if kernel:
-        routing = dataclasses.replace(routing, kernel=kernel)
+    routing = dataclasses.replace(routing, algorithm=router)
     return dataclasses.replace(config, routing=routing)
 
 
@@ -197,7 +194,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         network = _load_or_generate(args)
     config = _apply_routing_overrides(
-        fast_config() if args.fast else AutoNcsConfig(), args.router, args.kernel
+        fast_config() if args.fast else AutoNcsConfig(), args.router
     )
     print(f"network: {network}")
     with _observability(args.trace, args.metrics):
@@ -346,7 +343,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.api import verify as api_verify
 
     config = _apply_routing_overrides(
-        fast_config() if args.fast else AutoNcsConfig(), args.router, args.kernel
+        fast_config() if args.fast else AutoNcsConfig(), args.router
     )
     hopfield = None
     if args.testbench:
@@ -443,11 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--router", choices=("ordered", "negotiated"), default=None,
                          help="routing algorithm override (default: config's, "
                               "i.e. ordered)")
-    compare.add_argument("--kernel", choices=("auto", "numba", "python"),
-                         default=None,
-                         help="maze-search implementation: compiled numba "
-                              "kernel or the python reference (default: "
-                              "config's, i.e. auto)")
     _add_resilience_arguments(compare)
     _add_observability_arguments(compare)
     compare.set_defaults(func=_cmd_compare)
@@ -550,11 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--router", choices=("ordered", "negotiated"), default=None,
                         help="routing algorithm override (default: config's, "
                              "i.e. ordered)")
-    verify.add_argument("--kernel", choices=("auto", "numba", "python"),
-                        default=None,
-                        help="maze-search implementation: compiled numba "
-                             "kernel or the python reference (default: "
-                             "config's, i.e. auto)")
     _add_observability_arguments(verify)
     verify.set_defaults(func=_cmd_verify)
 

@@ -11,7 +11,6 @@ from repro.core.autoncs import AutoNCS, AutoNcsResult, StageError, implement_map
 from repro.core.config import AutoNcsConfig
 from repro.core.report import ComparisonReport, reduction_percent
 from repro.core.summary import DesignSummary, summarize_design
-from repro.utils.deprecation import warn_deprecated
 
 __all__ = [
     "AutoNCS",
@@ -20,39 +19,7 @@ __all__ = [
     "ComparisonReport",
     "DesignSummary",
     "StageError",
-    "compare",
     "implement_mapping",
-    "map_network",
     "reduction_percent",
     "summarize_design",
-    "verify",
 ]
-
-
-def _deprecated_facade(name):
-    """A shim that warns and delegates to the top-level facade.
-
-    ``repro.core.map_network`` & friends predate the stable public API;
-    new code should call ``repro.map_network`` / ``repro.compare`` /
-    ``repro.verify`` (see :mod:`repro.api`).
-    """
-
-    def shim(*args, **kwargs):
-        warn_deprecated(
-            f"repro.core.{name}",
-            f"repro.{name} (the stable public API, see repro.api)",
-            stacklevel=2,
-        )
-        import repro.api
-
-        return getattr(repro.api, name)(*args, **kwargs)
-
-    shim.__name__ = name
-    shim.__qualname__ = name
-    shim.__doc__ = f"Deprecated alias of :func:`repro.api.{name}`."
-    return shim
-
-
-map_network = _deprecated_facade("map_network")
-compare = _deprecated_facade("compare")
-verify = _deprecated_facade("verify")

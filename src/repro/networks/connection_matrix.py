@@ -51,7 +51,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy import sparse as sp
 
-from repro.utils.deprecation import warn_deprecated
 from repro.utils.validation import check_binary_matrix, check_square
 
 #: Networks at least this large always take the sparse backend.
@@ -103,26 +102,14 @@ def _canonical_csr(matrix: sp.csr_array) -> sp.csr_array:
 class ConnectionMatrix:
     """An immutable-by-convention binary ``n × n`` connection matrix.
 
-    Use the explicit constructors :meth:`from_dense`, :meth:`from_sparse`
-    or :meth:`from_edges`; the legacy raw-``ndarray`` ``__init__`` still
-    works but emits a :class:`DeprecationWarning`.
+    Build one with the explicit constructors :meth:`from_dense`,
+    :meth:`from_sparse` or :meth:`from_edges`.
     """
 
     # Constructed via classmethods; these annotations document the state.
     _dense: Optional[np.ndarray]
     _sparse: Optional[sp.csr_array]
     name: str
-
-    def __init__(self, matrix: np.ndarray, name: str = "network") -> None:
-        warn_deprecated(
-            "ConnectionMatrix(matrix)",
-            "ConnectionMatrix.from_dense / from_sparse / from_edges",
-            stacklevel=2,
-        )
-        built = ConnectionMatrix.from_dense(matrix, name=name)
-        self._dense = built._dense
-        self._sparse = built._sparse
-        self.name = built.name
 
     # ------------------------------------------------------------------
     # Constructors

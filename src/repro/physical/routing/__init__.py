@@ -2,21 +2,11 @@
 
 Two selectable algorithms (``RoutingConfig.algorithm``): the paper's
 ordered route with capacity relaxation, and PathFinder-style negotiated
-congestion (:mod:`repro.physical.routing.negotiated`).  Either runs on
-the pure-Python reference search or the bit-identical compiled kernel
-(``RoutingConfig.kernel``, :mod:`repro.physical.routing.kernel`).
+congestion (:mod:`repro.physical.routing.negotiated`).  Both run the
+same windowed A* maze search (:mod:`repro.physical.routing.maze`).
 """
 
 from repro.physical.routing.grid import RoutingGrid
-from repro.physical.routing.kernel import (
-    KERNEL_CHOICES,
-    KernelUnavailableError,
-    NUMBA_AVAILABLE,
-    interpreted_kernel,
-    kernel_available,
-    resolve_kernel,
-    route_wires_kernel,
-)
 from repro.physical.routing.maze import MazeWorkspace, maze_route
 from repro.physical.routing.negotiated import NegotiationOutcome, negotiate_routes
 from repro.physical.routing.router import (
@@ -27,20 +17,13 @@ from repro.physical.routing.router import (
 )
 
 __all__ = [
-    "KERNEL_CHOICES",
-    "KernelUnavailableError",
     "MazeWorkspace",
     "NegotiationOutcome",
-    "NUMBA_AVAILABLE",
     "ROUTING_ALGORITHMS",
     "RoutingConfig",
     "RoutingGrid",
     "RoutingResult",
-    "interpreted_kernel",
-    "kernel_available",
     "maze_route",
     "negotiate_routes",
-    "resolve_kernel",
     "route",
-    "route_wires_kernel",
 ]

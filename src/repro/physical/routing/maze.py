@@ -14,11 +14,6 @@ Per-target heuristic arrays are memoized on the workspace
 goal bin — fan-in wires, relax-round retries, rip-up reroutes — reuse one
 vectorized build instead of recomputing the Manhattan term per neighbour.
 
-This module is the **reference implementation**: the compiled twin in
-:mod:`repro.physical.routing.kernel` (``RoutingConfig.kernel``) must
-reproduce its paths, counters and costs bit-for-bit, and the differential
-suite ``tests/physical/test_kernel_parity.py`` holds it to that.
-
 The same wave expansion also serves the negotiated-congestion router
 (:mod:`repro.physical.routing.negotiated`): passing ``present_weight``
 switches the edge cost to the PathFinder form
@@ -32,7 +27,7 @@ through rising present costs and accumulated history, not hard walls.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -51,12 +46,6 @@ class MazeWorkspace:
     reports the totals to the current observability recorder once per
     :func:`~repro.physical.routing.router.route` call, keeping the inner
     loop free of instrumentation calls.
-
-    The compiled kernel (:mod:`repro.physical.routing.kernel`) shares
-    these arrays and adds its own lazily-allocated state: preallocated
-    binary-heap arrays (``ensure_heap``) and a growable flat path buffer
-    (``ensure_path_buffer``), plus ``kernel_batches``/``kernel_wires``
-    ticks the router reports alongside the search counters.
     """
 
     def __init__(self, grid: RoutingGrid) -> None:
@@ -71,9 +60,6 @@ class MazeWorkspace:
         self.heap_pops = 0
         self.visited_bins = 0
         self.searches = 0
-        self.ripups = 0
-        self.kernel_batches = 0
-        self.kernel_wires = 0
         # Negotiated-congestion history costs (dimensionless multiples of
         # θ), allocated lazily so the ordered router pays nothing.
         self.h_history: Optional[np.ndarray] = None
@@ -83,10 +69,6 @@ class MazeWorkspace:
         self._heuristic_cache: Dict[int, np.ndarray] = {}
         self.heuristic_builds = 0
         self.heuristic_hits = 0
-        # Kernel state, allocated on first kernel batch.
-        self.heap_f: Optional[np.ndarray] = None
-        self.heap_n: Optional[np.ndarray] = None
-        self.path_out: Optional[np.ndarray] = None
 
     def begin(self) -> None:
         """Start a fresh search; previous state becomes stale by epoch."""
@@ -125,19 +107,6 @@ class MazeWorkspace:
         self.heuristic_builds += 1
         return table
 
-    def ensure_heap(self, capacity: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The kernel's binary-heap arrays, (re)allocated to ``capacity``."""
-        if self.heap_f is None or self.heap_f.shape[0] < capacity:
-            self.heap_f = np.empty(capacity, dtype=np.float64)
-            self.heap_n = np.empty(capacity, dtype=np.int32)
-        return self.heap_f, self.heap_n
-
-    def ensure_path_buffer(self, capacity: int) -> np.ndarray:
-        """The kernel's flat path-output buffer (grows across batches)."""
-        if self.path_out is None or self.path_out.shape[0] < capacity:
-            self.path_out = np.empty(capacity, dtype=np.int32)
-        return self.path_out
-
 
 def maze_route(
     grid: RoutingGrid,
@@ -149,7 +118,6 @@ def maze_route(
     overflow_penalty: float = 10.0,
     workspace: Optional[MazeWorkspace] = None,
     present_weight: Optional[float] = None,
-    kernel: Optional[str] = None,
 ) -> Optional[List[BinCoord]]:
     """Find a min-cost bin path from ``start`` to ``goal``.
 
@@ -162,10 +130,7 @@ def maze_route(
     overuse)`` against the workspace's history arrays; edges are never
     blocked in that mode.
 
-    ``kernel`` selects the implementation per
-    :func:`~repro.physical.routing.kernel.resolve_kernel` (``None`` is
-    the Python reference); the compiled path is bit-identical and does
-    **not** commit usage — callers update the grid either way.
+    The grid's usage is left untouched; callers commit the returned path.
 
     Returns the bin path including both endpoints, or ``None`` when no
     path exists under the current capacities (with ``allow_overflow`` or
@@ -175,24 +140,6 @@ def maze_route(
         raise ValueError(f"window_margin must be >= 0, got {window_margin}")
     if workspace is None:
         workspace = MazeWorkspace(grid)
-    if kernel is not None:
-        from repro.physical.routing.kernel import resolve_kernel, route_wires_kernel
-
-        if resolve_kernel(kernel) == "numba":
-            # Single-wire batch; the kernel must not commit usage here
-            # (maze_route's contract leaves the grid untouched), so run
-            # it and roll the committed path back.
-            paths, _ = route_wires_kernel(
-                grid, workspace, [(start, goal)],
-                window_margin=window_margin,
-                congestion_weight=congestion_weight,
-                allow_overflow=allow_overflow,
-                overflow_penalty=overflow_penalty,
-                present_weight=present_weight,
-            )
-            if paths[0] is not None:
-                grid.add_usage(paths[0], amount=-1)
-            return paths[0]
     path = _a_star(
         grid, start, goal, window_margin, congestion_weight,
         allow_overflow, overflow_penalty, workspace, present_weight,

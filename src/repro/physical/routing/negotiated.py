@@ -20,12 +20,7 @@ The search itself is the existing windowed A* of
 :mod:`repro.physical.routing.maze` — the negotiated costs are folded into
 the same :class:`~repro.physical.routing.maze.MazeWorkspace` arrays
 (``ensure_history``), so the hot inner loop is shared with the ordered
-router rather than duplicated.  With ``engine="numba"`` the initial pass
-and each rip-up iteration instead run as **one batched kernel invocation
-each** (:func:`~repro.physical.routing.kernel.route_wires_kernel`): the
-kernel commits every path's usage between wires internally, so the batch
-reproduces the sequential reference bit-for-bit while crossing the
-Python/compiled boundary once per iteration instead of once per wire.
+router rather than duplicated.
 
 Entry point: :func:`negotiate_routes`, called by
 :func:`repro.physical.routing.router.route` when
@@ -102,15 +97,12 @@ def negotiate_routes(
     workspace: MazeWorkspace,
     order: Sequence[int],
     config: "RoutingConfig",
-    engine: str = "python",
 ) -> NegotiationOutcome:
     """Route every wire with negotiated congestion; returns the outcome.
 
     The caller owns the grid: usage counters are committed on it exactly
     as the ordered router does, so downstream consumers (cost model,
-    verifier, congestion maps) see the same bookkeeping.  ``engine``
-    selects the search implementation (``"python"`` reference or the
-    bit-identical batched ``"numba"`` kernel).
+    verifier, congestion maps) see the same bookkeeping.
     """
     h_history, v_history = workspace.ensure_history()
     present = config.present_weight
@@ -138,43 +130,8 @@ def negotiate_routes(
         paths[index] = path
         lengths[index] = grid.path_length_um(path)
 
-    def search_batch(indices: Sequence[int]) -> None:
-        # One kernel invocation for the whole pass.  Same-bin wires
-        # commit no usage, so resolving them Python-side first leaves
-        # the committed sequence — and therefore every cost the kernel
-        # sees — identical to the per-wire reference order.
-        from repro.physical.routing.kernel import route_wires_kernel
-
-        pending: List[int] = []
-        pairs: List[Tuple[BinCoord, BinCoord]] = []
-        for index in indices:
-            start, goal, same_bin_length = _pin_bins(netlist, placement, grid, index)
-            if start == goal:
-                paths[index] = [start]
-                lengths[index] = same_bin_length
-            else:
-                pending.append(index)
-                pairs.append((start, goal))
-        kernel_paths, _ = route_wires_kernel(
-            grid, workspace, pairs,
-            window_margin=config.window_margin_bins,
-            congestion_weight=config.congestion_weight,
-            present_weight=present,
-        )
-        for index, path in zip(pending, kernel_paths):
-            if path is None:  # pragma: no cover - negotiated never blocks
-                raise RuntimeError(f"wire {index} could not be routed at all")
-            paths[index] = path
-            lengths[index] = grid.path_length_um(path)
-
-    def route_pass(indices: Sequence[int]) -> None:
-        if engine == "numba":
-            search_batch(indices)
-        else:
-            for index in indices:
-                search(index)
-
-    route_pass(order)
+    for index in order:
+        search(index)
 
     iterations = 0
     ripups = 0
@@ -201,8 +158,8 @@ def negotiate_routes(
             grid.add_usage(paths[index], amount=-1)
         ripups += len(victims)
         present *= config.present_growth
-        route_pass(victims)
-    workspace.ripups += ripups
+        for index in victims:
+            search(index)
 
     over_h = grid.horizontal_usage > grid.horizontal_capacity
     over_v = grid.vertical_usage > grid.vertical_capacity

@@ -24,9 +24,8 @@ Two algorithms share this driver, selected by
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,22 +34,11 @@ from repro.mapping.netlist import Netlist
 from repro.observability import get_recorder
 from repro.physical.layout import Placement
 from repro.physical.routing.grid import BinCoord, RoutingGrid
-from repro.physical.routing.kernel import (
-    KERNEL_CHOICES,
-    resolve_kernel,
-    route_wires_kernel,
-)
 from repro.physical.routing.maze import MazeWorkspace, maze_route
 from repro.physical.routing.negotiated import _pin_bins, negotiate_routes
 
 #: The routing algorithms ``route`` can dispatch to.
 ROUTING_ALGORITHMS = ("ordered", "negotiated")
-
-
-def _default_kernel() -> str:
-    """The default ``RoutingConfig.kernel``: the ``REPRO_ROUTING_KERNEL``
-    environment variable (the CI matrix pins it per leg) or ``"auto"``."""
-    return os.environ.get("REPRO_ROUTING_KERNEL", "auto")
 
 
 @dataclass
@@ -66,14 +54,10 @@ class RoutingConfig:
     ``present_growth`` / ``history_increment`` knobs only affect the
     negotiated algorithm; ``max_relax_rounds`` / ``relax_increment`` /
     ``overflow_penalty`` only the ordered one.
-
-    ``kernel`` selects the maze-search implementation: ``"python"`` is
-    the reference, ``"numba"`` the compiled batched kernel
-    (:mod:`repro.physical.routing.kernel`, bit-identical results), and
-    ``"auto"`` — the default, overridable via the
-    ``REPRO_ROUTING_KERNEL`` environment variable — prefers the kernel
-    and silently falls back to Python when Numba is not installed.
     """
+
+    # Read only by benchmarks/e2e/measure.py, which prints it in its run header.
+    kernel: ClassVar[str] = "python"
 
     bin_um: Optional[float] = None
     capacity_per_bin: Optional[int] = None
@@ -89,7 +73,6 @@ class RoutingConfig:
     present_weight: float = 0.5
     present_growth: float = 1.6
     history_increment: float = 0.4
-    kernel: str = field(default_factory=_default_kernel)
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -116,10 +99,6 @@ class RoutingConfig:
             raise ValueError("present_growth must be >= 1")
         if self.history_increment < 0:
             raise ValueError("history_increment must be >= 0")
-        if self.kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"kernel must be one of {KERNEL_CHOICES}, got {self.kernel!r}"
-            )
 
 
 @dataclass
@@ -246,24 +225,20 @@ def route(
 
     recorder = get_recorder()
     order = _routing_order(netlist, placement)
-    # Resolve "auto" up front: an explicit kernel="numba" without Numba
-    # raises here instead of failing mid-route.
-    engine = resolve_kernel(config.kernel)
 
     with recorder.span(
         "routing.global",
         wires=len(netlist.wires),
         bins=[grid.nx, grid.ny],
         algorithm=config.algorithm,
-        kernel=engine,
     ) as span:
         if config.algorithm == "negotiated":
             result = _route_negotiated(
-                netlist, placement, grid, workspace, order, config, engine
+                netlist, placement, grid, workspace, order, config
             )
         else:
             result = _route_ordered(
-                netlist, placement, grid, workspace, order, config, recorder, engine
+                netlist, placement, grid, workspace, order, config, recorder
             )
         # One reporting flush per route() call — the maze inner loop only
         # touches workspace integers (null-recorder overhead contract).
@@ -276,8 +251,6 @@ def route(
         recorder.count("routing.heap_pops", workspace.heap_pops)
         recorder.count("routing.visited_bins", workspace.visited_bins)
         recorder.count("routing.maze_searches", workspace.searches)
-        recorder.count("routing.kernel_batches", workspace.kernel_batches)
-        recorder.count("routing.kernel_wires", workspace.kernel_wires)
         recorder.count("routing.heuristic_builds", workspace.heuristic_builds)
         recorder.count("routing.heuristic_hits", workspace.heuristic_hits)
         if recorder.enabled:
@@ -303,15 +276,8 @@ def _route_ordered(
     order: List[int],
     config: RoutingConfig,
     recorder,
-    engine: str = "python",
 ) -> RoutingResult:
-    """The paper's ordered route: relax capacity, then never-fail overflow.
-
-    With ``engine="numba"`` each pass — the first pass, every relax
-    round, the final overflow pass — runs as one batched kernel
-    invocation; commits happen between wires inside the kernel, so the
-    result is bit-identical to the per-wire reference loop.
-    """
+    """The paper's ordered route: relax capacity, then never-fail overflow."""
     routed: Dict[int, RoutedWire] = {}
     failed: List[int] = []
 
@@ -343,50 +309,14 @@ def _route_ordered(
         )
 
     def route_pass(indices: Sequence[int], allow_overflow: bool) -> List[int]:
-        """Route ``indices`` with the selected engine; returns failures."""
+        """Route ``indices`` in order; returns the failures."""
         still_failed: List[int] = []
-        if engine == "numba":
-            # Same-bin wires commit no usage, so resolving them
-            # Python-side keeps the committed sequence the kernel sees
-            # identical to the interleaved reference order.
-            pending: List[int] = []
-            pairs: List[Tuple[BinCoord, BinCoord]] = []
-            for index in indices:
-                start, goal, length = _pin_bins(netlist, placement, grid, index)
-                if start == goal:
-                    routed[index] = RoutedWire(
-                        wire_index=index, path=[start], length_um=length
-                    )
-                else:
-                    pending.append(index)
-                    pairs.append((start, goal))
-            paths, statuses = route_wires_kernel(
-                grid,
-                workspace,
-                pairs,
-                window_margin=config.window_margin_bins,
-                congestion_weight=config.congestion_weight,
-                allow_overflow=allow_overflow,
-                overflow_penalty=config.overflow_penalty,
-                flag_overflow=allow_overflow,
-            )
-            for index, path, status in zip(pending, paths, statuses):
-                if path is None:
-                    still_failed.append(index)
-                else:
-                    routed[index] = RoutedWire(
-                        wire_index=index,
-                        path=path,
-                        length_um=grid.path_length_um(path),
-                        overflowed=status == 2,
-                    )
-        else:
-            for index in indices:
-                outcome = try_route(index, allow_overflow)
-                if outcome is None:
-                    still_failed.append(index)
-                else:
-                    routed[index] = outcome
+        for index in indices:
+            outcome = try_route(index, allow_overflow)
+            if outcome is None:
+                still_failed.append(index)
+            else:
+                routed[index] = outcome
         return still_failed
 
     failed = route_pass(order, allow_overflow=False)
@@ -431,12 +361,9 @@ def _route_negotiated(
     workspace: MazeWorkspace,
     order: List[int],
     config: RoutingConfig,
-    engine: str = "python",
 ) -> RoutingResult:
     """PathFinder-style negotiated congestion, wrapped as a RoutingResult."""
-    outcome = negotiate_routes(
-        netlist, placement, grid, workspace, order, config, engine=engine
-    )
+    outcome = negotiate_routes(netlist, placement, grid, workspace, order, config)
     wires: List[RoutedWire] = []
     overflow_wires = 0
     for index in sorted(outcome.paths):

@@ -16,7 +16,6 @@ from repro.bench import (
     SCHEMA_VERSION,
     SUITES,
     compare_to_baseline,
-    kernel_gate_failures,
     load_suite_json,
     main,
     metric_gate,
@@ -24,19 +23,13 @@ from repro.bench import (
     suite_result_from_dict,
     write_suite_json,
 )
-from repro.physical.routing.kernel import interpreted_kernel
 
 DIM = 16  # smallest practical scaled testbench
 
 
 @pytest.fixture(scope="module")
 def routing_suite():
-    # kernel="python" keeps the record list identical whether or not the
-    # optional numba dependency is installed; the kernel records have
-    # their own tests below.
-    return run_suite(
-        "routing", fast=True, dimension=DIM, testbenches=(1,), kernel="python"
-    )
+    return run_suite("routing", fast=True, dimension=DIM, testbenches=(1,))
 
 
 class TestSuiteRun:
@@ -102,40 +95,6 @@ class TestSuiteRun:
         with pytest.raises(ValueError, match="unknown bench suite"):
             run_suite("placement")
 
-    def test_kernel_records_land_side_by_side(self):
-        # interpreted_kernel() makes the kernel "available" even on
-        # minimal installs, so this covers the numba CI leg's shape.
-        with interpreted_kernel():
-            result = run_suite(
-                "routing", fast=True, dimension=DIM, testbenches=(1,),
-                kernel="auto",
-            )
-        names = [record.name for record in result.benchmarks]
-        assert names == [
-            "tb1.ordered",
-            "tb1.ordered.kernel",
-            "tb1.negotiated",
-            "tb1.negotiated.kernel",
-        ]
-        by_name = {record.name: record for record in result.benchmarks}
-        for algorithm in ("ordered", "negotiated"):
-            kernel = by_name[f"tb1.{algorithm}.kernel"]
-            reference = by_name[f"tb1.{algorithm}"]
-            assert "kernel" in kernel.tags
-            assert kernel.qor["speedup_vs_python"] > 0
-            # The parity contract: every shared QoR metric bit-identical.
-            for metric, value in reference.qor.items():
-                assert kernel.qor[metric] == value
-        # The uncompiled kernel cannot hit the 5x floor, and the gate
-        # must say so (the parity half stays clean).
-        failures = kernel_gate_failures(result)
-        assert all("floor" in failure for failure in failures)
-        assert kernel_gate_failures(result, floor=0.0) == []
-
-    def test_kernel_python_suite_has_no_kernel_records(self, routing_suite):
-        assert all("kernel" not in r.tags for r in routing_suite.benchmarks)
-        assert kernel_gate_failures(routing_suite) == []
-
     def test_every_suite_has_a_baseline_file(self):
         assert set(BASELINE_FILES) == set(SUITES)
         assert BASELINE_FILES["service"] == "BENCH_service.json"
@@ -155,11 +114,6 @@ class TestMetricGate:
         assert metric_gate("requests") == "always"
         assert metric_gate("miss_ratio") == "always"
         assert metric_gate("wirelength_um") == "always"
-
-    def test_speedup_metrics_never_gate(self):
-        # Higher-is-better: gating it as lower-is-better would punish
-        # kernel improvements.  The floor gate handles the minimum.
-        assert metric_gate("speedup_vs_python") == "never"
 
     def test_gate_policy_applied_by_comparison(self, routing_suite):
         baseline = copy.deepcopy(routing_suite)
@@ -238,21 +192,6 @@ class TestRegressionGate:
         candidate.benchmarks = candidate.benchmarks[:1]
         failures = compare_to_baseline(candidate, routing_suite)
         assert any("disappeared" in f for f in failures)
-
-    def test_skip_tags_tolerate_missing_kernel_records(self, routing_suite):
-        # A baseline regenerated on a numba machine carries .kernel
-        # records; a minimal install cannot reproduce them and must
-        # skip rather than fail them.
-        baseline = copy.deepcopy(routing_suite)
-        extra = copy.deepcopy(baseline.benchmarks[0])
-        extra.name += ".kernel"
-        extra.tags = extra.tags + ["kernel"]
-        baseline.benchmarks.append(extra)
-        failures = compare_to_baseline(routing_suite, baseline)
-        assert any("disappeared" in f for f in failures)
-        assert compare_to_baseline(
-            routing_suite, baseline, skip_tags=("kernel",)
-        ) == []
 
     def test_wall_time_not_gated_by_default(self, routing_suite):
         baseline = copy.deepcopy(routing_suite)

@@ -96,7 +96,7 @@ class TestIscControls:
         isc.validate()
 
     def test_empty_network(self):
-        empty = ConnectionMatrix(np.zeros((20, 20)))
+        empty = ConnectionMatrix.from_dense(np.zeros((20, 20)))
         isc = iterative_spectral_clustering(empty, utilization_threshold=0.01, rng=0)
         assert isc.iterations == 0
         assert isc.outliers == []

@@ -26,7 +26,7 @@ class TestModularityClustering:
         assert net.outlier_ratio(clusters) < 0.15
 
     def test_empty_graph_chunks(self):
-        net = ConnectionMatrix(np.zeros((10, 10)))
+        net = ConnectionMatrix.from_dense(np.zeros((10, 10)))
         result = modularity_clustering(net, 4, rng=0)
         assert result.max_size() <= 4
         assert result.k >= 3

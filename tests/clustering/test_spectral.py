@@ -35,7 +35,7 @@ class TestSpectralEmbedding:
         m[:3, :3] = 1
         m[3:, 3:] = 1
         np.fill_diagonal(m, 0)
-        _, values = spectral_embedding(ConnectionMatrix(m), k=3)
+        _, values = spectral_embedding(ConnectionMatrix.from_dense(m), k=3)
         assert values[0] == pytest.approx(0.0, abs=1e-8)
         assert values[1] == pytest.approx(0.0, abs=1e-8)
         assert values[2] > 1e-6
@@ -43,7 +43,7 @@ class TestSpectralEmbedding:
     def test_isolated_nodes_handled(self):
         m = np.zeros((5, 5), dtype=int)
         m[0, 1] = m[1, 0] = 1
-        basis, _ = spectral_embedding(ConnectionMatrix(m), k=2)
+        basis, _ = spectral_embedding(ConnectionMatrix.from_dense(m), k=2)
         assert np.all(np.isfinite(basis))
 
     def test_rejects_bad_k(self, block_network):

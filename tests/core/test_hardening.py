@@ -35,12 +35,12 @@ class TestStageError:
 
 class TestEmptyNetworkFailsFast:
     def test_run_names_the_stage(self, flow):
-        empty = ConnectionMatrix(np.zeros((20, 20)), name="hollow")
+        empty = ConnectionMatrix.from_dense(np.zeros((20, 20)), name="hollow")
         with pytest.raises(ValueError, match="stage 'isc'.*'hollow'.*empty"):
             flow.run(empty, rng=0)
 
     def test_cluster_names_the_stage(self, flow):
-        empty = ConnectionMatrix(np.zeros((10, 10)))
+        empty = ConnectionMatrix.from_dense(np.zeros((10, 10)))
         with pytest.raises(ValueError, match="stage 'isc'"):
             flow.cluster(empty, rng=0)
 

@@ -23,14 +23,14 @@ class TestFullcroInstances:
         m = np.zeros((130, 130), dtype=np.uint8)
         m[:10, :10] = 1
         np.fill_diagonal(m, 0)
-        net = ConnectionMatrix(m)
+        net = ConnectionMatrix.from_dense(m)
         instances = fullcro_instances(net, 64)
         assert len(instances) == 1
 
     def test_active_pins_only(self):
         m = np.zeros((4, 4), dtype=np.uint8)
         m[0, 1] = 1
-        net = ConnectionMatrix(m)
+        net = ConnectionMatrix.from_dense(m)
         (inst,) = fullcro_instances(net, 64)
         assert inst.rows == (0,)
         assert inst.cols == (1,)
@@ -47,13 +47,13 @@ class TestFullcroUtilization:
         assert fullcro_utilization(block_network, 64) == pytest.approx(expected)
 
     def test_empty_network(self):
-        net = ConnectionMatrix(np.zeros((10, 10)))
+        net = ConnectionMatrix.from_dense(np.zeros((10, 10)))
         assert fullcro_utilization(net, 64) == 0.0
 
     def test_dense_small_network_high(self):
         m = np.ones((8, 8), dtype=np.uint8)
         np.fill_diagonal(m, 0)
-        net = ConnectionMatrix(m)
+        net = ConnectionMatrix.from_dense(m)
         assert fullcro_utilization(net, 8) == pytest.approx(56 / 64)
 
 

@@ -9,7 +9,7 @@ from repro.networks import ConnectionMatrix, random_sparse_network
 
 
 def simple_matrix():
-    return ConnectionMatrix(
+    return ConnectionMatrix.from_dense(
         np.array(
             [
                 [0, 1, 0, 0],
@@ -32,15 +32,15 @@ class TestConstruction:
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            ConnectionMatrix(np.zeros((2, 3)))
+            ConnectionMatrix.from_dense(np.zeros((2, 3)))
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            ConnectionMatrix(np.full((3, 3), 2))
+            ConnectionMatrix.from_dense(np.full((3, 3), 2))
 
     def test_input_copied(self):
         raw = np.zeros((3, 3), dtype=np.uint8)
-        net = ConnectionMatrix(raw)
+        net = ConnectionMatrix.from_dense(raw)
         raw[0, 1] = 1
         assert net.num_connections == 0
 
@@ -51,7 +51,7 @@ class TestConstruction:
 
     def test_equality(self):
         assert simple_matrix() == simple_matrix()
-        other = ConnectionMatrix(np.zeros((4, 4)))
+        other = ConnectionMatrix.from_dense(np.zeros((4, 4)))
         assert simple_matrix() != other
 
     def test_repr_mentions_name(self):
@@ -69,7 +69,7 @@ class TestSymmetry:
 
     def test_symmetric_detected(self):
         m = np.array([[0, 1], [1, 0]])
-        assert ConnectionMatrix(m).is_symmetric()
+        assert ConnectionMatrix.from_dense(m).is_symmetric()
 
     def test_symmetrized_max(self):
         net = simple_matrix()
@@ -91,7 +91,7 @@ class TestClusterOperations:
         assert net.outlier_ratio([[0, 1]]) == pytest.approx(3 / 5)
 
     def test_outlier_ratio_empty_network(self):
-        net = ConnectionMatrix(np.zeros((3, 3)))
+        net = ConnectionMatrix.from_dense(np.zeros((3, 3)))
         assert net.outlier_ratio([[0, 1, 2]]) == 0.0
 
     def test_remove_cluster(self):

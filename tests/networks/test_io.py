@@ -42,7 +42,7 @@ class TestEdgelist:
         assert loaded.name == "roundtrip"
 
     def test_empty_network(self, tmp_path):
-        empty = ConnectionMatrix(np.zeros((5, 5)), name="empty")
+        empty = ConnectionMatrix.from_dense(np.zeros((5, 5)), name="empty")
         path = tmp_path / "empty.edges"
         save_network_edgelist(empty, path)
         loaded = load_network_edgelist(path)

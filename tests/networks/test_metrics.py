@@ -9,7 +9,7 @@ from repro.networks.metrics import degree_statistics, fanin_fanout, network_spar
 
 @pytest.fixture()
 def net():
-    return ConnectionMatrix(
+    return ConnectionMatrix.from_dense(
         np.array(
             [
                 [0, 1, 1],
@@ -44,7 +44,7 @@ class TestDegreeStatistics:
         assert stats.min_fanin_fanout == 1
 
     def test_isolated(self):
-        net = ConnectionMatrix(np.zeros((4, 4)))
+        net = ConnectionMatrix.from_dense(np.zeros((4, 4)))
         stats = degree_statistics(net)
         assert stats.isolated_neurons == 4
         assert stats.mean_fanin_fanout == 0.0

@@ -1,18 +1,16 @@
-"""Edge cases the maze suite previously missed, plus the heuristic memo.
+"""Edge cases of the maze search, plus the heuristic memo.
 
-Covers (ISSUE 10 satellites): unreachable targets, source == target,
-zero-capacity edges, single-row grids, workspace reuse across
-consecutive searches (stale visited/history bins), and the per-target
-heuristic memoization fix (identical results, fewer recomputations).
-Every scenario is asserted on the python reference AND the interpreted
-kernel, so the edge behaviour is part of the parity contract too.
+Covers unreachable targets, source == target, zero-capacity edges,
+single-row grids, workspace reuse across consecutive searches (stale
+visited/history bins), the grid-usage contract of ``maze_route`` (the
+caller commits paths), and the per-target heuristic memoization
+(identical results, fewer recomputations).
 """
 
 import numpy as np
 import pytest
 
 from repro.physical.routing.grid import RoutingGrid
-from repro.physical.routing.kernel import interpreted_kernel, route_wires_kernel
 from repro.physical.routing.maze import (
     _HEURISTIC_CACHE_LIMIT,
     MazeWorkspace,
@@ -25,20 +23,6 @@ def make_grid(nx_um=40.0, ny_um=40.0, bin_um=4.0, capacity=2):
                        bin_um=bin_um, capacity=capacity)
 
 
-def kernel_single(grid, ws, start, goal, **kwargs):
-    """One wire through the batch kernel, usage rolled back (maze twin)."""
-    with interpreted_kernel():
-        paths, _ = route_wires_kernel(
-            grid, ws, [(start, goal)],
-            window_margin=kwargs.pop("window_margin", 8),
-            congestion_weight=kwargs.pop("congestion_weight", 2.0),
-            **kwargs,
-        )
-    if paths[0] is not None:
-        grid.add_usage(paths[0], amount=-1)
-    return paths[0]
-
-
 class TestUnreachableTarget:
     def test_fully_blocked_grid_returns_none(self):
         grid = make_grid(capacity=1)
@@ -46,7 +30,6 @@ class TestUnreachableTarget:
         grid.vertical_usage += grid.vertical_capacity
         ws = MazeWorkspace(grid)
         assert maze_route(grid, (0, 0), (5, 5), workspace=ws) is None
-        assert kernel_single(grid, ws, (0, 0), (5, 5)) is None
 
     def test_walled_off_target(self):
         # Saturate only the edges adjacent to the goal bin's column.
@@ -56,7 +39,6 @@ class TestUnreachableTarget:
         grid.vertical_usage[9, :] = grid.vertical_capacity[9, :]
         ws = MazeWorkspace(grid)
         assert maze_route(grid, (0, 0), goal, workspace=ws) is None
-        assert kernel_single(grid, ws, (0, 0), goal) is None
         # allow_overflow turns the wall back into a (priced) corridor.
         assert maze_route(
             grid, (0, 0), goal, allow_overflow=True, workspace=ws
@@ -68,8 +50,18 @@ class TestUnreachableTarget:
         grid.vertical_usage += grid.vertical_capacity
         before_h = grid.horizontal_usage.copy()
         ws = MazeWorkspace(grid)
-        kernel_single(grid, ws, (0, 0), (5, 5))
+        assert maze_route(grid, (0, 0), (5, 5), workspace=ws) is None
         assert np.array_equal(grid.horizontal_usage, before_h)
+
+
+class TestUsageContract:
+    def test_successful_search_leaves_usage_untouched(self):
+        # maze_route's contract: the caller commits the returned path.
+        grid = make_grid()
+        ws = MazeWorkspace(grid)
+        assert maze_route(grid, (0, 0), (5, 5), workspace=ws) is not None
+        assert grid.horizontal_usage.sum() == 0
+        assert grid.vertical_usage.sum() == 0
 
 
 class TestSourceEqualsTarget:
@@ -77,17 +69,11 @@ class TestSourceEqualsTarget:
         grid = make_grid()
         ws = MazeWorkspace(grid)
         assert maze_route(grid, (3, 3), (3, 3), workspace=ws) == [(3, 3)]
-        assert kernel_single(grid, ws, (3, 3), (3, 3)) == [(3, 3)]
 
     def test_trivial_path_commits_nothing(self):
         grid = make_grid()
         ws = MazeWorkspace(grid)
-        with interpreted_kernel():
-            paths, statuses = route_wires_kernel(
-                grid, ws, [((3, 3), (3, 3))],
-                window_margin=8, congestion_weight=2.0,
-            )
-        assert paths == [[(3, 3)]] and statuses == [1]
+        assert maze_route(grid, (3, 3), (3, 3), workspace=ws) == [(3, 3)]
         assert grid.horizontal_usage.sum() == 0
         assert grid.vertical_usage.sum() == 0
 
@@ -103,14 +89,12 @@ class TestZeroCapacityEdge:
         path = maze_route(grid, (4, 5), (5, 5), workspace=ws)
         assert path is not None
         assert ((4, 5), (5, 5)) not in set(zip(path, path[1:]))
-        assert kernel_single(grid, ws, (4, 5), (5, 5)) == path
 
     def test_zero_capacity_row_blocks_crossing(self):
         grid = make_grid(capacity=1)
         grid.vertical_capacity[:, 4] = 0  # no edge crosses y=4 -> y=5
         ws = MazeWorkspace(grid)
         assert maze_route(grid, (0, 0), (0, 9), workspace=ws) is None
-        assert kernel_single(grid, ws, (0, 0), (0, 9)) is None
 
 
 class TestSingleRowGrid:
@@ -121,14 +105,12 @@ class TestSingleRowGrid:
         ws = MazeWorkspace(grid)
         path = maze_route(grid, (0, 0), (9, 0), workspace=ws)
         assert path == [(x, 0) for x in range(10)]
-        assert kernel_single(grid, ws, (0, 0), (9, 0)) == path
 
     def test_single_row_blockage_is_fatal(self):
         grid = make_grid(ny_um=4.0, capacity=1)
         grid.horizontal_usage[4, 0] = 1
         ws = MazeWorkspace(grid)
         assert maze_route(grid, (0, 0), (9, 0), workspace=ws) is None
-        assert kernel_single(grid, ws, (0, 0), (9, 0)) is None
 
     def test_single_column_grid(self):
         grid = make_grid(nx_um=4.0)
@@ -136,7 +118,6 @@ class TestSingleRowGrid:
         ws = MazeWorkspace(grid)
         path = maze_route(grid, (0, 0), (0, 9), workspace=ws)
         assert path == [(0, y) for y in range(10)]
-        assert kernel_single(grid, ws, (0, 0), (0, 9)) == path
 
 
 class TestWorkspaceReuse:
@@ -152,17 +133,6 @@ class TestWorkspaceReuse:
             expected = maze_route(grid, start, goal,
                                   workspace=MazeWorkspace(grid))
             assert maze_route(grid, start, goal, workspace=shared) == expected
-
-    def test_kernel_batches_reuse_the_same_workspace(self):
-        grid = make_grid()
-        shared = MazeWorkspace(grid)
-        cases = [((0, 0), (9, 9)), ((9, 0), (0, 9)), ((5, 5), (0, 0))]
-        for start, goal in cases:
-            expected = maze_route(grid, start, goal,
-                                  workspace=MazeWorkspace(grid))
-            assert kernel_single(grid, shared, start, goal) == expected
-        assert shared.kernel_batches == len(cases)
-        assert shared.kernel_wires == len(cases)
 
     def test_usage_change_between_searches_is_seen(self):
         # The second search must observe usage committed after the
@@ -225,17 +195,12 @@ class TestHeuristicMemo:
 class TestWindowFallback:
     def test_zero_margin_falls_back_to_full_grid(self):
         # A congestion detour outside a zero-margin window forces the
-        # full-grid retry; both engines must count two searches.
+        # full-grid retry, which counts as a second search.
         grid = make_grid(capacity=1)
         grid.horizontal_usage[4, 5] = 1  # block the straight corridor
         ws = MazeWorkspace(grid)
         path = maze_route(grid, (0, 5), (9, 5), window_margin=0, workspace=ws)
         assert path is not None
         assert ws.searches == 2
-        ws2 = MazeWorkspace(grid)
         with pytest.raises(ValueError, match="window_margin"):
-            maze_route(grid, (0, 5), (9, 5), window_margin=-1, workspace=ws2)
-        assert kernel_single(
-            grid, ws2, (0, 5), (9, 5), window_margin=0
-        ) == path
-        assert ws2.searches == 2
+            maze_route(grid, (0, 5), (9, 5), window_margin=-1, workspace=ws)

@@ -52,20 +52,6 @@ class TestParser:
             args = build_parser().parse_args([command])
             assert args.trace is None and args.metrics is None
 
-    def test_kernel_flag_parsed_and_validated(self):
-        for command in ("compare", "verify"):
-            assert build_parser().parse_args([command]).kernel is None
-            args = build_parser().parse_args([command, "--kernel", "python"])
-            assert args.kernel == "python"
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command, "--kernel", "fortran"])
-
-    def test_bench_kernel_flag(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.kernel == "auto"
-        args = build_parser().parse_args(["bench", "--kernel", "numba"])
-        assert args.kernel == "numba"
-
 
 class TestCommands:
     def test_cluster_on_small_network(self, capsys):
@@ -82,23 +68,6 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "AutoNCS" in out and "FullCro" in out
-
-    def test_compare_kernel_python_matches_default(self, capsys):
-        # Explicit --kernel python must reproduce the default run
-        # exactly (the default is "auto", and auto either falls back
-        # to python or dispatches to the bit-identical kernel).
-        base = ["compare", "--fast", "--neurons", "60", "--density", "0.08",
-                "--seed", "2"]
-
-        def qor_lines(text):
-            # drop the stage-seconds block: wall times differ run to run
-            return [line for line in text.splitlines()
-                    if not line.startswith(("stage seconds", "  "))]
-
-        assert main(base) == 0
-        default_out = qor_lines(capsys.readouterr().out)
-        assert main(base + ["--kernel", "python"]) == 0
-        assert qor_lines(capsys.readouterr().out) == default_out
 
     def test_cluster_loads_saved_network(self, tmp_path, capsys):
         net = random_sparse_network(50, 0.1, rng=3, name="saved")

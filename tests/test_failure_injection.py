@@ -62,17 +62,17 @@ class TestClusteringDegenerateInputs:
     def test_fully_connected_network(self):
         m = np.ones((20, 20), dtype=np.uint8)
         np.fill_diagonal(m, 0)
-        net = ConnectionMatrix(m)
+        net = ConnectionMatrix.from_dense(m)
         result = greedy_cluster_size_prediction(net, 8, rng=0)
         assert result.max_size() <= 8
 
     def test_single_neuron(self):
-        net = ConnectionMatrix(np.zeros((1, 1)))
+        net = ConnectionMatrix.from_dense(np.zeros((1, 1)))
         result = greedy_cluster_size_prediction(net, 4, rng=0)
         assert result.k == 1
 
     def test_two_neuron_ring(self):
-        net = ConnectionMatrix(np.array([[0, 1], [1, 0]]))
+        net = ConnectionMatrix.from_dense(np.array([[0, 1], [1, 0]]))
         isc = iterative_spectral_clustering(net, utilization_threshold=0.0,
                                             max_iterations=3, rng=0)
         isc.validate()
@@ -83,7 +83,7 @@ class TestClusteringDegenerateInputs:
         m = np.zeros((n, n), dtype=np.uint8)
         m[0, 1:] = 1
         m[1:, 0] = 1
-        net = ConnectionMatrix(m)
+        net = ConnectionMatrix.from_dense(m)
         isc = iterative_spectral_clustering(net, utilization_threshold=0.001,
                                             max_iterations=10, rng=0)
         isc.validate()
@@ -93,7 +93,7 @@ class TestClusteringDegenerateInputs:
         m[:10, :10] = 1
         m[20:, 20:] = 1
         np.fill_diagonal(m, 0)
-        net = ConnectionMatrix(m)
+        net = ConnectionMatrix.from_dense(m)
         result = greedy_cluster_size_prediction(net, 12, rng=0)
         assert result.max_size() <= 12
 
@@ -140,14 +140,14 @@ class TestMappingConsistencyUnderStress:
     def test_dense_network_maps_completely(self):
         m = np.ones((70, 70), dtype=np.uint8)
         np.fill_diagonal(m, 0)
-        net = ConnectionMatrix(m)
+        net = ConnectionMatrix.from_dense(m)
         isc = iterative_spectral_clustering(net, utilization_threshold=0.01,
                                             max_iterations=20, rng=0)
         mapping = autoncs_mapping(isc)
         mapping.validate()
 
     def test_empty_network_maps_to_nothing(self):
-        net = ConnectionMatrix(np.zeros((25, 25)))
+        net = ConnectionMatrix.from_dense(np.zeros((25, 25)))
         isc = iterative_spectral_clustering(net, utilization_threshold=0.01, rng=0)
         mapping = autoncs_mapping(isc)
         assert mapping.num_crossbars == 0

@@ -1,9 +1,6 @@
-"""Tests for :class:`repro.FlowOptions`, ``repro.load_network`` and the
-legacy per-call keyword shims on the facade functions."""
+"""Tests for :class:`repro.FlowOptions` and ``repro.load_network``."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -59,40 +56,12 @@ class TestFlowOptions:
 
 
 class TestOptionsParameter:
-    def test_map_network_options_equals_legacy_kwargs(self, network):
-        via_options = repro.map_network(
-            network, options=FlowOptions(config=fast_config(), seed=3)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_legacy = repro.map_network(network, config=fast_config(), seed=3)
-        assert via_options.design.summary() == via_legacy.design.summary()
-
-    def test_legacy_kwargs_warn(self, network):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.map_network(network, config=fast_config(), seed=3)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert deprecations
-        assert any("FlowOptions" in str(w.message) for w in deprecations)
-
-    def test_legacy_kwargs_override_options(self, network):
-        # Matching pre-1.7 behaviour: an explicit kwarg wins over options.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            report_a = repro.compare(
-                network, options=FlowOptions(config=fast_config(), seed=1), seed=9
-            )
-            report_b = repro.compare(
-                network, options=FlowOptions(config=fast_config(), seed=9)
-            )
-        assert report_a.rows() == report_b.rows()
-
     def test_unknown_kwarg_rejected(self, network):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            repro.map_network(network, nonsense=1)
+        # The pre-2.0 per-call keywords are rejected like any unknown one.
+        for function in (repro.map_network, repro.compare, repro.verify):
+            for kwargs in ({"nonsense": 1}, {"seed": 3}, {"config": fast_config()}):
+                with pytest.raises(TypeError, match="unexpected keyword"):
+                    function(network, **kwargs)
 
     def test_verify_options_checks(self, network):
         report = repro.verify(

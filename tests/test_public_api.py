@@ -2,8 +2,8 @@
 
 The facade is the supported surface: ``repro.map_network``,
 ``repro.compare``, ``repro.verify``.  These tests pin its names,
-keyword-only signatures, return types, the deprecation shims at the old
-deep-import locations, and the facade/submodule coexistence trick
+keyword-only signatures, return types, the absence of the old
+deep-import aliases, and the facade/submodule coexistence trick
 (``repro.verify`` is simultaneously a callable and an importable
 package).
 """
@@ -11,12 +11,12 @@ package).
 from __future__ import annotations
 
 import inspect
-import warnings
 
 import pytest
 
 import repro
 import repro.api
+from repro import FlowOptions
 from repro.core import AutoNcsResult, ComparisonReport
 from repro.networks import random_sparse_network
 from repro.verify.report import VerificationReport
@@ -90,7 +90,7 @@ def test_top_level_names_are_the_api_functions():
 def test_map_network_returns_result(network):
     from repro.core.config import fast_config
 
-    result = repro.map_network(network, config=fast_config(), seed=3)
+    result = repro.map_network(network, options=FlowOptions(config=fast_config(), seed=3))
     assert isinstance(result, AutoNcsResult)
     assert result.design.cost.wirelength_um > 0
 
@@ -99,7 +99,8 @@ def test_verify_facade_on_network(network):
     from repro.core.config import fast_config
 
     report = repro.verify(
-        network, config=fast_config(), seed=3, checks=["coverage", "hardware"]
+        network,
+        options=FlowOptions(config=fast_config(), seed=3, checks=["coverage", "hardware"]),
     )
     assert isinstance(report, VerificationReport)
     assert report.passed
@@ -114,7 +115,7 @@ def test_compare_facade_serial_matches_class(network):
     from repro.core import AutoNCS
     from repro.core.config import fast_config
 
-    via_facade = repro.compare(network, config=fast_config(), seed=5)
+    via_facade = repro.compare(network, options=FlowOptions(config=fast_config(), seed=5))
     via_class = AutoNCS(fast_config()).compare(network, rng=5)
     assert isinstance(via_facade, ComparisonReport)
     assert via_facade.rows() == via_class.rows()
@@ -134,29 +135,23 @@ def test_verify_submodule_still_importable():
     assert hasattr(verify_pkg, "verify_flow") or callable(verify_pkg)
 
 
-# ---------------------------------------------------------- deprecation shims
-@pytest.mark.parametrize("name", ["map_network", "compare", "verify"])
-def test_core_shims_warn_and_delegate(name, network):
+# ------------------------------------------------------ no legacy surfaces
+def test_core_exports_no_facade_functions():
     import repro.core
 
-    shim = getattr(repro.core, name)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            shim(object())  # wrong type: delegate raises like the facade
-        except Exception:
-            pass
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    assert any("repro.api" in str(w.message) for w in caught)
+    for name in ("map_network", "compare", "verify"):
+        assert not hasattr(repro.core, name)
+        assert name not in repro.core.__all__
 
 
 # -------------------------------------------------- result-object surface
 def test_result_objects_have_uniform_surface(network):
     from repro.core.config import fast_config
 
-    result = repro.map_network(network, config=fast_config(), seed=3)
-    report = repro.compare(network, config=fast_config(), seed=3)
-    verification = repro.verify(result, checks=["coverage", "hardware"])
+    options = FlowOptions(config=fast_config(), seed=3, checks=["coverage", "hardware"])
+    result = repro.map_network(network, options=options)
+    report = repro.compare(network, options=options)
+    verification = repro.verify(result, options=options)
     for obj in (result, report, verification):
         data = obj.to_dict()
         assert isinstance(data, dict) and data
@@ -167,7 +162,7 @@ def test_result_objects_have_uniform_surface(network):
 def test_mapping_result_surface(network):
     from repro.core.config import fast_config
 
-    result = repro.map_network(network, config=fast_config(), seed=3)
+    result = repro.map_network(network, options=FlowOptions(config=fast_config(), seed=3))
     data = result.mapping.to_dict()
     assert data["netlist_cells"] > 0
     assert result.mapping.format_table().startswith("mapping ")
