@@ -57,9 +57,14 @@ class TestFlowOptions:
 
 class TestOptionsParameter:
     def test_unknown_kwarg_rejected(self, network):
+        for function in (repro.map_network, repro.compare, repro.verify):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                function(network, nonsense=1)
+
+    def test_legacy_kwargs_rejected(self, network):
         # The pre-2.0 per-call keywords are rejected like any unknown one.
         for function in (repro.map_network, repro.compare, repro.verify):
-            for kwargs in ({"nonsense": 1}, {"seed": 3}, {"config": fast_config()}):
+            for kwargs in ({"seed": 3}, {"config": fast_config()}):
                 with pytest.raises(TypeError, match="unexpected keyword"):
                     function(network, **kwargs)
 

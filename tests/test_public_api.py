@@ -136,12 +136,12 @@ def test_verify_submodule_still_importable():
 
 
 # ------------------------------------------------------ no legacy surfaces
-def test_core_exports_no_facade_functions():
+@pytest.mark.parametrize("name", ["map_network", "compare", "verify"])
+def test_core_has_no_facade_alias(name):
     import repro.core
 
-    for name in ("map_network", "compare", "verify"):
-        assert not hasattr(repro.core, name)
-        assert name not in repro.core.__all__
+    assert not hasattr(repro.core, name)
+    assert name not in repro.core.__all__
 
 
 # -------------------------------------------------- result-object surface
