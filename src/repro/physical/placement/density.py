@@ -13,13 +13,23 @@ the gradient is defined at coincident centers.
 
 For small designs every pair is evaluated; beyond
 :data:`~repro.physical.placement.spatial.PAIRWISE_LIMIT` cells the pair
-set is pruned by spatial binning (sigmoid tails beyond the interaction
-cutoff are numerically zero, so the pruning is lossless in practice).
+set is pruned by spatial binning, which drops a pair only when it is more
+than ``8τ`` from touching on some axis.  The pruning is approximate: a
+dropped pair has ``O < σ(-8)`` on that axis, so it would have added less
+than σ(-8) ≈ 3.4e-4 to ``D`` (and less than σ(-8)/τ to a gradient
+component).
+
+The all-pairs set of a placement never changes — cell sizes are fixed and
+every pair is kept — so a placement builds it once
+(:func:`placement_pairs`) as a :class:`PairSet` that also holds the
+evaluation's scratch buffers, and passes it to every
+:func:`density_value_and_grad` call.  The binned set follows the positions,
+so each binned evaluation builds a throwaway one.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.special
@@ -28,14 +38,19 @@ from repro.physical.placement.spatial import PAIRWISE_LIMIT, candidate_pairs
 
 _EPSILON = 1e-6
 
-#: Sigmoid cutoff margin in units of τ: σ(-8) ≈ 3e-4.
+#: Sigmoid cutoff margin in units of τ: σ(-8) ≈ 3.4e-4.
 _CUTOFF_TAUS = 8.0
+
+
+def _check_tau(tau: float) -> None:
+    # ``not tau > 0`` also rejects NaN, which every ``tau <= 0`` test passes.
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
 
 
 def sigmoid_overlap(delta: np.ndarray, half_extent: np.ndarray, tau: float) -> np.ndarray:
     """Smooth overlap indicator ``σ((h - |Δ|)/τ)`` (vectorized)."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _check_tau(tau)
     soft_abs = np.sqrt(delta * delta + _EPSILON)
     z = (half_extent - soft_abs) / tau
     return scipy.special.expit(z)  # numerically stable logistic
@@ -56,12 +71,106 @@ def _interaction_pairs(
     return candidate_pairs(x, y, reach)
 
 
+class PairSet:
+    """The cell pairs ``ii < jj`` of a density evaluation, with its scratch space.
+
+    Holds the scatter index ``concat(ii, jj)`` (``ii`` and ``jj`` are views
+    of its two halves), the per-pair half-extent sums ``hx``/``hy`` and
+    float64 scratch buffers sized exactly to the pair count, so an
+    evaluation over the set allocates nothing the length of the pair list.
+    Every evaluation overwrites the buffers: a set serves one evaluation at
+    a time.
+    """
+
+    def __init__(
+        self, ii: np.ndarray, jj: np.ndarray, half_w: np.ndarray, half_h: np.ndarray
+    ) -> None:
+        m = ii.shape[0]
+        self.n = half_w.shape[0]
+        self.scatter = np.concatenate([ii, jj])
+        self.ii = self.scatter[:m]
+        self.jj = self.scatter[m:]
+        self.hx = half_w[ii] + half_w[jj]
+        self.hy = half_h[ii] + half_h[jj]
+        self.dx, self.dy, self.soft_abs_x, self.soft_abs_y, self.ox, self.oy = np.empty((6, m))
+        #: ``concat(g, -g)`` of one axis: the weights of its scatter.
+        self.weights = np.empty(2 * m)
+
+
+def placement_pairs(widths: np.ndarray, heights: np.ndarray) -> Optional[PairSet]:
+    """The reusable all-pairs set of a placement of these cells.
+
+    ``None`` beyond :data:`~repro.physical.placement.spatial.PAIRWISE_LIMIT`
+    cells, where the evaluated pairs follow the positions and
+    :func:`density_value_and_grad` bins them per call.
+    """
+    n = len(widths)
+    if n > PAIRWISE_LIMIT:
+        return None
+    ii, jj = np.triu_indices(n, k=1)
+    half_w = np.asarray(widths, dtype=float) / 2.0
+    half_h = np.asarray(heights, dtype=float) / 2.0
+    return PairSet(ii, jj, half_w, half_h)
+
+
+def _axis_overlap(
+    coords: np.ndarray,
+    pairs: PairSet,
+    half_sum: np.ndarray,
+    tau: float,
+    delta: np.ndarray,
+    soft_abs: np.ndarray,
+    overlap: np.ndarray,
+) -> None:
+    """Fill ``delta`` = Δ, ``soft_abs`` = sqrt(Δ² + ε) and ``overlap`` = O along one axis."""
+    # mode="clip" never clips here (the indices are in range); the default
+    # "raise" would stage ``out`` through a temporary copy.
+    np.take(coords, pairs.ii, out=delta, mode="clip")
+    np.take(coords, pairs.jj, out=soft_abs, mode="clip")
+    np.subtract(delta, soft_abs, out=delta)
+    np.multiply(delta, delta, out=soft_abs)
+    np.add(soft_abs, _EPSILON, out=soft_abs)
+    np.sqrt(soft_abs, out=soft_abs)
+    np.subtract(half_sum, soft_abs, out=overlap)
+    np.divide(overlap, tau, out=overlap)
+    scipy.special.expit(overlap, out=overlap)
+
+
+def _axis_grad(
+    pairs: PairSet,
+    tau: float,
+    delta: np.ndarray,
+    soft_abs: np.ndarray,
+    overlap: np.ndarray,
+    other: np.ndarray,
+) -> np.ndarray:
+    """∂D along one axis, as a fresh length-n array.
+
+    Per pair ``g = -(O(1-O)/τ)·(Δ/sqrt(Δ²+ε))·O_other`` (dσ/dΔ times the
+    other axis' overlap), added to cell ``ii`` and subtracted from ``jj``.
+    """
+    m = delta.shape[0]
+    g = pairs.weights[:m]
+    np.subtract(1.0, overlap, out=g)
+    np.multiply(overlap, g, out=g)
+    np.divide(g, tau, out=g)
+    np.negative(g, out=g)
+    np.divide(delta, soft_abs, out=delta)
+    np.multiply(g, delta, out=g)
+    np.multiply(g, other, out=g)
+    np.negative(g, out=pairs.weights[m:])
+    # bincount adds in input order, as add.at(ii, g) then add.at(jj, -g) do,
+    # so every cell's sum is bit-identical to the two scatters.
+    return np.bincount(pairs.scatter, weights=pairs.weights, minlength=pairs.n)
+
+
 def density_value_and_grad(
     x: np.ndarray,
     y: np.ndarray,
     widths: np.ndarray,
     heights: np.ndarray,
     tau: float,
+    pairs: Optional[PairSet] = None,
 ) -> Tuple[float, np.ndarray, np.ndarray]:
     """Pairwise sigmoid density ``D`` and its gradient.
 
@@ -71,44 +180,35 @@ def density_value_and_grad(
         The *virtual* cell dimensions (ω already applied by the caller).
     tau:
         Sigmoid smoothing length in µm.
+    pairs:
+        A set from :func:`placement_pairs` for these widths and heights,
+        reused across calls; ``None`` builds a throwaway set for this call
+        (every pair, or the binned pairs beyond
+        :data:`~repro.physical.placement.spatial.PAIRWISE_LIMIT` cells).
 
     Returns
     -------
     (value, grad_x, grad_y)
+        The gradients are fresh arrays that share no memory with ``pairs``.
     """
+    _check_tau(tau)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    grad_x = np.zeros_like(x)
-    grad_y = np.zeros_like(y)
-    n = x.shape[0]
-    if n < 2:
-        return 0.0, grad_x, grad_y
-    half_w = np.asarray(widths, dtype=float) / 2.0
-    half_h = np.asarray(heights, dtype=float) / 2.0
-    ii, jj = _interaction_pairs(x, y, half_w, half_h, margin=_CUTOFF_TAUS * tau)
-    if ii.size == 0:
-        return 0.0, grad_x, grad_y
+    if pairs is None:
+        half_w = np.asarray(widths, dtype=float) / 2.0
+        half_h = np.asarray(heights, dtype=float) / 2.0
+        ii, jj = _interaction_pairs(x, y, half_w, half_h, margin=_CUTOFF_TAUS * tau)
+        pairs = PairSet(ii, jj, half_w, half_h)
+    elif pairs.n != x.shape[0]:
+        raise ValueError(f"pair set is for {pairs.n} cells, got {x.shape[0]}")
 
-    dx = x[ii] - x[jj]
-    dy = y[ii] - y[jj]
-    hx = half_w[ii] + half_w[jj]
-    hy = half_h[ii] + half_h[jj]
-
-    ox = sigmoid_overlap(dx, hx, tau)
-    oy = sigmoid_overlap(dy, hy, tau)
-    value = float(np.sum(ox * oy))
-
-    # dσ/dΔ = -σ(1-σ)/τ · d|Δ|/dΔ with d|Δ|/dΔ = Δ / sqrt(Δ²+ε).
-    soft_abs_x = np.sqrt(dx * dx + _EPSILON)
-    soft_abs_y = np.sqrt(dy * dy + _EPSILON)
-    dox = -(ox * (1.0 - ox) / tau) * (dx / soft_abs_x)
-    doy = -(oy * (1.0 - oy) / tau) * (dy / soft_abs_y)
-    gx_pair = dox * oy
-    gy_pair = doy * ox
-    np.add.at(grad_x, ii, gx_pair)
-    np.add.at(grad_x, jj, -gx_pair)
-    np.add.at(grad_y, ii, gy_pair)
-    np.add.at(grad_y, jj, -gy_pair)
+    _axis_overlap(x, pairs, pairs.hx, tau, pairs.dx, pairs.soft_abs_x, pairs.ox)
+    _axis_overlap(y, pairs, pairs.hy, tau, pairs.dy, pairs.soft_abs_y, pairs.oy)
+    product = pairs.weights[: pairs.ox.shape[0]]  # free until the gradients fill it
+    np.multiply(pairs.ox, pairs.oy, out=product)
+    value = float(np.sum(product))
+    grad_x = _axis_grad(pairs, tau, pairs.dx, pairs.soft_abs_x, pairs.ox, pairs.oy)
+    grad_y = _axis_grad(pairs, tau, pairs.dy, pairs.soft_abs_y, pairs.oy, pairs.ox)
     return value, grad_x, grad_y
 
 

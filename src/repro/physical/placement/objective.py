@@ -6,7 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.physical.placement.density import density_value_and_grad
+from repro.physical.placement.density import density_value_and_grad, placement_pairs
 from repro.physical.placement.wirelength import wa_wirelength_and_grad
 
 
@@ -38,7 +38,8 @@ class PlacementObjective:
         gamma: float,
         tau: float,
     ) -> None:
-        if gamma <= 0 or tau <= 0:
+        # ``not ... > 0`` also rejects NaN, which a ``<= 0`` test lets through.
+        if not (gamma > 0 and tau > 0):
             raise ValueError("gamma and tau must be > 0")
         self.sources = np.asarray(sources, dtype=int)
         self.targets = np.asarray(targets, dtype=int)
@@ -49,6 +50,9 @@ class PlacementObjective:
         self.tau = float(tau)
         self.lam = 0.0
         self.n = self.virtual_widths.shape[0]
+        # Cell sizes are fixed, so the density's all-pairs set is built once
+        # per placement (None when the density bins its pairs per call).
+        self.pairs = placement_pairs(self.virtual_widths, self.virtual_heights)
         # Evaluation tallies: plain attribute adds in the optimizer's hot
         # loop; the placer reports them to the observability recorder once
         # per place() call.
@@ -82,7 +86,7 @@ class PlacementObjective:
         self.density_evals += 1
         x, y = self.unpack(z)
         value, gx, gy = density_value_and_grad(
-            x, y, self.virtual_widths, self.virtual_heights, self.tau
+            x, y, self.virtual_widths, self.virtual_heights, self.tau, self.pairs
         )
         return value, np.concatenate([gx, gy])
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.physical.placement.density as density_module
 from repro.physical.placement.density import (
     density_value_and_grad,
+    placement_pairs,
     sigmoid_overlap,
     true_overlap,
 )
@@ -26,8 +29,9 @@ class TestSigmoidOverlap:
         assert value[0] == pytest.approx(0.5, abs=0.01)
 
     def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            sigmoid_overlap(np.array([0.0]), np.array([1.0]), tau=0.0)
+        for tau in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                sigmoid_overlap(np.array([0.0]), np.array([1.0]), tau=tau)
 
 
 class TestDensityValue:
@@ -59,6 +63,14 @@ class TestDensityValue:
         # descending -grad must separate: cell 0 pushed left, cell 1 right
         assert gx[0] > 0
         assert gx[1] < 0
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_bad_tau(self, n, tau):
+        # Rejected at any cell count, also where no pair exists to use τ on.
+        cells = np.arange(n, dtype=float)
+        with pytest.raises(ValueError):
+            density_value_and_grad(cells, cells, np.ones(n), np.ones(n), tau)
 
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(0)
@@ -157,3 +169,126 @@ class TestSpatialPruning:
     def test_single_cell(self):
         ii, jj = candidate_pairs(np.zeros(1), np.zeros(1), np.ones(1))
         assert ii.size == 0
+
+
+def _per_call_density(x, y, widths, heights, tau, binned):
+    """Reference: the per-call density body the pair set replaced.
+
+    Builds the pairs on every call (``triu_indices``, or the binned
+    candidates), evaluates ``sigmoid_overlap`` and scatters with four
+    ``np.add.at`` calls.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    grad_x = np.zeros_like(x)
+    grad_y = np.zeros_like(y)
+    n = x.shape[0]
+    half_w = np.asarray(widths, dtype=float) / 2.0
+    half_h = np.asarray(heights, dtype=float) / 2.0
+    if binned:
+        margin = 8.0 * tau
+        ii, jj = candidate_pairs(x, y, np.maximum(half_w, half_h) + margin / 2.0)
+    else:
+        ii, jj = np.triu_indices(n, k=1)
+    if ii.size == 0:
+        return 0.0, grad_x, grad_y
+    dx = x[ii] - x[jj]
+    dy = y[ii] - y[jj]
+    hx = half_w[ii] + half_w[jj]
+    hy = half_h[ii] + half_h[jj]
+    ox = sigmoid_overlap(dx, hx, tau)
+    oy = sigmoid_overlap(dy, hy, tau)
+    value = float(np.sum(ox * oy))
+    soft_abs_x = np.sqrt(dx * dx + 1e-6)
+    soft_abs_y = np.sqrt(dy * dy + 1e-6)
+    dox = -(ox * (1.0 - ox) / tau) * (dx / soft_abs_x)
+    doy = -(oy * (1.0 - oy) / tau) * (dy / soft_abs_y)
+    gx_pair = dox * oy
+    gy_pair = doy * ox
+    np.add.at(grad_x, ii, gx_pair)
+    np.add.at(grad_x, jj, -gx_pair)
+    np.add.at(grad_y, ii, gy_pair)
+    np.add.at(grad_y, jj, -gy_pair)
+    return value, grad_x, grad_y
+
+
+def _assert_identical(actual, expected):
+    assert actual[0] == expected[0]
+    np.testing.assert_array_equal(actual[1], expected[1])
+    np.testing.assert_array_equal(actual[2], expected[2])
+
+
+# Few distinct sizes and coordinates, so identical cells and coincident
+# centres (Δ = 0, where the soft |Δ| matters) come up in most examples.
+_SIZES = st.sampled_from([0.5, 2.0, 6.0]) | st.floats(0.1, 8.0)
+_COORDS = st.sampled_from([0.0, 1.0, 20.0]) | st.floats(-30.0, 30.0)
+
+
+@st.composite
+def _designs(draw):
+    """Cell sizes, τ and three position vectors for one placement."""
+    n = draw(st.integers(2, 60))
+    vector = st.lists(_COORDS, min_size=n, max_size=n).map(np.array)
+    widths = draw(st.lists(_SIZES, min_size=n, max_size=n).map(np.array))
+    heights = draw(st.lists(_SIZES, min_size=n, max_size=n).map(np.array))
+    tau = draw(st.floats(0.1, 5.0))
+    positions = [(draw(vector), draw(vector)) for _ in range(3)]
+    return widths, heights, tau, positions
+
+
+class TestPairSetEquivalence:
+    """The pair-set kernel reproduces the per-call body bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(design=_designs())
+    def test_reused_pair_set_matches_per_call_body(self, design):
+        widths, heights, tau, positions = design
+        pairs = placement_pairs(widths, heights)
+        for x, y in positions:
+            expected = _per_call_density(x, y, widths, heights, tau, binned=False)
+            _assert_identical(
+                density_value_and_grad(x, y, widths, heights, tau, pairs), expected
+            )
+            _assert_identical(density_value_and_grad(x, y, widths, heights, tau), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(design=_designs())
+    def test_binned_path_matches_per_call_body(self, design):
+        widths, heights, tau, positions = design
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(density_module, "PAIRWISE_LIMIT", 1)
+            assert placement_pairs(widths, heights) is None
+            for x, y in positions:
+                _assert_identical(
+                    density_value_and_grad(x, y, widths, heights, tau),
+                    _per_call_density(x, y, widths, heights, tau, binned=True),
+                )
+
+
+class TestPairSetReuse:
+    @pytest.fixture()
+    def design(self):
+        rng = np.random.default_rng(11)
+        n = 40
+        widths = rng.uniform(1, 6, n)
+        heights = rng.uniform(1, 6, n)
+        positions = [(rng.random(n) * 30, rng.random(n) * 30) for _ in range(2)]
+        return widths, heights, positions
+
+    def test_results_outlive_the_next_call(self, design):
+        # Conjugate gradient holds gradients of several evaluations at once.
+        widths, heights, ((x1, y1), (x2, y2)) = design
+        pairs = placement_pairs(widths, heights)
+        value1, gx1, gy1 = density_value_and_grad(x1, y1, widths, heights, 0.7, pairs)
+        first = (value1, gx1.copy(), gy1.copy())
+        second = density_value_and_grad(x2, y2, widths, heights, 0.7, pairs)
+        _assert_identical((value1, gx1, gy1), first)
+        buffers = [a for a in vars(pairs).values() if isinstance(a, np.ndarray)]
+        for grad in (gx1, gy1, second[1], second[2]):
+            assert not any(np.shares_memory(grad, buffer) for buffer in buffers)
+
+    def test_rejects_pair_set_of_another_size(self, design):
+        widths, heights, ((x, y), _) = design
+        pairs = placement_pairs(widths[:-1], heights[:-1])
+        with pytest.raises(ValueError):
+            density_value_and_grad(x, y, widths, heights, 0.7, pairs)

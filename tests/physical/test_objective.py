@@ -83,13 +83,15 @@ class TestInitialLambda:
         assert objective.initial_lambda(z) == pytest.approx(1.0)
 
     def test_rejects_bad_smoothing(self):
-        with pytest.raises(ValueError):
-            PlacementObjective(
-                sources=np.array([0]),
-                targets=np.array([1]),
-                weights=np.ones(1),
-                virtual_widths=np.ones(2),
-                virtual_heights=np.ones(2),
-                gamma=0.0,
-                tau=1.0,
-            )
+        nan = float("nan")
+        for gamma, tau in ((0.0, 1.0), (1.0, 0.0), (nan, 1.0), (1.0, nan)):
+            with pytest.raises(ValueError):
+                PlacementObjective(
+                    sources=np.array([0]),
+                    targets=np.array([1]),
+                    weights=np.ones(1),
+                    virtual_widths=np.ones(2),
+                    virtual_heights=np.ones(2),
+                    gamma=gamma,
+                    tau=tau,
+                )

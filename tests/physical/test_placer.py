@@ -107,8 +107,9 @@ class TestPlace:
         config = PlacementConfig(max_lambda_stages=3, cg_iterations_per_stage=10)
         a = place(small_netlist, config=config, rng=7)
         b = place(small_netlist, config=config, rng=7)
-        np.testing.assert_allclose(a.x, b.x)
-        np.testing.assert_allclose(a.y, b.y)
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.y, b.y)
+        assert a.metadata["stages"] == b.metadata["stages"]
 
 
 class TestCostEvaluation:
