@@ -22,9 +22,14 @@ component).
 The all-pairs set of a placement never changes — cell sizes are fixed and
 every pair is kept — so a placement builds it once
 (:func:`placement_pairs`) as a :class:`PairSet` that also holds the
-evaluation's scratch buffers, and passes it to every
-:func:`density_value_and_grad` call.  The binned set follows the positions,
-so each binned evaluation builds a throwaway one.
+evaluation's scratch buffers, and passes it to every evaluation.  The
+binned set follows the positions, so each binned evaluation builds a
+throwaway one.
+
+An evaluation comes in two halves: :func:`density_value` leaves the
+per-pair terms in the set, and :func:`density_grad` finishes the gradient
+of that point from them.  A line search that rejects a trial point never
+pays for its gradient; :func:`density_value_and_grad` runs both halves.
 """
 
 from __future__ import annotations
@@ -164,6 +169,53 @@ def _axis_grad(
     return np.bincount(pairs.scatter, weights=pairs.weights, minlength=pairs.n)
 
 
+def density_value(
+    x: np.ndarray,
+    y: np.ndarray,
+    widths: np.ndarray,
+    heights: np.ndarray,
+    tau: float,
+    pairs: Optional[PairSet] = None,
+) -> Tuple[float, PairSet]:
+    """Pairwise sigmoid density ``D``, keeping its per-pair terms for the gradient.
+
+    Takes the arguments of :func:`density_value_and_grad` and returns
+    ``(value, pairs)``: the set this call evaluated over (``pairs``, or the
+    throwaway set built when it is ``None``), holding the per-pair terms
+    that :func:`density_grad` turns into the gradient at this point.  The
+    next evaluation over the same set overwrites them.
+    """
+    _check_tau(tau)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if pairs is None:
+        half_w = np.asarray(widths, dtype=float) / 2.0
+        half_h = np.asarray(heights, dtype=float) / 2.0
+        ii, jj = _interaction_pairs(x, y, half_w, half_h, margin=_CUTOFF_TAUS * tau)
+        pairs = PairSet(ii, jj, half_w, half_h)
+    elif pairs.n != x.shape[0]:
+        raise ValueError(f"pair set is for {pairs.n} cells, got {x.shape[0]}")
+
+    _axis_overlap(x, pairs, pairs.hx, tau, pairs.dx, pairs.soft_abs_x, pairs.ox)
+    _axis_overlap(y, pairs, pairs.hy, tau, pairs.dy, pairs.soft_abs_y, pairs.oy)
+    product = pairs.weights[: pairs.ox.shape[0]]  # free until the gradients fill it
+    np.multiply(pairs.ox, pairs.oy, out=product)
+    return float(np.sum(product)), pairs
+
+
+def density_grad(pairs: PairSet, tau: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The gradient of ``D`` at the point :func:`density_value` last evaluated over ``pairs``.
+
+    Returns ``(grad_x, grad_y)`` as fresh arrays that share no memory with
+    ``pairs``.  It uses up the per-pair terms that call left (``dx`` and
+    ``dy`` are overwritten), so it runs at most once per
+    :func:`density_value`.
+    """
+    grad_x = _axis_grad(pairs, tau, pairs.dx, pairs.soft_abs_x, pairs.ox, pairs.oy)
+    grad_y = _axis_grad(pairs, tau, pairs.dy, pairs.soft_abs_y, pairs.oy, pairs.ox)
+    return grad_x, grad_y
+
+
 def density_value_and_grad(
     x: np.ndarray,
     y: np.ndarray,
@@ -191,24 +243,8 @@ def density_value_and_grad(
     (value, grad_x, grad_y)
         The gradients are fresh arrays that share no memory with ``pairs``.
     """
-    _check_tau(tau)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if pairs is None:
-        half_w = np.asarray(widths, dtype=float) / 2.0
-        half_h = np.asarray(heights, dtype=float) / 2.0
-        ii, jj = _interaction_pairs(x, y, half_w, half_h, margin=_CUTOFF_TAUS * tau)
-        pairs = PairSet(ii, jj, half_w, half_h)
-    elif pairs.n != x.shape[0]:
-        raise ValueError(f"pair set is for {pairs.n} cells, got {x.shape[0]}")
-
-    _axis_overlap(x, pairs, pairs.hx, tau, pairs.dx, pairs.soft_abs_x, pairs.ox)
-    _axis_overlap(y, pairs, pairs.hy, tau, pairs.dy, pairs.soft_abs_y, pairs.oy)
-    product = pairs.weights[: pairs.ox.shape[0]]  # free until the gradients fill it
-    np.multiply(pairs.ox, pairs.oy, out=product)
-    value = float(np.sum(product))
-    grad_x = _axis_grad(pairs, tau, pairs.dx, pairs.soft_abs_x, pairs.ox, pairs.oy)
-    grad_y = _axis_grad(pairs, tau, pairs.dy, pairs.soft_abs_y, pairs.oy, pairs.ox)
+    value, pairs = density_value(x, y, widths, heights, tau, pairs)
+    grad_x, grad_y = density_grad(pairs, tau)
     return value, grad_x, grad_y
 
 

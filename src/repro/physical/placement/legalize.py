@@ -253,7 +253,8 @@ def compact(
 
     Alternating 1-D scanline compactions along x and y: each cell slides
     toward the origin until it abuts a cell it overlaps in the other axis.
-    Legal input stays legal; the bounding box only shrinks.
+    Legal input stays legal; the bounding box only shrinks.  The O(n²)
+    scanline runs over Python lists of the cell extents.
     """
     x = np.asarray(x, dtype=float).copy()
     y = np.asarray(y, dtype=float).copy()
@@ -272,23 +273,26 @@ def compact(
                 primary, secondary, p_dim, s_dim = y, x, heights, widths
             low = primary - p_dim / 2.0
             order = np.argsort(low)
-            new_low = np.zeros(n)
+            s_lo = (secondary - s_dim / 2.0).tolist()
+            s_hi = (secondary + s_dim / 2.0).tolist()
+            extent = p_dim.tolist()
+            new_low = [0.0] * n
             placed: list = []
-            for i in order:
-                lo = secondary[i] - s_dim[i] / 2.0
-                hi = secondary[i] + s_dim[i] / 2.0
+            for i in order.tolist():
+                hi = s_hi[i] - 1e-9
+                lo = s_lo[i] + 1e-9
                 base = 0.0
                 for j in placed:
-                    if (secondary[j] - s_dim[j] / 2.0) < hi - 1e-9 and (
-                        secondary[j] + s_dim[j] / 2.0
-                    ) > lo + 1e-9:
-                        base = max(base, new_low[j] + p_dim[j])
+                    if s_lo[j] < hi and s_hi[j] > lo:
+                        top = new_low[j] + extent[j]
+                        if top > base:  # max(base, top), keeping base on ties
+                            base = top
                 new_low[i] = base
                 placed.append(i)
             if axis == 0:
-                x = new_low + widths / 2.0
+                x = np.array(new_low) + widths / 2.0
             else:
-                y = new_low + heights / 2.0
+                y = np.array(new_low) + heights / 2.0
     return x, y
 
 

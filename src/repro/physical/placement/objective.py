@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.physical.placement.density import density_value_and_grad, placement_pairs
+from repro.physical.placement.density import (
+    PairSet,
+    density_grad,
+    density_value,
+    density_value_and_grad,
+    placement_pairs,
+)
 from repro.physical.placement.wirelength import wa_wirelength_and_grad
 
 
@@ -14,7 +20,10 @@ class PlacementObjective:
     """Callable objective bundling wirelength and density terms.
 
     Operates on a packed variable vector ``z = [x; y]`` so generic
-    optimizers can consume it.
+    optimizers can consume it.  :meth:`value` evaluates ``WL + λ·D`` at a
+    point and :meth:`gradient` then finishes the gradient at that same
+    point, so a line search pays for gradients only where it accepts a
+    step; :meth:`value_and_grad` does both.
 
     Parameters
     ----------
@@ -53,11 +62,16 @@ class PlacementObjective:
         # Cell sizes are fixed, so the density's all-pairs set is built once
         # per placement (None when the density bins its pairs per call).
         self.pairs = placement_pairs(self.virtual_widths, self.virtual_heights)
+        # What gradient() needs from the last value() call: the WA
+        # gradients, the pair set holding the density terms (None when
+        # λ was 0) and that λ.
+        self._pending: Optional[Tuple[np.ndarray, np.ndarray, Optional[PairSet], float]] = None
         # Evaluation tallies: plain attribute adds in the optimizer's hot
         # loop; the placer reports them to the observability recorder once
         # per place() call.
         self.wa_evals = 0
         self.density_evals = 0
+        self.gradient_evals = 0
 
     # ------------------------------------------------------------------
     def unpack(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -84,19 +98,53 @@ class PlacementObjective:
     def density_and_grad(self, z: np.ndarray) -> Tuple[float, np.ndarray]:
         """Density term and its packed gradient."""
         self.density_evals += 1
+        # This evaluation overwrites the pair set's terms a pending
+        # value() left there.
+        self._pending = None
         x, y = self.unpack(z)
         value, gx, gy = density_value_and_grad(
             x, y, self.virtual_widths, self.virtual_heights, self.tau, self.pairs
         )
         return value, np.concatenate([gx, gy])
 
+    def value(self, z: np.ndarray) -> float:
+        """``WL + λ·D`` at the current λ, keeping what :meth:`gradient` needs."""
+        self.wa_evals += 1
+        x, y = self.unpack(z)
+        wl, wl_gx, wl_gy = wa_wirelength_and_grad(
+            x, y, self.sources, self.targets, self.weights, self.gamma
+        )
+        if self.lam == 0.0:
+            self._pending = (wl_gx, wl_gy, None, 0.0)
+            return wl
+        self.density_evals += 1
+        d, pairs = density_value(
+            x, y, self.virtual_widths, self.virtual_heights, self.tau, self.pairs
+        )
+        self._pending = (wl_gx, wl_gy, pairs, self.lam)
+        return wl + self.lam * d
+
+    def gradient(self) -> np.ndarray:
+        """The packed gradient at the point of the last :meth:`value` call.
+
+        Each :meth:`value` call allows one gradient; calling this without
+        one pending raises ``RuntimeError``.  The result is a fresh array.
+        """
+        if self._pending is None:
+            raise RuntimeError("gradient() needs a value() call before it")
+        wl_gx, wl_gy, pairs, lam = self._pending
+        self._pending = None
+        self.gradient_evals += 1
+        wl_grad = np.concatenate([wl_gx, wl_gy])
+        if pairs is None:
+            return wl_grad
+        d_gx, d_gy = density_grad(pairs, self.tau)
+        return wl_grad + lam * np.concatenate([d_gx, d_gy])
+
     def value_and_grad(self, z: np.ndarray) -> Tuple[float, np.ndarray]:
         """``WL + λ·D`` with gradient, at the current λ."""
-        wl, wl_grad = self.wirelength_and_grad(z)
-        if self.lam == 0.0:
-            return wl, wl_grad
-        d, d_grad = self.density_and_grad(z)
-        return wl + self.lam * d, wl_grad + self.lam * d_grad
+        value = self.value(z)
+        return value, self.gradient()
 
     def __call__(self, z: np.ndarray) -> Tuple[float, np.ndarray]:
         return self.value_and_grad(z)
@@ -104,6 +152,7 @@ class PlacementObjective:
     # ------------------------------------------------------------------
     def initial_lambda(self, z: np.ndarray) -> float:
         """Algorithm 4 line 1: ``λ0 = Σ|∂WL| / Σ|∂D|``."""
+        self.gradient_evals += 1
         _, wl_grad = self.wirelength_and_grad(z)
         _, d_grad = self.density_and_grad(z)
         denominator = float(np.sum(np.abs(d_grad)))

@@ -4,16 +4,51 @@ Polak–Ribière+ directions with automatic restart and a backtracking Armijo
 line search.  The placer's objectives are smooth but mildly nonconvex;
 PR+ with restarts is the standard choice in analytical placement
 (NTUplace3 uses exactly this family).
+
+The line search evaluates only the objective's value at a trial point and
+asks for the gradient at a trial only once it passes the Armijo test, so
+the gradients of rejected trials are never computed (see
+:class:`Objective`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Protocol, Tuple, Union, runtime_checkable
 
 import numpy as np
 
 ValueAndGrad = Callable[[np.ndarray], Tuple[float, np.ndarray]]
+
+
+@runtime_checkable
+class Objective(Protocol):
+    """A function the line search evaluates in two steps.
+
+    ``value(z)`` returns the value at ``z``; ``gradient()`` then returns
+    the gradient at that same ``z`` as a fresh array, at most once per
+    ``value`` call.
+    :class:`~repro.physical.placement.objective.PlacementObjective` is one.
+    """
+
+    def value(self, z: np.ndarray) -> float: ...
+
+    def gradient(self) -> np.ndarray: ...
+
+
+class _EagerObjective:
+    """A plain ``z -> (value, gradient)`` callable as an :class:`Objective`."""
+
+    def __init__(self, function: ValueAndGrad) -> None:
+        self._function = function
+        self._grad: Optional[np.ndarray] = None
+
+    def value(self, z: np.ndarray) -> float:
+        value, self._grad = self._function(z)
+        return value
+
+    def gradient(self) -> np.ndarray:
+        return self._grad
 
 
 @dataclass
@@ -27,7 +62,7 @@ class CgResult:
 
 
 def _armijo_line_search(
-    objective: ValueAndGrad,
+    objective: Objective,
     z: np.ndarray,
     value: float,
     grad: np.ndarray,
@@ -41,40 +76,41 @@ def _armijo_line_search(
 
     Returns ``(z_new, value_new, grad_new, step)``; a zero step means the
     search failed (direction not a descent direction at machine precision).
+    The objective's gradient is taken only at trials that pass the test.
     """
     slope = float(grad @ direction)
     if slope >= 0.0:
         return z, value, grad, 0.0
     step = initial_step
     candidate = z + step * direction
-    cand_value, cand_grad = objective(candidate)
+    cand_value = objective.value(candidate)
     if np.isfinite(cand_value) and cand_value <= value + c1 * step * slope:
         # The initial step already works — expand while it keeps helping,
         # which makes the search robust to a too-small step scale (e.g. a
         # degenerate all-zeros start gives no coordinate span to infer one).
-        best = (candidate, cand_value, cand_grad, step)
+        best = (candidate, cand_value, objective.gradient(), step)
         for _ in range(10):
             step *= 2.0
             candidate = z + step * direction
-            cand_value, cand_grad = objective(candidate)
+            cand_value = objective.value(candidate)
             if np.isfinite(cand_value) and cand_value < best[1] + c1 * (
                 step - best[3]
             ) * slope:
-                best = (candidate, cand_value, cand_grad, step)
+                best = (candidate, cand_value, objective.gradient(), step)
             else:
                 break
         return best
     for _ in range(max_backtracks):
         step *= shrink
         candidate = z + step * direction
-        cand_value, cand_grad = objective(candidate)
+        cand_value = objective.value(candidate)
         if np.isfinite(cand_value) and cand_value <= value + c1 * step * slope:
-            return candidate, cand_value, cand_grad, step
+            return candidate, cand_value, objective.gradient(), step
     return z, value, grad, 0.0
 
 
 def conjugate_gradient(
-    objective: ValueAndGrad,
+    objective: Union[Objective, ValueAndGrad],
     z0: np.ndarray,
     max_iterations: int = 100,
     gradient_tolerance: float = 1e-6,
@@ -85,7 +121,9 @@ def conjugate_gradient(
     Parameters
     ----------
     objective:
-        Callable returning ``(value, gradient)``.
+        An :class:`Objective`, or a plain callable returning
+        ``(value, gradient)``, which then computes a gradient at every
+        trial point.
     step_scale:
         Multiplier on the heuristic initial step of each line search —
         larger values explore faster, smaller values are safer.
@@ -98,8 +136,11 @@ def conjugate_gradient(
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    if not isinstance(objective, Objective):
+        objective = _EagerObjective(objective)
     z = np.asarray(z0, dtype=float).copy()
-    value, grad = objective(z)
+    value = objective.value(z)
+    grad = objective.gradient()
     direction = -grad
     converged = False
     iteration = 0

@@ -85,7 +85,12 @@ class PlacementConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.whitespace_factor < 1.0:
+        # ``not x > 0`` style tests also reject NaN, which ``x <= 0`` lets through.
+        for name in ("gamma_um", "tau_um"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0 or None, got {value}")
+        if not self.whitespace_factor >= 1.0:
             raise ValueError(f"whitespace_factor must be >= 1, got {self.whitespace_factor}")
         if not 0.0 < self.overlap_threshold < 1.0:
             raise ValueError(
@@ -166,7 +171,7 @@ def place(
             for stage in range(1, config.max_lambda_stages + 1):
                 objective.lam = lam
                 result = conjugate_gradient(
-                    objective.value_and_grad,
+                    objective,
                     z,
                     max_iterations=config.cg_iterations_per_stage,
                 )
@@ -221,6 +226,7 @@ def place(
     if objective is not None:
         recorder.count("placement.wa_evals", objective.wa_evals)
         recorder.count("placement.density_evals", objective.density_evals)
+        recorder.count("placement.gradient_evals", objective.gradient_evals)
     if stage_log:
         recorder.gauge("placement.final_overlap_ratio", stage_log[-1]["overlap_ratio"])
     recorder.gauge("placement.hpwl_after_legalization", hpwl_after_compact)

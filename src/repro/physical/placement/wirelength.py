@@ -92,7 +92,8 @@ def wa_wirelength_and_grad(
     Returns ``(value, grad_x, grad_y)`` where the gradients have one entry
     per cell (pin gradients scattered back onto cells).
     """
-    if gamma <= 0:
+    # ``not gamma > 0`` also rejects NaN, which a ``gamma <= 0`` test lets through.
+    if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -6,13 +6,19 @@ pins' bounding box plus a margin) for speed, falling back to the full grid
 when the window has no path, and treat edges at capacity as blocked unless
 the caller allows overflow (used by the final never-fail pass).
 
-The inner search runs on flat numpy arrays reused across calls (an epoch
-counter invalidates stale state instead of reallocating), which keeps the
-per-wire cost low enough to route tens of thousands of wires in seconds.
-Per-target heuristic arrays are memoized on the workspace
-(:meth:`MazeWorkspace.heuristic`), so repeated searches toward the same
-goal bin — fan-in wires, relax-round retries, rip-up reroutes — reuse one
-vectorized build instead of recomputing the Manhattan term per neighbour.
+The inner search reads and writes only Python lists and floats, never
+numpy scalars.  Its per-bin state (g-scores, parents, epoch stamps) lives
+in flat lists on a :class:`MazeWorkspace` reused across calls (an epoch
+counter invalidates stale state instead of reallocating), and each search
+starts by copying its window's edge usage, capacity and history out of
+the grid's arrays into nested lists.  A search therefore sees the usage
+committed before it starts, and nothing committed while it runs — the
+callers commit a path only after the search returns.
+Per-target heuristic tables are memoized on the workspace
+(:meth:`MazeWorkspace.heuristic`) as compact ``array('d')`` tables, so
+repeated searches toward the same goal bin — fan-in wires, relax-round
+retries, rip-up reroutes — reuse one vectorized build instead of
+recomputing the Manhattan term per neighbour.
 
 The same wave expansion also serves the negotiated-congestion router
 (:mod:`repro.physical.routing.negotiated`): passing ``present_weight``
@@ -26,16 +32,20 @@ through rising present costs and accumulated history, not hard walls.
 
 from __future__ import annotations
 
-import heapq
+from array import array
+from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.physical.routing.grid import BinCoord, RoutingGrid
 
-#: Per-target heuristic arrays kept on a workspace before FIFO eviction
+#: Per-target heuristic tables kept on a workspace before FIFO eviction
 #: (bounds memory on grids where nearly every bin is some wire's goal).
 _HEURISTIC_CACHE_LIMIT = 256
+
+#: The 4-neighbour moves, in expansion order.
+_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 class MazeWorkspace:
@@ -51,10 +61,12 @@ class MazeWorkspace:
     def __init__(self, grid: RoutingGrid) -> None:
         size = grid.nx * grid.ny
         self.grid = grid
-        self.g_score = np.zeros(size)
-        self.parent = np.full(size, -1, dtype=np.int64)
-        self.stamp = np.zeros(size, dtype=np.int64)
-        self.closed = np.zeros(size, dtype=np.int64)
+        # Flat per-bin lists: an entry is live only where its stamp (or
+        # closed mark) equals the current epoch.
+        self.g_score: List[float] = [0.0] * size
+        self.parent: List[int] = [-1] * size
+        self.stamp: List[int] = [0] * size
+        self.closed: List[int] = [0] * size
         self.epoch = 0
         self.heap_pushes = 0
         self.heap_pops = 0
@@ -64,9 +76,9 @@ class MazeWorkspace:
         # θ), allocated lazily so the ordered router pays nothing.
         self.h_history: Optional[np.ndarray] = None
         self.v_history: Optional[np.ndarray] = None
-        # Per-target memoized heuristic arrays (flat, float64) and their
-        # build/hit accounting — see :meth:`heuristic`.
-        self._heuristic_cache: Dict[int, np.ndarray] = {}
+        # Per-target memoized heuristic tables and their build/hit
+        # accounting — see :meth:`heuristic`.
+        self._heuristic_cache: Dict[int, array] = {}
         self.heuristic_builds = 0
         self.heuristic_hits = 0
 
@@ -82,7 +94,7 @@ class MazeWorkspace:
             self.v_history = np.zeros(self.grid.vertical_usage.shape)
         return self.h_history, self.v_history
 
-    def heuristic(self, goal_flat: int) -> np.ndarray:
+    def heuristic(self, goal_flat: int) -> array:
         """The flat Manhattan-distance heuristic toward ``goal_flat``.
 
         Built vectorized once per distinct target and memoized (FIFO
@@ -91,6 +103,9 @@ class MazeWorkspace:
         reroutes — skip the rebuild.  Values are bit-identical to the
         scalar ``(|Δx| + |Δy|) · θ`` form: integer distances are exact
         in float64, so one multiply by θ matches the inline expression.
+        The table is an ``array('d')``, which the search indexes into
+        Python floats like a list but which stores 8 bytes a bin, not a
+        list's 32 (a pointer plus a float object).
         """
         cached = self._heuristic_cache.get(goal_flat)
         if cached is not None:
@@ -100,7 +115,8 @@ class MazeWorkspace:
         gx, gy = goal_flat // grid.ny, goal_flat % grid.ny
         bx = np.arange(grid.nx, dtype=np.int64)[:, None]
         by = np.arange(grid.ny, dtype=np.int64)[None, :]
-        table = ((np.abs(bx - gx) + np.abs(by - gy)) * grid.bin_um).ravel()
+        distance = (np.abs(bx - gx) + np.abs(by - gy)) * grid.bin_um
+        table = array("d", distance.ravel().tobytes())
         if len(self._heuristic_cache) >= _HEURISTIC_CACHE_LIMIT:
             self._heuristic_cache.pop(next(iter(self._heuristic_cache)))
         self._heuristic_cache[goal_flat] = table
@@ -171,13 +187,20 @@ def _a_star(
     hi_y = min(ny - 1, max(start[1], goal[1]) + window_margin)
     theta = grid.bin_um
     gx, gy = goal
-    h_usage = grid.horizontal_usage
-    v_usage = grid.vertical_usage
-    h_capacity = grid.horizontal_capacity
-    v_capacity = grid.vertical_capacity
+    # The window's edges as nested lists indexed [ex - lo_x][ey - lo_y]:
+    # horizontal edge (ex, ey) joins bins (ex, ey) and (ex + 1, ey),
+    # vertical edge (ex, ey) joins (ex, ey) and (ex, ey + 1).
+    h_window = (slice(lo_x, hi_x), slice(lo_y, hi_y + 1))
+    v_window = (slice(lo_x, hi_x + 1), slice(lo_y, hi_y))
+    h_usage = grid.horizontal_usage[h_window].tolist()
+    v_usage = grid.vertical_usage[v_window].tolist()
+    h_capacity = grid.horizontal_capacity[h_window].tolist()
+    v_capacity = grid.vertical_capacity[v_window].tolist()
     negotiated = present_weight is not None
     if negotiated:
-        h_history, v_history = ws.ensure_history()
+        h_history_grid, v_history_grid = ws.ensure_history()
+        h_history = h_history_grid[h_window].tolist()
+        v_history = v_history_grid[v_window].tolist()
 
     ws.begin()
     epoch = ws.epoch
@@ -200,7 +223,7 @@ def _a_star(
     visited = 0
     open_heap = [(heur[start_flat], start_flat)]
     while open_heap:
-        _, current = heapq.heappop(open_heap)
+        _, current = heappop(open_heap)
         pops += 1
         if current == goal_flat:
             flat_path = [current]
@@ -211,15 +234,14 @@ def _a_star(
             ws.heap_pushes += pushes
             ws.heap_pops += pops
             ws.visited_bins += visited
-            return [(int(f // ny), int(f % ny)) for f in flat_path]
+            return [divmod(f, ny) for f in flat_path]
         if closed[current] == epoch:
             continue
         closed[current] = epoch
         visited += 1
-        cx, cy = current // ny, current % ny
+        cx, cy = divmod(current, ny)
         current_g = g_score[current]
-        # unrolled 4-neighbour expansion
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        for dx, dy in _MOVES:
             nbx = cx + dx
             nby = cy + dy
             if not (lo_x <= nbx <= hi_x and lo_y <= nby <= hi_y):
@@ -228,13 +250,15 @@ def _a_star(
             if closed[neighbor] == epoch:
                 continue
             if dx != 0:
-                ex = cx if dx > 0 else nbx
-                usage, capacity = h_usage[ex, cy], h_capacity[ex, cy]
-                history = h_history[ex, cy] if negotiated else 0.0
+                ex = (cx if dx > 0 else nbx) - lo_x
+                ey = cy - lo_y
+                usage, capacity = h_usage[ex][ey], h_capacity[ex][ey]
+                history = h_history[ex][ey] if negotiated else 0.0
             else:
-                ey = cy if dy > 0 else nby
-                usage, capacity = v_usage[cx, ey], v_capacity[cx, ey]
-                history = v_history[cx, ey] if negotiated else 0.0
+                ex = cx - lo_x
+                ey = (cy if dy > 0 else nby) - lo_y
+                usage, capacity = v_usage[ex][ey], v_capacity[ex][ey]
+                history = v_history[ex][ey] if negotiated else 0.0
             if negotiated:
                 # PathFinder cost: congestion is priced, never blocked.
                 overuse = usage + 1 - capacity
@@ -252,7 +276,7 @@ def _a_star(
                 g_score[neighbor] = tentative
                 stamp[neighbor] = epoch
                 parent[neighbor] = current
-                heapq.heappush(open_heap, (tentative + heur[neighbor], neighbor))
+                heappush(open_heap, (tentative + heur[neighbor], neighbor))
                 pushes += 1
     ws.heap_pushes += pushes
     ws.heap_pops += pops

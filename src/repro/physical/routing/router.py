@@ -76,14 +76,20 @@ class RoutingConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # The cost terms are tested as ``not x >= bound`` so NaN fails too.
         if self.window_margin_bins < 0:
             raise ValueError("window_margin_bins must be >= 0")
         if self.max_relax_rounds < 0:
             raise ValueError("max_relax_rounds must be >= 0")
         if self.relax_increment < 1:
             raise ValueError("relax_increment must be >= 1")
-        if self.congestion_weight < 0:
-            raise ValueError("congestion_weight must be >= 0")
+        if not self.congestion_weight >= 0:
+            raise ValueError(f"congestion_weight must be >= 0, got {self.congestion_weight}")
+        # At 1 or more an overflowing edge costs at least θ·(1 + congestion
+        # weight), more than any edge under capacity; below 0 the maze
+        # search would see negative edge costs.
+        if not self.overflow_penalty >= 1.0:
+            raise ValueError(f"overflow_penalty must be >= 1, got {self.overflow_penalty}")
         if self.max_grid_bins < 2:
             raise ValueError("max_grid_bins must be >= 2")
         if self.algorithm not in ROUTING_ALGORITHMS:
@@ -93,12 +99,12 @@ class RoutingConfig:
             )
         if self.max_ripup_iterations < 0:
             raise ValueError("max_ripup_iterations must be >= 0")
-        if self.present_weight <= 0:
-            raise ValueError("present_weight must be > 0")
-        if self.present_growth < 1.0:
-            raise ValueError("present_growth must be >= 1")
-        if self.history_increment < 0:
-            raise ValueError("history_increment must be >= 0")
+        if not self.present_weight > 0:
+            raise ValueError(f"present_weight must be > 0, got {self.present_weight}")
+        if not self.present_growth >= 1.0:
+            raise ValueError(f"present_growth must be >= 1, got {self.present_growth}")
+        if not self.history_increment >= 0:
+            raise ValueError(f"history_increment must be >= 0, got {self.history_increment}")
 
 
 @dataclass

@@ -161,14 +161,18 @@ class TestNegotiatedSpecifics:
         assert_routing_invariants(netlist, placement, result)
 
     def test_config_validation(self):
+        nan = float("nan")
         with pytest.raises(ValueError, match="algorithm"):
             RoutingConfig(algorithm="steiner")
-        with pytest.raises(ValueError):
-            RoutingConfig(present_weight=0.0)
-        with pytest.raises(ValueError):
-            RoutingConfig(present_growth=0.5)
-        with pytest.raises(ValueError):
-            RoutingConfig(history_increment=-1.0)
+        for weight in (0.0, -1.0, nan):
+            with pytest.raises(ValueError, match="present_weight"):
+                RoutingConfig(present_weight=weight)
+        for growth in (0.5, -1.0, nan):
+            with pytest.raises(ValueError, match="present_growth"):
+                RoutingConfig(present_growth=growth)
+        for increment in (-1.0, nan):
+            with pytest.raises(ValueError, match="history_increment"):
+                RoutingConfig(history_increment=increment)
         with pytest.raises(ValueError):
             RoutingConfig(max_ripup_iterations=-1)
 

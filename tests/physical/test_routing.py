@@ -160,10 +160,19 @@ class TestRouteDriver:
             route(netlist, bad)
 
     def test_config_validation(self):
+        nan = float("nan")
         with pytest.raises(ValueError):
             RoutingConfig(window_margin_bins=-1)
         with pytest.raises(ValueError):
             RoutingConfig(relax_increment=0)
+        for weight in (-1.0, nan):
+            with pytest.raises(ValueError, match="congestion_weight"):
+                RoutingConfig(congestion_weight=weight)
+        # A penalty below 1 makes overflowing cheaper than a free edge;
+        # below 0 it would hand the maze search negative edge costs.
+        for penalty in (0.5, 0.0, -10.0, nan):
+            with pytest.raises(ValueError, match="overflow_penalty"):
+                RoutingConfig(overflow_penalty=penalty)
 
     def test_coarsening_scales_grid_and_capacity(self, placed_design):
         # A die wider than max_grid_bins bins triggers the coarsening

@@ -78,9 +78,10 @@ class TestWaModel:
         assert np.all(gx == 0) and np.all(gy == 0)
 
     def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            wa_wirelength(np.zeros(2), np.zeros(2), np.array([0]),
-                          np.array([1]), np.ones(1), 0.0)
+        for gamma in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                wa_wirelength(np.zeros(2), np.zeros(2), np.array([0]),
+                              np.array([1]), np.ones(1), gamma)
 
     def test_stable_for_large_coordinates(self):
         x = np.array([0.0, 1e6])
