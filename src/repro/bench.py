@@ -259,19 +259,16 @@ def _bench_routing_case(rng, *, netlist, placement, technology, algorithm):
     """Route one placed netlist with ``algorithm``; return measurements."""
     from repro.observability import Recorder, recording
     from repro.physical.routing.router import RoutingConfig, route
-    from repro.utils.timers import Timer
 
     recorder = Recorder()
     with recording(recorder):
-        with Timer() as timer:
-            result = route(
-                netlist,
-                placement,
-                technology=technology,
-                config=RoutingConfig(algorithm=algorithm),
-            )
+        result = route(
+            netlist,
+            placement,
+            technology=technology,
+            config=RoutingConfig(algorithm=algorithm),
+        )
     return {
-        "wall_seconds": timer.elapsed,
         "qor": {
             "wirelength_um": result.total_wirelength_um,
             "overflow_wires": float(result.overflow_wires),
@@ -284,18 +281,15 @@ def _bench_routing_case(rng, *, netlist, placement, technology, algorithm):
 
 
 def _bench_flow_case(rng, *, network, config):
-    """Run the full AutoNCS flow; return wall time + cost + counters."""
+    """Run the full AutoNCS flow; return cost + counters."""
     from repro.core.autoncs import AutoNCS
     from repro.observability import Recorder, recording
-    from repro.utils.timers import Timer
 
     recorder = Recorder()
     with recording(recorder):
-        with Timer() as timer:
-            result = AutoNCS(config).run(network, rng=rng)
+        result = AutoNCS(config).run(network, rng=rng)
     cost = result.design.cost
     return {
-        "wall_seconds": timer.elapsed,
         "qor": {
             "wirelength_um": cost.wirelength_um,
             "area_um2": cost.area_um2,
@@ -324,7 +318,6 @@ def _bench_chaos_case(rng, *, plan_spec, seed, cells):
     """
     from repro.observability import Recorder, recording
     from repro.runtime import FaultPlan, Job, ResilienceConfig, RetryPolicy, Runner
-    from repro.utils.timers import Timer
 
     plan = FaultPlan.parse(plan_spec, seed=seed) if plan_spec else None
     resilience = ResilienceConfig(
@@ -338,8 +331,7 @@ def _bench_chaos_case(rng, *, plan_spec, seed, cells):
     ]
     recorder = Recorder()
     with recording(recorder):
-        with Timer() as timer:
-            results = Runner(resilience=resilience, chaos=plan).run(jobs)
+        results = Runner(resilience=resilience, chaos=plan).run(jobs)
     snapshot = recorder.snapshot()
     counters = {
         name: float(value)
@@ -347,7 +339,6 @@ def _bench_chaos_case(rng, *, plan_spec, seed, cells):
         if name.startswith(("runner.", "chaos."))
     }
     return {
-        "wall_seconds": timer.elapsed,
         "qor": {
             "failures": counters.get("runner.failures", 0.0),
             "retries": counters.get("runner.retries", 0.0),
@@ -373,9 +364,9 @@ def _run_service_suite(seed: int) -> "SuiteResult":
     import tempfile
 
     import repro
+    from repro.observability import get_recorder
     from repro.service import ServiceConfig, ServiceServer
     from repro.service.loadtest import default_payloads, run_load
-    from repro.utils.timers import Timer
 
     result = SuiteResult(
         suite="service",
@@ -391,7 +382,7 @@ def _run_service_suite(seed: int) -> "SuiteResult":
             cache_dir=Path(tmp) / "cache",
         )
         with ServiceServer(config) as server:
-            with Timer() as timer:
+            with get_recorder().span("bench.service.load") as span:
                 report = run_load(
                     server.url,
                     requests=SERVICE_REQUESTS,
@@ -405,7 +396,7 @@ def _run_service_suite(seed: int) -> "SuiteResult":
         BenchRecord(
             name="service.load",
             tags=["service", "load", "http"],
-            wall_seconds=timer.elapsed,
+            wall_seconds=span.duration,
             qor={
                 "requests": float(report.requests),
                 "errors": float(report.errors),
@@ -438,7 +429,6 @@ def _run_clustering_suite(seed: int, dimension: Optional[int] = None) -> "SuiteR
     from repro.mapping.autoncs_mapping import autoncs_mapping
     from repro.networks import scale_free_network
     from repro.observability import Recorder, recording
-    from repro.utils.timers import Timer
     from repro.verify.verifier import verify_mapping
 
     n = dimension or CLUSTERING_DIMENSION
@@ -452,13 +442,13 @@ def _run_clustering_suite(seed: int, dimension: Optional[int] = None) -> "SuiteR
     flow = AutoNCS()
     recorder = Recorder()
     with recording(recorder):
-        with Timer() as timer:
+        with recorder.span("bench.scale.generate") as span:
             network = scale_free_network(n, CLUSTERING_ATTACHMENT, rng=seed)
         result.benchmarks.append(
             BenchRecord(
                 name="scale.generate",
                 tags=["clustering", "generate", "scale-free"],
-                wall_seconds=timer.elapsed,
+                wall_seconds=span.duration,
                 qor={
                     "neurons": float(network.size),
                     "connections": float(network.num_connections),
@@ -466,13 +456,13 @@ def _run_clustering_suite(seed: int, dimension: Optional[int] = None) -> "SuiteR
                 },
             )
         )
-        with Timer() as timer:
+        with recorder.span("bench.scale.cluster") as span:
             isc = flow.cluster(network, rng=np.random.default_rng(seed))
         result.benchmarks.append(
             BenchRecord(
                 name="scale.cluster",
                 tags=["clustering", "hierarchical", "isc"],
-                wall_seconds=timer.elapsed,
+                wall_seconds=span.duration,
                 qor={
                     "crossbars": float(len(isc.crossbars)),
                     "outlier_ratio": isc.outlier_ratio,
@@ -486,13 +476,13 @@ def _run_clustering_suite(seed: int, dimension: Optional[int] = None) -> "SuiteR
                 },
             )
         )
-        with Timer() as timer:
+        with recorder.span("bench.scale.map") as span:
             mapping = autoncs_mapping(isc, library=flow.library)
         result.benchmarks.append(
             BenchRecord(
                 name="scale.map",
                 tags=["clustering", "mapping"],
-                wall_seconds=timer.elapsed,
+                wall_seconds=span.duration,
                 qor={
                     "crossbar_instances": float(mapping.num_crossbars),
                     "discrete_synapses": float(mapping.num_synapses),
@@ -500,13 +490,13 @@ def _run_clustering_suite(seed: int, dimension: Optional[int] = None) -> "SuiteR
                 },
             )
         )
-        with Timer() as timer:
+        with recorder.span("bench.scale.verify") as span:
             report = verify_mapping(mapping, checks=("coverage", "hardware"))
         result.benchmarks.append(
             BenchRecord(
                 name="scale.verify",
                 tags=["clustering", "verify"],
-                wall_seconds=timer.elapsed,
+                wall_seconds=span.duration,
                 qor={
                     # The gate pins these at zero: the 50k design must
                     # keep verifying clean.
@@ -660,7 +650,7 @@ def run_suite(
             BenchRecord(
                 name=name,
                 tags=tags,
-                wall_seconds=float(measurement["wall_seconds"]),
+                wall_seconds=outcome.seconds,
                 qor=measurement["qor"],
                 counters=measurement["counters"],
             )

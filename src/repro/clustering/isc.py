@@ -169,13 +169,6 @@ class IscResult:
         )
 
 
-def _cluster_connections(
-    remaining: ConnectionMatrix, members: Sequence[int]
-) -> Tuple[Tuple[int, int], ...]:
-    """Global ``(i, j)`` pairs of the remaining network inside ``members``."""
-    return _clusters_connections([members], remaining)[0]
-
-
 def _clusters_connections(
     member_lists: Sequence[Sequence[int]], remaining: ConnectionMatrix
 ) -> List[Tuple[Tuple[int, int], ...]]:

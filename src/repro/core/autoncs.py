@@ -23,8 +23,9 @@ reproducible in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from repro.physical.placement.placer import place
 from repro.physical.routing.router import RoutingConfig, route
 from repro.runtime.chaos import chaos_point
 from repro.utils.rng import RngLike, ensure_rng, spawn_rng
-from repro.utils.timers import Timer
 
 
 class StageError(RuntimeError):
@@ -92,6 +92,32 @@ def _fresh_diagnostics() -> dict:
     return {"stage_seconds": {}, "fallbacks": []}
 
 
+@contextmanager
+def _stage(
+    diagnostics: dict,
+    key: str,
+    span: str,
+    partial: Optional[dict] = None,
+    **attributes: Any,
+) -> Iterator[None]:
+    """Run one flow stage inside the span ``span``.
+
+    The span is the stage's clock: on success its duration becomes
+    ``diagnostics["stage_seconds"][key]``.  With ``partial`` given (a
+    dict of upstream results, possibly empty), an exception escaping the
+    stage surfaces as a :class:`StageError` named ``key`` carrying it;
+    otherwise the exception propagates unchanged.
+    """
+    with get_recorder().span(span, **attributes) as record:
+        try:
+            yield
+        except Exception as exc:
+            if partial is None:
+                raise
+            raise StageError(key, f"{type(exc).__name__}: {exc}", partial=partial) from exc
+    diagnostics["stage_seconds"][key] = record.duration
+
+
 def _placement_divergence(placement: Placement) -> Optional[str]:
     """Reason string when a placement is unusable, else ``None``."""
     if not (np.all(np.isfinite(placement.x)) and np.all(np.isfinite(placement.y))):
@@ -109,10 +135,15 @@ def _place_with_fallback(
     rng: np.random.Generator,
     diagnostics: dict,
 ) -> Placement:
-    """Analytical placement, falling back to annealing on divergence."""
+    """Analytical placement, falling back to annealing on divergence.
+
+    ``flow.place`` spans the analytical placer alone; the annealing
+    fallback, when it runs, gets its own ``flow.place_fallback`` span.
+    """
     placement: Optional[Placement] = None
     reason: Optional[str] = None
-    with Timer() as timer:
+    cells = mapping.netlist.num_cells
+    with _stage(diagnostics, "placement", "flow.place", cells=cells):
         try:
             chaos_point("stage.placement")
             placement = place(
@@ -124,13 +155,12 @@ def _place_with_fallback(
             reason = _placement_divergence(placement)
         except Exception as exc:  # noqa: BLE001 - the fallback handles anything
             reason = f"analytical placer raised {type(exc).__name__}: {exc}"
-    diagnostics["stage_seconds"]["placement"] = timer.elapsed
     if reason is None:
         return placement
     diagnostics["fallbacks"].append(
         {"stage": "placement", "action": "annealing_placer", "reason": reason}
     )
-    with Timer() as timer:
+    with _stage(diagnostics, "placement_fallback", "flow.place_fallback", cells=cells):
         try:
             placement = anneal_place(
                 mapping.netlist,
@@ -145,7 +175,6 @@ def _place_with_fallback(
                 f"fallback raised {type(exc).__name__}: {exc}",
                 partial={"mapping": mapping},
             ) from exc
-    diagnostics["stage_seconds"]["placement_fallback"] = timer.elapsed
     fallback_reason = _placement_divergence(placement)
     if fallback_reason is not None:
         raise StageError(
@@ -157,27 +186,18 @@ def _place_with_fallback(
 
 
 def _relaxed_routing_config(base: RoutingConfig, config: AutoNcsConfig) -> RoutingConfig:
-    """A more permissive routing configuration for the retry pass."""
+    """``base`` with more capacity, search room and rip-up budget, for the retry pass."""
     capacity = (
         base.capacity_per_bin
         if base.capacity_per_bin is not None
         else config.technology.routing_capacity_per_bin
     )
-    return RoutingConfig(
-        bin_um=base.bin_um,
+    return replace(
+        base,
         capacity_per_bin=max(1, capacity) * 2,
         window_margin_bins=base.window_margin_bins + 8,
-        congestion_weight=base.congestion_weight,
         max_relax_rounds=base.max_relax_rounds + 4,
-        relax_increment=base.relax_increment,
-        overflow_penalty=base.overflow_penalty,
-        region_margin_bins=base.region_margin_bins,
-        max_grid_bins=base.max_grid_bins,
-        algorithm=base.algorithm,
         max_ripup_iterations=base.max_ripup_iterations + 8,
-        present_weight=base.present_weight,
-        present_growth=base.present_growth,
-        history_increment=base.history_increment,
     )
 
 
@@ -187,9 +207,14 @@ def _route_with_retry(
     config: AutoNcsConfig,
     diagnostics: dict,
 ):
-    """Global routing, retried once with relaxed capacity on failure."""
+    """Global routing, retried once with relaxed capacity on failure.
+
+    ``flow.route`` spans the first attempt alone; the relaxed retry, when
+    it runs, gets its own ``flow.route_retry`` span.
+    """
     base = config.routing if config.routing is not None else RoutingConfig()
-    with Timer() as timer:
+    wires = len(mapping.netlist.wires)
+    with _stage(diagnostics, "routing", "flow.route", wires=wires):
         try:
             chaos_point("stage.routing")
             routing = route(
@@ -198,14 +223,13 @@ def _route_with_retry(
         except Exception as exc:
             routing = None
             reason = f"router raised {type(exc).__name__}: {exc}"
-    diagnostics["stage_seconds"]["routing"] = timer.elapsed
     if routing is not None:
         return routing
     diagnostics["fallbacks"].append(
         {"stage": "routing", "action": "relaxed_capacity_retry", "reason": reason}
     )
     relaxed = _relaxed_routing_config(base, config)
-    with Timer() as timer:
+    with _stage(diagnostics, "routing_retry", "flow.route_retry", wires=wires):
         try:
             routing = route(
                 mapping.netlist, placement, technology=config.technology, config=relaxed
@@ -217,7 +241,6 @@ def _route_with_retry(
                 f"raised {type(exc).__name__}: {exc})",
                 partial={"mapping": mapping, "placement": placement},
             ) from exc
-    diagnostics["stage_seconds"]["routing_retry"] = timer.elapsed
     return routing
 
 
@@ -232,9 +255,8 @@ def _verify_design(design: PhysicalDesign, diagnostics: dict) -> None:
     # and should stay importable without pulling the whole flow in reverse.
     from repro.verify import verify_flow
 
-    with Timer() as timer:
+    with _stage(diagnostics, "verify", "flow.verify"):
         report = verify_flow(design)
-    diagnostics.setdefault("stage_seconds", {})["verify"] = timer.elapsed
     diagnostics["verification"] = report.summary()
     report.raise_if_failed()
 
@@ -256,7 +278,7 @@ class AutoNcsResult:
     @property
     def stage_seconds(self) -> dict:
         """Wall time per executed stage (isc, mapping, placement, …)."""
-        return dict(self.metadata.get("stage_seconds", {}))
+        return self.design.stage_seconds
 
     def summary(self) -> dict:
         """Scalar summary: mapping stats plus physical cost."""
@@ -314,32 +336,17 @@ def implement_mapping(
         diagnostics = _fresh_diagnostics()
     diagnostics.setdefault("stage_seconds", {})
     diagnostics.setdefault("fallbacks", [])
-    recorder = get_recorder()
-    with recorder.span("flow.place", cells=mapping.netlist.num_cells):
-        placement = _place_with_fallback(mapping, config, rng, diagnostics)
-    with recorder.span("flow.route", wires=len(mapping.netlist.wires)):
-        routing = _route_with_retry(mapping, placement, config, diagnostics)
-    with recorder.span("flow.evaluate"):
-        with Timer() as timer:
-            try:
-                cost = evaluate_cost(
-                    mapping.netlist,
-                    placement,
-                    routing,
-                    technology=config.technology,
-                    weights=config.cost_weights,
-                )
-            except Exception as exc:
-                raise StageError(
-                    "cost",
-                    f"{type(exc).__name__}: {exc}",
-                    partial={
-                        "mapping": mapping,
-                        "placement": placement,
-                        "routing": routing,
-                    },
-                ) from exc
-        diagnostics["stage_seconds"]["cost"] = timer.elapsed
+    placement = _place_with_fallback(mapping, config, rng, diagnostics)
+    routing = _route_with_retry(mapping, placement, config, diagnostics)
+    partial = {"mapping": mapping, "placement": placement, "routing": routing}
+    with _stage(diagnostics, "cost", "flow.evaluate", partial=partial):
+        cost = evaluate_cost(
+            mapping.netlist,
+            placement,
+            routing,
+            technology=config.technology,
+            weights=config.cost_weights,
+        )
     return PhysicalDesign(
         mapping=mapping,
         placement=placement,
@@ -432,24 +439,12 @@ class AutoNCS:
         with recorder.span(
             "flow.run", network=network.name, neurons=network.size
         ) as flow_span:
-            with recorder.span("flow.cluster"):
-                with Timer() as timer:
-                    try:
-                        chaos_point("stage.isc")
-                        isc = self.cluster(network, rng=rng)
-                    except Exception as exc:
-                        raise StageError("isc", f"{type(exc).__name__}: {exc}") from exc
-                diagnostics["stage_seconds"]["isc"] = timer.elapsed
-            with recorder.span("flow.map"):
-                with Timer() as timer:
-                    try:
-                        chaos_point("stage.mapping")
-                        mapping = autoncs_mapping(isc, library=self.library)
-                    except Exception as exc:
-                        raise StageError(
-                            "mapping", f"{type(exc).__name__}: {exc}", partial={"isc": isc}
-                        ) from exc
-                diagnostics["stage_seconds"]["mapping"] = timer.elapsed
+            with _stage(diagnostics, "isc", "flow.cluster", partial={}):
+                chaos_point("stage.isc")
+                isc = self.cluster(network, rng=rng)
+            with _stage(diagnostics, "mapping", "flow.map", partial={"isc": isc}):
+                chaos_point("stage.mapping")
+                mapping = autoncs_mapping(isc, library=self.library)
             design = implement_mapping(
                 mapping, self.config, rng=rng, diagnostics=diagnostics
             )
@@ -457,8 +452,7 @@ class AutoNCS:
                 isc=isc, mapping=mapping, design=design, metadata=diagnostics
             )
             if verify:
-                with recorder.span("flow.verify"):
-                    _verify_design(design, diagnostics)
+                _verify_design(design, diagnostics)
             flow_span.annotate(
                 isc_iterations=isc.iterations,
                 outlier_ratio=isc.outlier_ratio,
@@ -479,17 +473,16 @@ class AutoNCS:
         in ``design.metadata["diagnostics"]["verification"]``.
         """
         rng = ensure_rng(rng)
+        diagnostics = _fresh_diagnostics()
         recorder = get_recorder()
         with recorder.span("flow.run_baseline", network=network.name):
-            with recorder.span("flow.map"):
-                try:
-                    mapping = fullcro_mapping(network, library=self.library)
-                except Exception as exc:
-                    raise StageError("mapping", f"{type(exc).__name__}: {exc}") from exc
-            design = implement_mapping(mapping, self.config, rng=rng)
+            with _stage(diagnostics, "mapping", "flow.map", partial={}):
+                mapping = fullcro_mapping(network, library=self.library)
+            design = implement_mapping(
+                mapping, self.config, rng=rng, diagnostics=diagnostics
+            )
             if verify:
-                with recorder.span("flow.verify"):
-                    _verify_design(design, design.metadata.get("diagnostics", {}))
+                _verify_design(design, diagnostics)
         recorder.count("flow.baseline_runs")
         return design
 

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Mapping
 
 from repro.physical.layout import PhysicalDesign
-from repro.utils.timers import format_stage_seconds
 
 
 def reduction_percent(ours: float, baseline: float) -> float:
@@ -83,10 +82,9 @@ class ComparisonReport:
         """
         times: Dict[str, Dict[str, float]] = {}
         for name, design in (("AutoNCS", self.autoncs), ("FullCro", self.fullcro)):
-            diagnostics = design.metadata.get("diagnostics", {})
-            stage_seconds = diagnostics.get("stage_seconds", {})
+            stage_seconds = design.stage_seconds
             if stage_seconds:
-                times[name] = dict(stage_seconds)
+                times[name] = stage_seconds
         return times
 
     def to_dict(self) -> Dict[str, object]:
@@ -128,6 +126,28 @@ class ComparisonReport:
                 lines.append(f"stage seconds — {name}:")
                 lines.append(format_stage_seconds(stage_seconds))
         return "\n".join(lines)
+
+
+def format_stage_seconds(
+    stage_seconds: Mapping[str, float], indent: str = "  "
+) -> str:
+    """Render per-stage wall times as an aligned block with percentages.
+
+    ``stage_seconds`` maps stage names to seconds (e.g.
+    :attr:`PhysicalDesign.stage_seconds`); insertion order is preserved,
+    a total line is appended.
+    """
+    stages = [(str(name), float(seconds)) for name, seconds in stage_seconds.items()]
+    if not stages:
+        return f"{indent}(no stage timings recorded)"
+    total = sum(seconds for _, seconds in stages)
+    width = max(len("total"), max(len(name) for name, _ in stages))
+    lines = []
+    for name, seconds in stages:
+        share = (seconds / total * 100.0) if total > 0 else 0.0
+        lines.append(f"{indent}{name:<{width}}  {seconds:9.3f} s  ({share:5.1f} %)")
+    lines.append(f"{indent}{'total':<{width}}  {total:9.3f} s")
+    return "\n".join(lines)
 
 
 def average_reductions(reports: List[ComparisonReport]) -> Dict[str, float]:

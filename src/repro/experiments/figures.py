@@ -26,8 +26,8 @@ from repro.core.config import AutoNcsConfig
 from repro.experiments.testbenches import build_testbench
 from repro.mapping.fullcro import fullcro_mapping, fullcro_utilization
 from repro.networks.connection_matrix import ConnectionMatrix
+from repro.observability import get_recorder
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.timers import Timer
 
 
 # ----------------------------------------------------------------------
@@ -92,9 +92,10 @@ def figure4(
     """Run GCP and the traversing baseline on the same network."""
     rng = ensure_rng(rng)
     seed = int(rng.integers(0, 2**31 - 1))
-    with Timer() as gcp_timer:
+    recorder = get_recorder()
+    with recorder.span("figure4.gcp") as gcp_span:
         gcp = greedy_cluster_size_prediction(network, max_size, rng=seed)
-    with Timer() as trav_timer:
+    with recorder.span("figure4.traversing") as traversing_span:
         traversing = traversing_clustering(network, max_size, rng=seed)
     gcp_clusters = [c.members for c in gcp.clusters]
     trav_clusters = [c.members for c in traversing.clusters]
@@ -104,8 +105,8 @@ def figure4(
         traversing_max_cluster=traversing.max_size(),
         gcp_clusters=gcp.k,
         traversing_clusters=traversing.k,
-        gcp_runtime_ms=gcp_timer.elapsed_ms,
-        traversing_runtime_ms=trav_timer.elapsed_ms,
+        gcp_runtime_ms=gcp_span.duration * 1e3,
+        traversing_runtime_ms=traversing_span.duration * 1e3,
         gcp_outlier_ratio=network.outlier_ratio(gcp_clusters),
         traversing_outlier_ratio=network.outlier_ratio(trav_clusters),
     )

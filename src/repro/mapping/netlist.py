@@ -18,7 +18,6 @@ We model:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -393,7 +392,3 @@ class MappingResult:
                 rendered = str(value)
             lines.append(f"  {key:<{width}}  {rendered}")
         return "\n".join(lines)
-
-
-def _round_up(value: float) -> int:  # pragma: no cover - tiny helper
-    return int(math.ceil(value))

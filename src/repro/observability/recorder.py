@@ -5,7 +5,8 @@ Everything in the flow records through the *current* recorder
 — a no-op subclass whose methods return immediately, so instrumentation
 left in the hot paths costs a module-global read and an empty call when
 observability is off (the repo's null-recorder overhead contract, see
-DESIGN.md).
+DESIGN.md).  Its spans still time themselves: a span's ``duration`` is
+the one clock for stage, job and benchmark times, recorder or not.
 
 Enable recording for a region with::
 
@@ -26,6 +27,7 @@ with the job result, and the driver folds it in with
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
@@ -91,29 +93,32 @@ class Recorder:
 
 
 class _NullSpan:
-    """Shared no-op span: context manager + annotate sink."""
+    """A span the null recorder hands out: it times itself, and is dropped.
 
-    __slots__ = ()
+    Only ``duration`` is kept (the stage clock every consumer reads);
+    attributes are discarded and the span is never added to a tracer.
+    """
+
+    __slots__ = ("_started", "duration")
 
     def __enter__(self) -> "_NullSpan":
+        self._started = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        return None
+        self.duration = time.perf_counter() - self._started
 
     def annotate(self, **attributes: Any) -> "_NullSpan":
         return self
 
 
-_NULL_SPAN = _NullSpan()
-
-
 class NullRecorder(Recorder):
-    """The disabled recorder: every method is a no-op.
+    """The disabled recorder: every method except ``span`` is a no-op.
 
     A single shared instance (:data:`NULL_RECORDER`) backs every
-    uninstrumented run; it allocates nothing per call and reuses one
-    span object, so disabled instrumentation is effectively free.
+    uninstrumented run.  ``span()`` returns a fresh two-slot
+    :class:`_NullSpan` that measures its own duration and is never
+    retained, so ``tracer.spans`` stays empty.
     """
 
     enabled = False
@@ -123,7 +128,7 @@ class NullRecorder(Recorder):
         self.metrics = MetricsRegistry()
 
     def span(self, name: str, **attributes: Any):
-        return _NULL_SPAN
+        return _NullSpan()
 
     def event(self, name: str, **attributes: Any) -> None:
         return None

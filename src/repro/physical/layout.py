@@ -111,6 +111,14 @@ class PhysicalDesign:
         """Design label (from the mapping)."""
         return getattr(self.mapping, "name", "design")
 
+    @property
+    def stage_seconds(self) -> dict:
+        """Wall time per executed flow stage, from the flow diagnostics.
+
+        Empty for designs that carry no diagnostics (e.g. hand-built ones).
+        """
+        return dict(self.metadata.get("diagnostics", {}).get("stage_seconds", {}))
+
     def summary(self) -> dict:
         """Scalar summary for reports (Table 1 rows)."""
         return {

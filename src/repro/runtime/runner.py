@@ -44,6 +44,7 @@ import heapq
 import os
 import time as _time
 from collections import deque
+from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
@@ -70,7 +71,6 @@ from repro.runtime.resilience import (
     UnknownJobKindError,
 )
 from repro.utils.canonical import stable_hash
-from repro.utils.timers import Timer
 
 #: kind -> executor(rng=..., **payload).  Module-level so that worker
 #: processes rebuild it on import, even under the 'spawn' start method.
@@ -125,28 +125,22 @@ register_executor("yield_trial", _run_yield_trial)
 def _job_stage_seconds(value: Any) -> Dict[str, float]:
     """Per-stage wall times of a flow result, when it carries any.
 
-    Understands ``AutoNcsResult`` (run diagnostics), ``PhysicalDesign``
-    (implement diagnostics) and ``ComparisonReport`` (both flows,
-    prefixed), so events re-export where the time went.
+    Reads :attr:`PhysicalDesign.stage_seconds` of a design, of an
+    ``AutoNcsResult``'s design, or of both flows of a ``ComparisonReport``
+    (prefixed ``autoncs.`` / ``fullcro.``), so events re-export where the
+    time went.
     """
-    metadata = getattr(value, "metadata", None)
-    if isinstance(metadata, dict):
-        times = metadata.get("stage_seconds")
-        if isinstance(times, dict):
-            return {str(k): float(v) for k, v in times.items()}
-        diagnostics = metadata.get("diagnostics", {})
-        times = diagnostics.get("stage_seconds") if isinstance(diagnostics, dict) else None
-        if isinstance(times, dict):
-            return {str(k): float(v) for k, v in times.items()}
-    autoncs = getattr(value, "autoncs", None)
-    fullcro = getattr(value, "fullcro", None)
-    if autoncs is not None and fullcro is not None:
-        merged: Dict[str, float] = {}
-        for prefix, design in (("autoncs", autoncs), ("fullcro", fullcro)):
-            for stage, seconds in _job_stage_seconds(design).items():
-                merged[f"{prefix}.{stage}"] = seconds
-        return merged
-    return {}
+    from repro.core.report import ComparisonReport
+    from repro.physical.layout import PhysicalDesign
+
+    if isinstance(value, ComparisonReport):
+        return {
+            f"{flow.lower()}.{stage}": seconds
+            for flow, times in value.stage_seconds().items()
+            for stage, seconds in times.items()
+        }
+    design = getattr(value, "design", value)
+    return design.stage_seconds if isinstance(design, PhysicalDesign) else {}
 
 
 def _chaos_token(job: Job) -> Optional[str]:
@@ -172,11 +166,13 @@ def _execute_job(
     deterministic function of the job's identity — see
     :mod:`repro.runtime.chaos`.
 
-    With ``record=True`` (the pool path when the driver is tracing) the
-    job runs under a fresh :class:`~repro.observability.Recorder` and the
-    picklable observability state travels back as the fourth element;
-    the driver folds it in with :meth:`Recorder.absorb`.  Inline jobs
-    pass ``record=False`` — they write directly to the driver's current
+    The job runs inside a ``runner.job`` span, whose duration is the
+    returned seconds.  With ``record=True`` (the pool path when the
+    driver is tracing) the job runs under a fresh
+    :class:`~repro.observability.Recorder` and the picklable
+    observability state travels back as the fourth element; the driver
+    folds it in with :meth:`Recorder.absorb`.  Inline jobs pass
+    ``record=False`` — they write directly to the driver's current
     recorder — so the returned state is ``None``.
 
     Raises :class:`UnknownJobKindError` (structured: job label + the
@@ -197,21 +193,13 @@ def _execute_job(
         in_worker=in_worker,
     ):
         chaos_point("job.run")
-        if record:
-            with recording() as recorder:
-                with Timer() as timer:
-                    with recorder.span(
-                        "runner.job", label=job.label, kind=job.kind, index=index
-                    ):
-                        value = fn(rng=rng, **job.payload)
-                state = recorder.export_state()
-            return index, value, timer.elapsed, state
-        with Timer() as timer:
-            with get_recorder().span(
+        with (recording() if record else nullcontext(get_recorder())) as recorder:
+            with recorder.span(
                 "runner.job", label=job.label, kind=job.kind, index=index
-            ):
+            ) as span:
                 value = fn(rng=rng, **job.payload)
-    return index, value, timer.elapsed, None
+            state = recorder.export_state() if record else None
+    return index, value, span.duration, state
 
 
 def default_n_jobs() -> int:
@@ -310,51 +298,50 @@ class Runner:
         results: List[Optional[JobResult]] = [None] * len(jobs)
         pending: List[_JobState] = []
         with recorder.span("runner.sweep", jobs=len(jobs), n_jobs=self.n_jobs) as span:
-            with Timer() as wall:
-                with chaos_scope(self.chaos, label="driver"):
-                    for index, job in enumerate(jobs):
-                        key = self.cache.key_for(job) if self.cache is not None else None
-                        state = _JobState(
-                            index=index, key=key, jkey=self._journal_key(job, key, index)
+            with chaos_scope(self.chaos, label="driver"):
+                for index, job in enumerate(jobs):
+                    key = self.cache.key_for(job) if self.cache is not None else None
+                    state = _JobState(
+                        index=index, key=key, jkey=self._journal_key(job, key, index)
+                    )
+                    if (
+                        journal_state is not None
+                        and state.jkey in journal_state.quarantined
+                    ):
+                        self._quarantined_on_resume(jobs, results, state)
+                        continue
+                    hit, value = (
+                        self.cache.lookup(key) if key is not None else (False, None)
+                    )
+                    if hit:
+                        results[index] = JobResult(
+                            index=index,
+                            label=job.label,
+                            kind=job.kind,
+                            value=value,
+                            seconds=0.0,
+                            cache_hit=True,
+                            stage_seconds=_job_stage_seconds(value),
                         )
-                        if (
-                            journal_state is not None
-                            and state.jkey in journal_state.quarantined
-                        ):
-                            self._quarantined_on_resume(jobs, results, state)
-                            continue
-                        hit, value = (
-                            self.cache.lookup(key) if key is not None else (False, None)
+                        if self.journal is not None:
+                            self.journal.job_done(
+                                state.jkey, label=job.label, kind=job.kind,
+                                status="cached", seconds=0.0, attempts=0,
+                            )
+                        self.events.emit(
+                            "job_finished",
+                            label=job.label,
+                            kind=job.kind,
+                            index=index,
+                            seconds=0.0,
+                            cache_hit=True,
                         )
-                        if hit:
-                            results[index] = JobResult(
-                                index=index,
-                                label=job.label,
-                                kind=job.kind,
-                                value=value,
-                                seconds=0.0,
-                                cache_hit=True,
-                                stage_seconds=_job_stage_seconds(value),
-                            )
-                            if self.journal is not None:
-                                self.journal.job_done(
-                                    state.jkey, label=job.label, kind=job.kind,
-                                    status="cached", seconds=0.0, attempts=0,
-                                )
-                            self.events.emit(
-                                "job_finished",
-                                label=job.label,
-                                kind=job.kind,
-                                index=index,
-                                seconds=0.0,
-                                cache_hit=True,
-                            )
-                        else:
-                            pending.append(state)
-                    if self.n_jobs == 1 or len(pending) <= 1:
-                        self._run_inline(jobs, results, pending, policy)
                     else:
-                        self._run_pool(jobs, results, pending, policy)
+                        pending.append(state)
+                if self.n_jobs == 1 or len(pending) <= 1:
+                    self._run_inline(jobs, results, pending, policy)
+                else:
+                    self._run_pool(jobs, results, pending, policy)
             executed = len(pending)
             failures = sum(
                 1 for result in results if result is not None and result.failure
@@ -371,7 +358,7 @@ class Runner:
             executed=executed,
             cache_hits=len(jobs) - executed,
             failures=failures,
-            seconds=wall.elapsed,
+            seconds=span.duration,
         )
         return [result for result in results if result is not None]
 

@@ -38,7 +38,7 @@ from repro.service.jobs import (
     JobRequest,
     TERMINAL_STATES,
 )
-from repro.service.metrics import ServiceMetrics, percentile
+from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobQueue, QueueFullError
 
 __all__ = [
@@ -53,6 +53,5 @@ __all__ = [
     "ServiceMetrics",
     "ServiceServer",
     "TERMINAL_STATES",
-    "percentile",
     "summarize_result",
 ]

@@ -21,8 +21,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.metrics import percentile
 
 
 def default_payloads(unique: int = 8, seed: int = 42) -> List[Dict[str, Any]]:
@@ -53,11 +54,16 @@ class LoadReport:
 
     @property
     def p50_seconds(self) -> float:
-        return percentile(self.latencies_seconds, 50.0)
+        return self._percentile(50.0)
 
     @property
     def p99_seconds(self) -> float:
-        return percentile(self.latencies_seconds, 99.0)
+        return self._percentile(99.0)
+
+    def _percentile(self, q: float) -> float:
+        if not self.latencies_seconds:
+            return 0.0
+        return float(np.percentile(self.latencies_seconds, q))
 
     @property
     def throughput_rps(self) -> float:

@@ -17,25 +17,13 @@ import time
 from collections import deque
 from typing import Any, Dict, Optional
 
+import numpy as np
+
 from repro.observability import get_recorder
 
 #: Completions kept for the latency percentiles (enough for stable
 #: p99 at bench scale without unbounded growth).
 RESERVOIR_SIZE = 8192
-
-
-def percentile(values, q: float) -> float:
-    """The ``q``-th percentile (0..100) by linear interpolation."""
-    data = sorted(values)
-    if not data:
-        return 0.0
-    if len(data) == 1:
-        return float(data[0])
-    rank = (q / 100.0) * (len(data) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(data) - 1)
-    frac = rank - lo
-    return float(data[lo] * (1.0 - frac) + data[hi] * frac)
 
 
 class ServiceMetrics:
@@ -75,6 +63,7 @@ class ServiceMetrics:
         with self._lock:
             counters = dict(self._counters)
             latencies = list(self._latencies)
+        p50, p99 = np.percentile(latencies, (50.0, 99.0)) if latencies else (0.0, 0.0)
         requests = counters.get("requests", 0)
         hits = counters.get("cache_hits", 0) + counters.get("dedup_coalesced", 0)
         stats: Dict[str, Any] = {
@@ -85,8 +74,8 @@ class ServiceMetrics:
             "cache_hit_ratio": (hits / requests) if requests else 0.0,
             "latency": {
                 "count": len(latencies),
-                "p50_seconds": percentile(latencies, 50.0),
-                "p99_seconds": percentile(latencies, 99.0),
+                "p50_seconds": float(p50),
+                "p99_seconds": float(p99),
                 "max_seconds": max(latencies) if latencies else 0.0,
             },
         }

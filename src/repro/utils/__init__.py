@@ -1,8 +1,7 @@
-"""Shared utilities: argument validation, seeded RNG handling, timers, hashing."""
+"""Shared utilities: argument validation, seeded RNG handling, hashing."""
 
 from repro.utils.canonical import canonical, canonical_json, stable_hash
 from repro.utils.rng import ensure_rng, spawn_rng, spawn_seeds
-from repro.utils.timers import Timer, format_stage_seconds
 from repro.utils.validation import (
     check_binary_matrix,
     check_in_range,
@@ -12,7 +11,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Timer",
     "canonical",
     "canonical_json",
     "check_binary_matrix",
@@ -21,7 +19,6 @@ __all__ = [
     "check_probability",
     "check_square",
     "ensure_rng",
-    "format_stage_seconds",
     "spawn_rng",
     "spawn_seeds",
     "stable_hash",

@@ -14,7 +14,8 @@ from repro.service import (
     QueueFullError,
     ServiceConfig,
 )
-from repro.service.metrics import ServiceMetrics, percentile
+from repro.service.loadtest import LoadReport
+from repro.service.metrics import ServiceMetrics
 
 
 def make_service(tmp_path, workers=1, **overrides):
@@ -280,12 +281,22 @@ class TestJobQueue:
 
 class TestServiceMetrics:
     def test_percentile_interpolates(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 4.0
-        assert percentile(values, 50) == pytest.approx(2.5)
-        assert percentile([], 50) == 0.0
-        assert percentile([7.0], 99) == 7.0
+        def snapshot_percentiles(values):
+            metrics = ServiceMetrics()
+            for value in values:
+                metrics.observe_latency(value)
+            latency = metrics.snapshot()["latency"]
+            return latency["p50_seconds"], latency["p99_seconds"]
+
+        def load_report_percentiles(values):
+            report = LoadReport(latencies_seconds=list(values))
+            return report.p50_seconds, report.p99_seconds
+
+        for percentiles in (snapshot_percentiles, load_report_percentiles):
+            # Linear interpolation between closest ranks, in any arrival order.
+            assert percentiles([4.0, 1.0, 3.0, 2.0]) == pytest.approx((2.5, 3.97))
+            assert percentiles([]) == (0.0, 0.0)
+            assert percentiles([7.0]) == (7.0, 7.0)
 
     def test_snapshot_hit_ratio(self):
         metrics = ServiceMetrics()

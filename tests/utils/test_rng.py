@@ -47,13 +47,3 @@ class TestSpawnRng:
         a = [g.random() for g in spawn_rng(9, 3)]
         b = [g.random() for g in spawn_rng(9, 3)]
         assert a == b
-
-
-class TestTimer:
-    def test_measures_nonnegative(self):
-        from repro.utils.timers import Timer
-
-        with Timer() as t:
-            sum(range(100))
-        assert t.elapsed >= 0.0
-        assert t.elapsed_ms == pytest.approx(t.elapsed * 1000)
