@@ -48,7 +48,7 @@ def test_placer_comparison(benchmark, cache):
     write_result("placer_comparison", "\n".join(lines))
 
     # both engines produce legal layouts
-    assert analytic.overlap_ratio() < 0.02
-    assert annealed.overlap_ratio() < 0.05
+    assert analytic.overlap_ratio() == 0.0
+    assert annealed.overlap_ratio() == 0.0
     # the customized analytical placer must not lose to the generic annealer
     assert analytic_hpwl <= annealed_hpwl * 1.1

@@ -72,8 +72,7 @@ def main() -> None:
         print(f"  stage {stage['stage']}: lambda={stage['lambda']:.3g}  "
               f"objective={stage['objective']:.1f}  "
               f"overlap={stage['overlap_ratio']:.2%}")
-    legal = placement.metadata["legalization"]
-    print(f"legalization: {legal['method']} "
+    print("legalization: grid snap + compaction "
           f"(winning snapshot: {placement.metadata['chosen_snapshot']})")
     print(f"weighted HPWL seed / legalized / compacted: "
           f"{placement.metadata['hpwl_seed']:,.0f} / "

@@ -2,13 +2,13 @@
 
 ``min WL(x, y) + λ·D(x, y)`` — weighted-average wirelength, sigmoid-based
 pairwise density, λ-doubling penalty loop, conjugate-gradient inner solver,
-push-apart legalization.
+grid-snap legalization and compaction.
 """
 
 from repro.physical.placement.annealing import AnnealingConfig, anneal_place
 from repro.physical.placement.density import density_value_and_grad, sigmoid_overlap
 from repro.physical.placement.initial import initial_placement
-from repro.physical.placement.legalize import compact, grid_snap, legalize
+from repro.physical.placement.legalize import compact, grid_snap
 from repro.physical.placement.objective import PlacementObjective
 from repro.physical.placement.optimizer import conjugate_gradient
 from repro.physical.placement.placer import PlacementConfig, place
@@ -31,7 +31,6 @@ __all__ = [
     "grid_snap",
     "hpwl",
     "initial_placement",
-    "legalize",
     "place",
     "sigmoid_overlap",
     "wa_wirelength",

@@ -4,8 +4,8 @@ The paper's placer is analytical (Algorithm 4); classic annealing is the
 traditional alternative and makes a useful quality/runtime reference for
 ablation benches.  Cells start from the same area-aware initial layout,
 then random single-cell moves and pair swaps are accepted by the
-Metropolis rule on ``HPWL + λ·overlap``; a final push-apart legalization
-matches the analytic flow's post-processing.
+Metropolis rule on ``HPWL + λ·overlap``; the result is legalized by the
+analytic flow's own ``grid_snap`` + ``compact``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.mapping.netlist import Netlist
 from repro.observability import get_recorder
 from repro.physical.layout import Placement
 from repro.physical.placement.initial import initial_placement
-from repro.physical.placement.legalize import legalize
+from repro.physical.placement.legalize import compact, grid_snap
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -173,7 +173,8 @@ def anneal_place(
     recorder.count("placement.anneal_accepted", accepted_total)
     recorder.count("placement.anneal_rejected", attempted_total - accepted_total)
 
-    x, y, legal_info = legalize(x, y, virtual_w, virtual_h, rng=rng)
+    x, y = grid_snap(x, y, virtual_w, virtual_h)
+    x, y = compact(x, y, virtual_w, virtual_h)
     if x.size:
         x = x - np.min(x - widths / 2.0)
         y = y - np.min(y - heights / 2.0)
@@ -186,7 +187,6 @@ def anneal_place(
             "method": "annealing",
             "accepted_moves": accepted_total,
             "final_temperature": temperature,
-            "legalization": legal_info,
             "final_hpwl": _wire_cost(x, y, sources, targets, np.ones_like(wire_weights)),
         },
     )

@@ -64,10 +64,6 @@ class PlacementConfig:
     use_connectivity_seed:
         Start from the cluster-structure-aware seed (default) instead of
         the area-packed grid.
-    snap_fill:
-        Target utilization of the grid-snap occupancy map.
-    compaction_passes:
-        Scanline compaction passes after legalization.
     routing_space_factor:
         Override of the technology's ω; ``None`` uses the technology value.
     """
@@ -79,8 +75,6 @@ class PlacementConfig:
     max_lambda_stages: int = 8
     cg_iterations_per_stage: int = 30
     use_connectivity_seed: bool = True
-    snap_fill: float = 0.72
-    compaction_passes: int = 2
     routing_space_factor: Optional[float] = None
     metadata: dict = field(default_factory=dict)
 
@@ -98,10 +92,6 @@ class PlacementConfig:
             )
         if self.max_lambda_stages < 1 or self.cg_iterations_per_stage < 1:
             raise ValueError("stage/iteration budgets must be >= 1")
-        if not 0.0 < self.snap_fill < 1.0:
-            raise ValueError(f"snap_fill must lie in (0, 1), got {self.snap_fill}")
-        if self.compaction_passes < 0:
-            raise ValueError("compaction_passes must be >= 0")
 
 
 #: A reduced-effort configuration for unit tests and quick examples.
@@ -204,17 +194,16 @@ def place(
     # Two legal candidates: snap of the seed and snap of the refined layout.
     with recorder.span("placement.legalize") as legalize_span:
         candidates = {}
-        snap_seed = grid_snap(seed_x, seed_y, virtual_w, virtual_h, fill=config.snap_fill)
+        snap_seed = grid_snap(seed_x, seed_y, virtual_w, virtual_h)
         candidates["seed"] = snap_seed
         if stage_log:
-            snap_refined = grid_snap(x, y, virtual_w, virtual_h, fill=config.snap_fill)
+            snap_refined = grid_snap(x, y, virtual_w, virtual_h)
             candidates["refined"] = snap_refined
         chosen_name, (x, y) = min(
             candidates.items(), key=lambda item: weighted_hpwl(item[1][0], item[1][1])
         )
         hpwl_after_snap = weighted_hpwl(x, y)
-        if config.compaction_passes:
-            x, y = compact(x, y, virtual_w, virtual_h, passes=config.compaction_passes)
+        x, y = compact(x, y, virtual_w, virtual_h)
         hpwl_after_compact = weighted_hpwl(x, y)
         legalize_span.annotate(chosen=chosen_name)
 
@@ -247,7 +236,6 @@ def place(
             "tau_um": tau,
             "routing_space_factor": omega,
             "chosen_snapshot": chosen_name,
-            "legalization": {"method": "grid_snap+compact", "overlap_ratio": 0.0},
             "hpwl_seed": weighted_hpwl(seed_x, seed_y),
             "hpwl_after_legalization": hpwl_after_snap,
             "hpwl_after_compaction": hpwl_after_compact,

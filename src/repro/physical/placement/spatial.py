@@ -1,10 +1,10 @@
 """Spatial binning for pairwise cell interactions.
 
-Both the sigmoid density model and the push-apart legalizer need "all pairs
-of cells that are close enough to interact".  Full pairwise enumeration is
-O(n²) and dominates runtime beyond ~1000 cells, so this module buckets
-cells into a uniform grid whose pitch is the largest interaction reach;
-any interacting pair then lies in the same or an adjacent bucket.
+The sigmoid density model needs "all pairs of cells that are close enough
+to interact".  Full pairwise enumeration is O(n²) and dominates runtime
+beyond ~1000 cells, so this module buckets cells into a uniform grid whose
+pitch is the largest interaction reach; any interacting pair then lies in
+the same or an adjacent bucket.
 
 The candidate set is a superset of the interacting pairs (exact for
 rectangle overlap when ``reach`` covers the cell half-extents), so callers

@@ -24,6 +24,10 @@ from repro.verify.report import CheckResult, Violation
 #: report objects stay small) even for catastrophically broken inputs.
 MAX_DETAILED_VIOLATIONS = 25
 
+#: Largest accepted placement overlap, as a fraction of total cell area.
+#: Legalization leaves none; compaction's float rounding leaves ~1e-16.
+OVERLAP_TOLERANCE = 1e-9
+
 
 def _add_capped(
     violations: List[Violation],
@@ -346,7 +350,6 @@ def _check_placement(
     mapping: MappingResult,
     placement: Placement,
     violations: List[Violation],
-    overlap_tolerance: float,
 ) -> None:
     netlist = mapping.netlist
     if placement.num_cells != netlist.num_cells:
@@ -384,12 +387,12 @@ def _check_placement(
             )
         )
     ratio = placement.overlap_ratio()
-    if ratio > overlap_tolerance:
+    if ratio > OVERLAP_TOLERANCE:
         violations.append(
             Violation(
                 "physical",
-                f"post-legalization cell overlap is {ratio:.4%} of total cell "
-                f"area (tolerance {overlap_tolerance:.4%})",
+                f"post-legalization cell overlap is {ratio:.3g} of total cell "
+                f"area (tolerance {OVERLAP_TOLERANCE:g})",
                 {"overlap_ratio": ratio},
             )
         )
@@ -556,16 +559,14 @@ def check_physical(
     mapping: MappingResult,
     placement: Placement,
     routing=None,
-    overlap_tolerance: float = 5e-3,
 ) -> CheckResult:
     """Placement legality plus routing soundness for a placed design.
 
-    ``overlap_tolerance`` bounds residual post-legalization overlap as a
-    fraction of total cell area (the push-apart fallback legalizer accepts
-    up to ~0.5 % virtual overlap; the primary grid-snap path yields 0).
+    Cells may overlap by at most :data:`OVERLAP_TOLERANCE` of the total
+    cell area, i.e. by float rounding only.
     """
     violations: List[Violation] = []
-    _check_placement(mapping, placement, violations, overlap_tolerance)
+    _check_placement(mapping, placement, violations)
     if routing is not None and placement.num_cells == mapping.netlist.num_cells:
         _check_routing(mapping, placement, routing, violations)
     stats = {

@@ -35,7 +35,6 @@ def verify_mapping(
     routing=None,
     hopfield=None,
     checks: Optional[Iterable[str]] = None,
-    overlap_tolerance: float = 5e-3,
     probes: int = 6,
     rng: RngLike = 0,
 ) -> VerificationReport:
@@ -54,8 +53,6 @@ def verify_mapping(
         comparison of the **functional** check.
     checks:
         Optional subset of :data:`CHECK_NAMES` to run (default: all).
-    overlap_tolerance:
-        Acceptable residual post-legalization overlap ratio.
     probes:
         Random ±1 probe vectors for the functional equivalence test.
     rng:
@@ -86,14 +83,7 @@ def verify_mapping(
                     )
                 )
             else:
-                results.append(
-                    check_physical(
-                        mapping,
-                        placement,
-                        routing,
-                        overlap_tolerance=overlap_tolerance,
-                    )
-                )
+                results.append(check_physical(mapping, placement, routing))
         elif name == "functional":
             results.append(
                 check_functional(mapping, hopfield=hopfield, probes=probes, rng=rng)
@@ -113,7 +103,6 @@ def verify_flow(
     flow,
     hopfield=None,
     checks: Optional[Iterable[str]] = None,
-    overlap_tolerance: float = 5e-3,
     probes: int = 6,
     rng: RngLike = 0,
 ) -> VerificationReport:
@@ -139,7 +128,6 @@ def verify_flow(
         routing=routing,
         hopfield=hopfield,
         checks=checks,
-        overlap_tolerance=overlap_tolerance,
         probes=probes,
         rng=rng,
     )

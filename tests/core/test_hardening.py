@@ -10,6 +10,7 @@ from repro.networks import ConnectionMatrix, random_sparse_network
 from repro.physical.placement.placer import place as real_place
 from repro.physical.routing.router import route as real_route
 from repro.utils.rng import spawn_rng
+from repro.verify import verify_flow
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +69,11 @@ class TestDiagnostics:
 class TestPlacementFallback:
     def test_divergent_placer_falls_back_to_annealing(self, flow, network, monkeypatch):
         # Acceptance criterion: a pathological analytical placement (all-NaN
-        # coordinates) must not kill the flow — the annealing fallback runs
-        # and the event is recorded in the result metadata.
+        # coordinates) must not kill the flow — the annealing fallback runs,
+        # the event is recorded in the result metadata, and the fallback's
+        # layout is verified and about as compact as the analytical one.
+        healthy = flow.run(network, rng=3)
+
         def nan_place(netlist, **kwargs):
             placement = real_place(netlist, **kwargs)
             placement.x[:] = np.nan
@@ -84,6 +88,8 @@ class TestPlacementFallback:
         assert fallbacks[0]["action"] == "annealing_placer"
         assert "non-finite" in fallbacks[0]["reason"]
         assert "placement_fallback" in result.metadata["stage_seconds"]
+        assert verify_flow(result).passed
+        assert result.design.placement.area <= 1.5 * healthy.design.placement.area
 
     def test_raising_placer_falls_back_too(self, flow, network, monkeypatch):
         def broken_place(netlist, **kwargs):

@@ -77,7 +77,6 @@ class TestPlace:
 
     def test_metadata_stages(self, placed):
         assert len(placed.metadata["stages"]) >= 1
-        assert placed.metadata["legalization"]["method"] == "grid_snap+compact"
         assert placed.metadata["chosen_snapshot"] in ("seed", "refined")
         assert placed.metadata["seed"] in ("connectivity", "area_grid")
 

@@ -187,11 +187,24 @@ def test_dropped_net_rejected(verified_flow):
     )
 
 
-def test_overlapping_cells_rejected(verified_flow):
-    design = verified_flow.design
-    placement = design.placement.copy()
-    placement.x[1] = placement.x[0]
-    placement.y[1] = placement.y[0]
+@pytest.mark.parametrize("overlap", ["stacked", "sliver"])
+def test_overlapping_cells_rejected(verified_flow, overlap):
+    placement = verified_flow.design.placement.copy()
+    if overlap == "stacked":
+        placement.x[1] = placement.x[0]
+        placement.y[1] = placement.y[0]
+    else:
+        # The two largest cells side by side past the layout's right edge,
+        # bottom edges aligned, overlapping in a strip of 0.1 % of the
+        # total cell area.
+        w, h = placement.widths, placement.heights
+        areas = w * h
+        i, j = np.argsort(areas)[-2:]
+        depth = 1e-3 * areas.sum() / min(h[i], h[j])
+        placement.x[i] = np.max(placement.x + w / 2.0) + w[i] / 2.0
+        placement.x[j] = placement.x[i] + (w[i] + w[j]) / 2.0 - depth
+        placement.y[j] = placement.y[i] + (h[j] - h[i]) / 2.0
+        assert placement.overlap_ratio() == pytest.approx(1e-3)
     result = check_physical(verified_flow.mapping, placement)
     assert not result.passed
     assert any("overlap" in v.message for v in result.violations)
