@@ -452,7 +452,6 @@ def _run_clustering_suite(seed: int, dimension: Optional[int] = None) -> "SuiteR
                 qor={
                     "neurons": float(network.size),
                     "connections": float(network.num_connections),
-                    "dense_backend": 0.0 if network.backend == "sparse" else 1.0,
                 },
             )
         )

@@ -171,9 +171,7 @@ def cluster_hierarchical(
     for tier, tier_rng in zip(tiers, tier_rngs):
         members = np.asarray(tier.members, dtype=np.int64)
         block = network.submatrix(members)  # dense, ≤ tier_size × tier_size
-        sub_network = ConnectionMatrix.from_dense(
-            block, name=f"{network.name}-tier", backend="dense"
-        )
+        sub_network = ConnectionMatrix.from_dense(block, name=f"{network.name}-tier")
         if sub_network.num_connections == 0:
             tier_summaries.append({"neurons": int(members.size), "crossbars": 0})
             continue

@@ -64,9 +64,13 @@ def kmeans_plus_plus_centroids(
 def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Label each point with its nearest centroid (squared Euclidean)."""
     # ||p - c||² = ||p||² - 2 p·c + ||c||²; the ||p||² term is constant per point.
+    # In place: (-2 p·c) + ||c||² rounds exactly as ||c||² - 2 p·c, and one
+    # n × k array instead of three keeps GCP's thousands of calls from
+    # trimming and regrowing the heap on every call.
     cross = points @ centroids.T
-    c_norm = np.sum(centroids**2, axis=1)
-    return np.argmin(c_norm[None, :] - 2.0 * cross, axis=1)
+    cross *= -2.0
+    cross += np.sum(centroids**2, axis=1)
+    return np.argmin(cross, axis=1)
 
 
 def _update_centroids(

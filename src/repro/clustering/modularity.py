@@ -32,7 +32,7 @@ def modularity_clustering(
     """
     rng = ensure_rng(rng)
     if isinstance(network, ConnectionMatrix):
-        similarity = network.similarity()  # backend-native: ndarray or csr
+        similarity = network.similarity()
     elif sparse.issparse(network):
         similarity = sparse.csr_array(network).astype(np.float64)
         similarity = sparse.csr_array(similarity.maximum(similarity.T))

@@ -22,7 +22,10 @@ Two interchangeable solvers compute step 3:
 * **dense** — ``scipy.linalg.eigh`` on the full generalized problem.  Exact
   and used whenever ``n <= DENSE_EIGENSOLVER_CUTOFF`` or the *full* basis is
   requested, so the paper-scale testbenches (tb1–tb3, N = 300–500) produce
-  bit-identical results to the historical implementation.
+  bit-identical results to the historical implementation.  When the
+  subset driver fails to converge (blocks dominated by isolated neurons,
+  whose eigenvalue 0 repeats), the same pencil is re-solved in full with
+  the divide-and-conquer driver and its first ``k`` pairs are kept.
 * **sparse** — ``scipy.sparse.linalg.eigsh`` on the equivalent normalized
   Laplacian ``L_sym = I − D^{−1/2} W D^{−1/2}``: its spectrum lies in
   ``[0, 2]``, so the *k smallest* eigenpairs are the *k largest* of
@@ -67,9 +70,8 @@ _LOBPCG_SEED = 0x5CA1AB1E
 def _similarity(network) -> Union[np.ndarray, sp.csr_array]:
     """Extract the symmetric similarity the Laplacian is built from.
 
-    Returns the backend-native form: dense ndarray for dense-backed
-    networks and raw arrays (bit-identical to the historical behaviour),
-    ``csr_array`` for sparse-backed networks and sparse input.
+    Returns a ``csr_array`` for a :class:`ConnectionMatrix` and sparse
+    input, a dense ndarray for raw arrays.
     """
     if isinstance(network, ConnectionMatrix):
         return network.similarity()
@@ -91,9 +93,17 @@ def _dense_embedding(
     degrees = np.maximum(degrees, _DEGREE_FLOOR)
     laplacian = np.diag(degrees) - w
     # Generalized symmetric-definite problem; scipy returns ascending order.
-    eigenvalues, eigenvectors = scipy.linalg.eigh(
-        laplacian, np.diag(degrees), subset_by_index=(0, k - 1)
-    )
+    try:
+        eigenvalues, eigenvectors = scipy.linalg.eigh(
+            laplacian, np.diag(degrees), subset_by_index=(0, k - 1)
+        )
+    except scipy.linalg.LinAlgError:
+        # The subset driver ("gvx") can fail to converge on a repeated
+        # eigenvalue; "gvd" takes no subset, so solve the whole pencil.
+        eigenvalues, eigenvectors = scipy.linalg.eigh(
+            laplacian, np.diag(degrees), driver="gvd"
+        )
+        eigenvalues, eigenvectors = eigenvalues[:k], eigenvectors[:, :k]
     return eigenvectors, eigenvalues
 
 
@@ -139,8 +149,8 @@ def spectral_embedding(
     Parameters
     ----------
     network:
-        A :class:`ConnectionMatrix` (either backend), a raw similarity
-        matrix, or a scipy sparse similarity.
+        A :class:`ConnectionMatrix`, a raw similarity matrix, or a scipy
+        sparse similarity.
     k:
         Number of smallest eigenpairs wanted; ``None`` returns the full
         basis (GCP needs all ``n`` eigenvectors, Algorithm 2 line 1).

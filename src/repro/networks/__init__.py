@@ -14,14 +14,7 @@ This package provides everything AutoNCS consumes as input:
 * :mod:`~repro.networks.metrics` — sparsity / degree / fanin+fanout metrics.
 """
 
-from repro.networks.connection_matrix import (
-    BACKENDS,
-    SPARSE_DENSITY_SIZE,
-    SPARSE_MAX_DENSITY,
-    SPARSE_MIN_SIZE,
-    ConnectionMatrix,
-    select_backend,
-)
+from repro.networks.connection_matrix import ConnectionMatrix
 from repro.networks.generators import (
     block_diagonal_network,
     distance_decay_network,
@@ -38,10 +31,6 @@ from repro.networks.metrics import (
 from repro.networks.patterns import qr_like_pattern, qr_like_patterns
 
 __all__ = [
-    "BACKENDS",
-    "SPARSE_DENSITY_SIZE",
-    "SPARSE_MAX_DENSITY",
-    "SPARSE_MIN_SIZE",
     "ConnectionMatrix",
     "HopfieldNetwork",
     "block_diagonal_network",
@@ -56,5 +45,4 @@ __all__ = [
     "recognition_rate",
     "regular_parity_check_matrix",
     "scale_free_network",
-    "select_backend",
 ]

@@ -4,7 +4,10 @@ These provide controlled topologies for unit tests, property tests and
 ablations: uniform random sparsity ("randomly distributed connections",
 Sec. 3.2), planted block structure (the ideal case for clustering),
 distance-decay connectivity (the neocortex locality of Sec. 2.2 [9]), and a
-scale-free topology built on networkx.
+scale-free topology built on networkx.  The uniform and scale-free
+generators emit edge arrays, so they never hold a dense ``n × n`` array and
+scale to 50k+ neurons; the block and distance-decay ones draw a dense
+probability field and are meant for small networks.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from typing import Sequence
 import networkx as nx
 import numpy as np
 
-from repro.networks.connection_matrix import SPARSE_MIN_SIZE, ConnectionMatrix
+from repro.networks.connection_matrix import ConnectionMatrix
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive, check_probability
 
-#: Row-block size for the chunked large-``n`` sampling paths.
+#: Row-block size of the chunked uniform sampler.
 _CHUNK_ROWS = 2048
 
 
@@ -31,22 +34,16 @@ def random_sparse_network(
 ) -> ConnectionMatrix:
     """Uniform random binary network with expected ``density`` off-diagonal fill.
 
-    Large networks (``n >= SPARSE_MIN_SIZE``) are sampled in row blocks and
-    assembled as edges so no dense ``n × n`` array is ever held.  Because
+    The ``n × n`` uniform field is drawn in blocks of ``_CHUNK_ROWS`` rows
+    and kept as edges, so no dense ``n × n`` array is ever held.  Because
     ``Generator.random`` fills row-major and successive calls continue the
-    same stream, the chunked path draws the identical boolean field as the
-    dense path — the topology for a given seed does not depend on which
-    path ran.
+    same stream, the edges are those of ``rng.random((n, n)) < density``
+    without its diagonal (united with the transpose when ``symmetric``),
+    whatever the block size.
     """
     check_positive("n", n)
     check_probability("density", density)
     rng = ensure_rng(rng)
-    if n < SPARSE_MIN_SIZE:
-        w = (rng.random((n, n)) < density).astype(np.uint8)
-        np.fill_diagonal(w, 0)
-        if symmetric:
-            w = np.maximum(w, w.T)
-        return ConnectionMatrix.from_dense(w, name=name)
     row_parts = []
     col_parts = []
     for start in range(0, n, _CHUNK_ROWS):
@@ -57,11 +54,11 @@ def random_sparse_network(
         off_diagonal = rows != cols
         row_parts.append(rows[off_diagonal])
         col_parts.append(cols[off_diagonal])
-    rows = np.concatenate(row_parts) if row_parts else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(col_parts) if col_parts else np.empty(0, dtype=np.int64)
+    rows = np.concatenate(row_parts)
+    cols = np.concatenate(col_parts)
     if symmetric:
         rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    return ConnectionMatrix.from_edges(n, (rows, cols), name=name, backend="sparse")
+    return ConnectionMatrix.from_edges(n, (rows, cols), name=name)
 
 
 def block_diagonal_network(

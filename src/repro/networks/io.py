@@ -2,10 +2,10 @@
 
 Two formats are supported:
 
-* ``.npz`` — compressed numpy archive (canonical).  Dense-backed networks
-  store the full ``matrix`` array (the historical format); sparse-backed
-  ones store the edge arrays (``n``, ``rows``, ``cols``) so a 100k-neuron
-  network round-trips without densifying.  The loader accepts both.
+* ``.npz`` — compressed numpy archive (canonical).  It stores the edge
+  arrays (``n``, ``rows``, ``cols``), so a 100k-neuron network round-trips
+  without densifying.  The loader also reads the legacy layout, a full
+  dense ``matrix`` array.
 * edge-list text — one ``i j`` pair per line, human-diffable.
 """
 
@@ -22,20 +22,15 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 
 def save_network_npz(network: ConnectionMatrix, path: PathLike) -> None:
-    """Write ``network`` to a compressed ``.npz`` archive."""
-    if network.backend == "dense":
-        np.savez_compressed(
-            path, matrix=network.matrix, name=np.array(network.name)
-        )
-    else:
-        rows, cols = network.connection_arrays()
-        np.savez_compressed(
-            path,
-            n=np.array(network.size, dtype=np.int64),
-            rows=rows,
-            cols=cols,
-            name=np.array(network.name),
-        )
+    """Write ``network``'s edge arrays to a compressed ``.npz`` archive."""
+    rows, cols = network.connection_arrays()
+    np.savez_compressed(
+        path,
+        n=np.array(network.size, dtype=np.int64),
+        rows=rows,
+        cols=cols,
+        name=np.array(network.name),
+    )
 
 
 def load_network_npz(path: PathLike) -> ConnectionMatrix:

@@ -61,9 +61,6 @@ class PlacementConfig:
         (virtual) cell area falls below this ratio.
     max_lambda_stages / cg_iterations_per_stage:
         Penalty-loop budget (Algorithm 4 lines 2–6).
-    use_connectivity_seed:
-        Start from the cluster-structure-aware seed (default) instead of
-        the area-packed grid.
     routing_space_factor:
         Override of the technology's ω; ``None`` uses the technology value.
     """
@@ -74,7 +71,6 @@ class PlacementConfig:
     overlap_threshold: float = 0.02
     max_lambda_stages: int = 8
     cg_iterations_per_stage: int = 30
-    use_connectivity_seed: bool = True
     routing_space_factor: Optional[float] = None
     metadata: dict = field(default_factory=dict)
 
@@ -126,7 +122,7 @@ def place(
     sources, targets, wire_weights = netlist.wire_endpoints()
 
     has_crossbars = any(cell.kind == CellKind.CROSSBAR for cell in netlist.cells)
-    if config.use_connectivity_seed and sources.size and has_crossbars:
+    if sources.size and has_crossbars:
         seed_x, seed_y = connectivity_seed(netlist, virtual_w, virtual_h, rng=rng)
         seed_kind = "connectivity"
     else:

@@ -87,9 +87,8 @@ class TestClusterHierarchical:
         assert mapping.num_synapses == len(result.outliers)
 
     def test_scale_free_sparse_backend(self):
-        # The stress topology, on the sparse backend end to end.
+        # The stress topology, on CSR storage end to end.
         net = scale_free_network(200, rng=11)
-        assert net.backend in ("dense", "sparse")
         result = cluster_hierarchical(net, tier_size=64, rng=1)
         result.validate()
         assert result.metadata["tiers"] > 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.kmeans import kmeans, kmeans_plus_plus_centroids
+from repro.clustering.kmeans import _assign, kmeans, kmeans_plus_plus_centroids
 
 
 def two_blobs(rng, n=30, separation=10.0):
@@ -135,3 +135,27 @@ def test_property_inertia_not_worse_than_random_assignment(seed):
         if members.size:
             random_inertia += float(np.sum((members - members.mean(axis=0)) ** 2))
     assert result.inertia <= random_inertia + 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 60),
+    k=st.integers(1, 12),
+    d=st.integers(1, 12),
+    ties=st.booleans(),
+)
+def test_assign_matches_out_of_place_body(seed, n, k, d, ties):
+    """The in-place assignment equals the out-of-place expression it replaced."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, d))
+    centroids = rng.standard_normal((k, d))
+    if ties:  # coincident centroids and points on centroids
+        centroids[-1] = centroids[0]
+        points[: min(n, k)] = centroids[: min(n, k)]
+    # A column slice, as GCP passes its embedding prefix.
+    points = np.hstack([points, rng.standard_normal((n, 2))])[:, :d]
+    cross = points @ centroids.T
+    c_norm = np.sum(centroids**2, axis=1)
+    want = np.argmin(c_norm[None, :] - 2.0 * cross, axis=1)
+    np.testing.assert_array_equal(_assign(points, centroids), want)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,3 +158,48 @@ class TestEigensolverEquivalence:
         from repro.clustering.spectral import DENSE_EIGENSOLVER_CUTOFF
 
         assert block_network.size <= DENSE_EIGENSOLVER_CUTOFF
+
+
+class TestEighRetry:
+    """A subset solve that fails to converge is re-solved in full with gvd."""
+
+    @staticmethod
+    def _recording_eigh(monkeypatch, failures):
+        real_eigh = scipy.linalg.eigh
+        calls = []
+
+        def eigh(a, b=None, **kwargs):
+            calls.append(kwargs)
+            if len(calls) <= failures:
+                raise scipy.linalg.LinAlgError("1 eigenvectors failed to converge")
+            return real_eigh(a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        return calls
+
+    def test_failed_subset_solve_retries_with_gvd(self, monkeypatch):
+        net = random_sparse_network(40, 0.08, rng=3)
+        _, want_values = spectral_embedding(net, k=6)
+        calls = self._recording_eigh(monkeypatch, failures=1)
+        vectors, values = spectral_embedding(net, k=6)
+        assert calls == [{"subset_by_index": (0, 5)}, {"driver": "gvd"}]
+        assert vectors.shape == (40, 6)
+        np.testing.assert_allclose(values, want_values, atol=1e-9)
+        # Generalized eigenpairs of L u = λ D u, D-orthonormal.
+        w = net.similarity().toarray()
+        degrees = np.maximum(w.sum(axis=1), 1e-9)
+        laplacian = np.diag(degrees) - w
+        np.testing.assert_allclose(
+            laplacian @ vectors, (degrees[:, None] * vectors) * values, atol=1e-8
+        )
+        gram = vectors.T @ (degrees[:, None] * vectors)
+        np.testing.assert_allclose(gram, np.eye(6), atol=1e-8)
+
+    def test_solvable_block_keeps_the_subset_call(self, monkeypatch):
+        net = random_sparse_network(40, 0.08, rng=3)
+        want = spectral_embedding(net, k=6)
+        calls = self._recording_eigh(monkeypatch, failures=0)
+        got = spectral_embedding(net, k=6)
+        assert calls == [{"subset_by_index": (0, 5)}]
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])

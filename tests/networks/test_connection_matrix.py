@@ -44,6 +44,10 @@ class TestConstruction:
         raw[0, 1] = 1
         assert net.num_connections == 0
 
+    def test_from_edges_collapses_duplicates(self):
+        net = ConnectionMatrix.from_edges(3, [(0, 1), (1, 2), (0, 1)])
+        assert net.connection_list() == [(0, 1), (1, 2)]
+
     def test_matrix_view_readonly(self):
         net = simple_matrix()
         with pytest.raises(ValueError):
@@ -71,9 +75,9 @@ class TestSymmetry:
         m = np.array([[0, 1], [1, 0]])
         assert ConnectionMatrix.from_dense(m).is_symmetric()
 
-    def test_symmetrized_max(self):
+    def test_similarity_max(self):
         net = simple_matrix()
-        sym = net.symmetrized()
+        sym = net.similarity().toarray()
         assert sym[0, 3] == 1.0  # only 3->0 existed
         assert np.array_equal(sym, sym.T)
 
@@ -84,6 +88,11 @@ class TestClusterOperations:
         assert net.connections_within([0, 1]) == 2  # 0->1 and 1->0
         assert net.connections_within([2]) == 0
         assert net.connections_within([]) == 0
+
+    def test_connections_within_repeated_member_counts_once(self):
+        net = simple_matrix()
+        assert net.connections_within([0, 0, 1]) == 2
+        assert net.connections_within([1, 2, 2, 1]) == 1  # only 1->2
 
     def test_outlier_count(self):
         net = simple_matrix()
@@ -107,6 +116,13 @@ class TestClusterOperations:
         reduced = net.remove_clusters([[0, 1], [2, 3]])
         assert reduced.connections_within([0, 1]) == 0
         assert reduced.connections_within([2, 3]) == 0
+
+    def test_remove_clusters_rejects_overlap(self):
+        net = ConnectionMatrix.from_edges(4, [(0, 2), (2, 3), (0, 1)])
+        with pytest.raises(ValueError, match="clusters must be disjoint"):
+            net.remove_clusters([[0, 1, 2], [2, 3]])
+        # A member repeated inside one cluster is not an overlap.
+        assert net.remove_clusters([[0, 1, 1, 2]]).connection_list() == [(2, 3)]
 
     def test_submatrix_default_cols(self):
         net = simple_matrix()

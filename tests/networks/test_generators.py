@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.networks import (
+    ConnectionMatrix,
     block_diagonal_network,
     distance_decay_network,
+    generators,
     random_sparse_network,
     scale_free_network,
 )
@@ -97,3 +101,33 @@ class TestScaleFree:
 
     def test_reproducible(self):
         assert scale_free_network(30, rng=7) == scale_free_network(30, rng=7)
+
+
+def _dense_draw(n, density, symmetric, rng):
+    """The deleted dense branch of ``random_sparse_network``, verbatim."""
+    w = (rng.random((n, n)) < density).astype(np.uint8)
+    np.fill_diagonal(w, 0)
+    if symmetric:
+        w = np.maximum(w, w.T)
+    return ConnectionMatrix.from_dense(w, name="random")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, None])
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    density=st.floats(0.0, 1.0),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_sparse_matches_dense_draw(chunk_rows, n, density, symmetric, seed):
+    """The row-chunked sampler draws the dense branch's topology and stream."""
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_rows is not None:
+            patch.setattr(generators, "_CHUNK_ROWS", chunk_rows)
+        got = random_sparse_network(n, density, symmetric=symmetric, rng=rng)
+    reference_rng = np.random.default_rng(seed)
+    want = _dense_draw(n, density, symmetric, reference_rng)
+    assert got.digest() == want.digest()
+    assert rng.random() == reference_rng.random()

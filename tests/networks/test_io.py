@@ -26,6 +26,20 @@ class TestNpz:
         assert loaded == net
         assert loaded.name == "roundtrip"
 
+    def test_writes_edge_layout(self, net, tmp_path):
+        path = tmp_path / "net.npz"
+        save_network_npz(net, path)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["cols", "n", "name", "rows"]
+
+    def test_loads_legacy_dense_archive(self, net, tmp_path):
+        path = tmp_path / "legacy.npz"
+        np.savez_compressed(path, matrix=net.matrix, name=np.array("legacy"))
+        loaded = load_network_npz(path)
+        assert loaded == net
+        assert loaded.digest() == net.digest()
+        assert loaded.name == "legacy"
+
     def test_rejects_foreign_npz(self, tmp_path):
         path = tmp_path / "foreign.npz"
         np.savez(path, other=np.zeros(3))

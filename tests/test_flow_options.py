@@ -90,7 +90,7 @@ class TestLoadNetwork:
         assert loaded.digest() == network.digest()
 
     def test_npz_round_trip_sparse_backend(self, tmp_path):
-        sparse_net = random_sparse_network(40, 0.1, rng=7).with_backend("sparse")
+        sparse_net = random_sparse_network(40, 0.1, rng=7)
         path = tmp_path / "sparse.npz"
         save_network_npz(sparse_net, path)
         loaded = repro.load_network(path)
