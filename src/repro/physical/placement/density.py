@@ -11,25 +11,29 @@ sigmoid overlap indicator along x.  With half-extent ``h = (w̃_i + w̃_j)/2``
 controls the transition sharpness.  |Δ| is smoothed as ``sqrt(Δ² + ε)`` so
 the gradient is defined at coincident centers.
 
-For small designs every pair is evaluated; beyond
-:data:`~repro.physical.placement.spatial.PAIRWISE_LIMIT` cells the pair
-set is pruned by spatial binning, which drops a pair only when it is more
-than ``8τ`` from touching on some axis.  The pruning is approximate: a
-dropped pair has ``O < σ(-8)`` on that axis, so it would have added less
-than σ(-8) ≈ 3.4e-4 to ``D`` (and less than σ(-8)/τ to a gradient
-component).
+The sum runs over the pairs inside an ``8τ`` cutoff, at every netlist
+size: a pair is kept when ``|Δx|`` and ``|Δy|`` are both at most
+``reach_i + reach_j``, with ``reach = max(w̃/2, h̃/2) + 4τ`` (the rule of
+:func:`~repro.physical.placement.spatial.candidate_pairs`).  A dropped
+pair is more than 8τ from touching on some axis, so its O there is below
+σ(-8) ≈ 3.4e-4: it would have added less than that to ``D`` and less
+than σ(-8)/τ to a gradient component.
 
-The all-pairs set of a placement never changes — cell sizes are fixed and
-every pair is kept — so a placement builds it once
-(:func:`placement_pairs`) as a :class:`PairSet` that also holds the
-evaluation's scratch buffers, and passes it to every evaluation.  The
-binned set follows the positions, so each binned evaluation builds a
-throwaway one.
+An evaluation runs over a :class:`PairSet` of candidate pairs and keeps
+the candidates inside the cutoff at its positions.  Up to
+:data:`~repro.physical.placement.spatial.PAIRWISE_LIMIT` cells the
+candidates are every pair; cell sizes are fixed, so a placement builds
+that set once (:func:`placement_pairs`) and every evaluation masks it.
+Beyond the limit, spatial binning finds the pairs inside the cutoff at
+the current positions, so each evaluation builds a throwaway set of them.
+The limit decides how the pairs are found, not which density is
+evaluated.
 
 An evaluation comes in two halves: :func:`density_value` leaves the
-per-pair terms in the set, and :func:`density_grad` finishes the gradient
-of that point from them.  A line search that rejects a trial point never
-pays for its gradient; :func:`density_value_and_grad` runs both halves.
+kept pairs and their terms in the set, and :func:`density_grad` finishes
+the gradient of that point from them.  A line search that rejects a
+trial point never pays for its gradient; :func:`density_value_and_grad`
+runs both halves.
 """
 
 from __future__ import annotations
@@ -61,30 +65,33 @@ def sigmoid_overlap(delta: np.ndarray, half_extent: np.ndarray, tau: float) -> n
     return scipy.special.expit(z)  # numerically stable logistic
 
 
+def _reach(half_w: np.ndarray, half_h: np.ndarray, tau: float) -> np.ndarray:
+    """Per-cell cutoff reach ``max(w/2, h/2) + 4τ``."""
+    return np.maximum(half_w, half_h) + _CUTOFF_TAUS * tau / 2.0
+
+
 def _interaction_pairs(
-    x: np.ndarray,
-    y: np.ndarray,
-    half_w: np.ndarray,
-    half_h: np.ndarray,
-    margin: float,
+    x: np.ndarray, y: np.ndarray, reach: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Pairs to evaluate: full triangle for small n, binned beyond the limit."""
+    """Every pair for small n; beyond the limit the binned pairs within ``reach``."""
     n = x.shape[0]
     if n <= PAIRWISE_LIMIT:
         return np.triu_indices(n, k=1)
-    reach = np.maximum(half_w, half_h) + margin / 2.0
     return candidate_pairs(x, y, reach)
 
 
 class PairSet:
-    """The cell pairs ``ii < jj`` of a density evaluation, with its scratch space.
+    """Candidate cell pairs ``ii < jj`` of density evaluations, with their scratch space.
 
-    Holds the scatter index ``concat(ii, jj)`` (``ii`` and ``jj`` are views
-    of its two halves), the per-pair half-extent sums ``hx``/``hy`` and
-    float64 scratch buffers sized exactly to the pair count, so an
-    evaluation over the set allocates nothing the length of the pair list.
-    Every evaluation overwrites the buffers: a set serves one evaluation at
-    a time.
+    An evaluation first keeps the candidates inside the cutoff at its
+    positions (:meth:`keep`).  Then ``kept`` counts them, ``scatter`` is
+    their scatter index ``concat(ii, jj)`` (``kept_ii`` and ``kept_jj``
+    view its two halves), ``hx``/``hy`` hold their half-extent sums, and
+    the term buffers (``dx`` ... ``oy``, ``weights``) are views of their
+    length.  Every buffer is preallocated to the candidate count, so the
+    only array an evaluation allocates is the index of its kept pairs.
+    Every evaluation overwrites the buffers: a set serves one evaluation
+    at a time.
     """
 
     def __init__(
@@ -92,22 +99,68 @@ class PairSet:
     ) -> None:
         m = ii.shape[0]
         self.n = half_w.shape[0]
-        self.scatter = np.concatenate([ii, jj])
-        self.ii = self.scatter[:m]
-        self.jj = self.scatter[m:]
-        self.hx = half_w[ii] + half_w[jj]
-        self.hy = half_h[ii] + half_h[jj]
-        self.dx, self.dy, self.soft_abs_x, self.soft_abs_y, self.ox, self.oy = np.empty((6, m))
+        self.ii = ii
+        self.jj = jj
+        self.half_w = half_w
+        self.half_h = half_h
+        self.hx_all = half_w[ii] + half_w[jj]
+        self.hy_all = half_h[ii] + half_h[jj]
+        #: ``reach_i + reach_j`` per candidate, for the τ in ``_reach_tau``.
+        self.reach_sum = np.empty(m)
+        self._reach_tau: Optional[float] = None
+        self.inside, self.inside_y = np.empty((2, m), dtype=bool)
+        # Full-length buffers; the kept pairs' own are views of their fronts.
+        self._scatter = np.empty(2 * m, dtype=np.intp)
+        self._terms = np.empty((8, m))
+        self._weights = np.empty(2 * m)
+        self._view(0)
+
+    def _view(self, k: int) -> None:
+        """Point the kept-pair names at the first ``k`` entries of the buffers."""
+        self.kept = k
+        self.scatter = self._scatter[: 2 * k]
+        self.kept_ii = self.scatter[:k]
+        self.kept_jj = self.scatter[k:]
         #: ``concat(g, -g)`` of one axis: the weights of its scatter.
-        self.weights = np.empty(2 * m)
+        self.weights = self._weights[: 2 * k]
+        (
+            self.hx, self.hy, self.dx, self.dy,
+            self.soft_abs_x, self.soft_abs_y, self.ox, self.oy,
+        ) = self._terms[:, :k]
+
+    def keep(self, x: np.ndarray, y: np.ndarray, tau: float) -> None:
+        """Keep the candidates with ``|Δx|, |Δy| <= reach_i + reach_j`` at ``(x, y)``."""
+        # Two term rows are free until the kept pairs' terms fill them.
+        # mode="clip" never clips here (the indices are in range); the
+        # default "raise" would stage ``out`` through a temporary copy.
+        delta, other = self._terms[:2]
+        if tau != self._reach_tau:
+            reach = _reach(self.half_w, self.half_h, tau)
+            np.take(reach, self.ii, out=self.reach_sum, mode="clip")
+            np.take(reach, self.jj, out=other, mode="clip")
+            np.add(self.reach_sum, other, out=self.reach_sum)
+            self._reach_tau = tau
+        for coords, inside in ((x, self.inside), (y, self.inside_y)):
+            np.take(coords, self.ii, out=delta, mode="clip")
+            np.take(coords, self.jj, out=other, mode="clip")
+            np.subtract(delta, other, out=delta)
+            np.abs(delta, out=delta)
+            np.less_equal(delta, self.reach_sum, out=inside)
+        np.logical_and(self.inside, self.inside_y, out=self.inside)
+        index = np.flatnonzero(self.inside)
+        self._view(index.shape[0])
+        np.take(self.ii, index, out=self.kept_ii, mode="clip")
+        np.take(self.jj, index, out=self.kept_jj, mode="clip")
+        np.take(self.hx_all, index, out=self.hx, mode="clip")
+        np.take(self.hy_all, index, out=self.hy, mode="clip")
 
 
 def placement_pairs(widths: np.ndarray, heights: np.ndarray) -> Optional[PairSet]:
-    """The reusable all-pairs set of a placement of these cells.
+    """The reusable all-pairs candidate set of a placement of these cells.
 
     ``None`` beyond :data:`~repro.physical.placement.spatial.PAIRWISE_LIMIT`
-    cells, where the evaluated pairs follow the positions and
-    :func:`density_value_and_grad` bins them per call.
+    cells, where the candidates follow the positions and each evaluation
+    builds its own (:func:`evaluation_pairs`).
     """
     n = len(widths)
     if n > PAIRWISE_LIMIT:
@@ -115,6 +168,22 @@ def placement_pairs(widths: np.ndarray, heights: np.ndarray) -> Optional[PairSet
     ii, jj = np.triu_indices(n, k=1)
     half_w = np.asarray(widths, dtype=float) / 2.0
     half_h = np.asarray(heights, dtype=float) / 2.0
+    return PairSet(ii, jj, half_w, half_h)
+
+
+def evaluation_pairs(
+    x: np.ndarray, y: np.ndarray, widths: np.ndarray, heights: np.ndarray, tau: float
+) -> PairSet:
+    """A throwaway candidate set for one evaluation at ``(x, y)``.
+
+    Every pair up to :data:`~repro.physical.placement.spatial.PAIRWISE_LIMIT`
+    cells; beyond it the binned pairs inside the cutoff at these positions.
+    """
+    half_w = np.asarray(widths, dtype=float) / 2.0
+    half_h = np.asarray(heights, dtype=float) / 2.0
+    ii, jj = _interaction_pairs(
+        np.asarray(x, dtype=float), np.asarray(y, dtype=float), _reach(half_w, half_h, tau)
+    )
     return PairSet(ii, jj, half_w, half_h)
 
 
@@ -128,10 +197,8 @@ def _axis_overlap(
     overlap: np.ndarray,
 ) -> None:
     """Fill ``delta`` = Δ, ``soft_abs`` = sqrt(Δ² + ε) and ``overlap`` = O along one axis."""
-    # mode="clip" never clips here (the indices are in range); the default
-    # "raise" would stage ``out`` through a temporary copy.
-    np.take(coords, pairs.ii, out=delta, mode="clip")
-    np.take(coords, pairs.jj, out=soft_abs, mode="clip")
+    np.take(coords, pairs.kept_ii, out=delta, mode="clip")
+    np.take(coords, pairs.kept_jj, out=soft_abs, mode="clip")
     np.subtract(delta, soft_abs, out=delta)
     np.multiply(delta, delta, out=soft_abs)
     np.add(soft_abs, _EPSILON, out=soft_abs)
@@ -181,21 +248,19 @@ def density_value(
 
     Takes the arguments of :func:`density_value_and_grad` and returns
     ``(value, pairs)``: the set this call evaluated over (``pairs``, or the
-    throwaway set built when it is ``None``), holding the per-pair terms
-    that :func:`density_grad` turns into the gradient at this point.  The
-    next evaluation over the same set overwrites them.
+    throwaway set built when it is ``None``), holding the kept pairs and
+    their terms, which :func:`density_grad` turns into the gradient at
+    this point.  The next evaluation over the same set overwrites them.
     """
     _check_tau(tau)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if pairs is None:
-        half_w = np.asarray(widths, dtype=float) / 2.0
-        half_h = np.asarray(heights, dtype=float) / 2.0
-        ii, jj = _interaction_pairs(x, y, half_w, half_h, margin=_CUTOFF_TAUS * tau)
-        pairs = PairSet(ii, jj, half_w, half_h)
+        pairs = evaluation_pairs(x, y, widths, heights, tau)
     elif pairs.n != x.shape[0]:
         raise ValueError(f"pair set is for {pairs.n} cells, got {x.shape[0]}")
 
+    pairs.keep(x, y, tau)
     _axis_overlap(x, pairs, pairs.hx, tau, pairs.dx, pairs.soft_abs_x, pairs.ox)
     _axis_overlap(y, pairs, pairs.hy, tau, pairs.dy, pairs.soft_abs_y, pairs.oy)
     product = pairs.weights[: pairs.ox.shape[0]]  # free until the gradients fill it
@@ -235,8 +300,8 @@ def density_value_and_grad(
     pairs:
         A set from :func:`placement_pairs` for these widths and heights,
         reused across calls; ``None`` builds a throwaway set for this call
-        (every pair, or the binned pairs beyond
-        :data:`~repro.physical.placement.spatial.PAIRWISE_LIMIT` cells).
+        (:func:`evaluation_pairs`).  Either way the sum runs over the
+        pairs inside the cutoff.
 
     Returns
     -------
@@ -246,6 +311,18 @@ def density_value_and_grad(
     value, pairs = density_value(x, y, widths, heights, tau, pairs)
     grad_x, grad_y = density_grad(pairs, tau)
     return value, grad_x, grad_y
+
+
+def _interval_overlap(
+    centres: np.ndarray, half: np.ndarray, ii: np.ndarray, jj: np.ndarray
+) -> np.ndarray:
+    """Overlap length of the intervals ``centre ± half`` of each pair.
+
+    The half-extent sum less the centre distance, never below zero and
+    never above the narrower interval, which it is when one spans the other.
+    """
+    span = half[ii] + half[jj] - np.abs(centres[ii] - centres[jj])
+    return np.clip(span, 0.0, 2.0 * np.minimum(half[ii], half[jj]))
 
 
 def true_overlap(
@@ -262,10 +339,10 @@ def true_overlap(
         return 0.0
     half_w = np.asarray(widths, dtype=float) / 2.0
     half_h = np.asarray(heights, dtype=float) / 2.0
-    # margin 0: overlapping rectangles always sit within reach of each other.
-    ii, jj = _interaction_pairs(x, y, half_w, half_h, margin=0.0)
+    # No margin: overlapping rectangles always sit within this reach.
+    ii, jj = _interaction_pairs(x, y, np.maximum(half_w, half_h))
     if ii.size == 0:
         return 0.0
-    ox = np.maximum(0.0, half_w[ii] + half_w[jj] - np.abs(x[ii] - x[jj]))
-    oy = np.maximum(0.0, half_h[ii] + half_h[jj] - np.abs(y[ii] - y[jj]))
+    ox = _interval_overlap(x, half_w, ii, jj)
+    oy = _interval_overlap(y, half_h, ii, jj)
     return float(np.sum(ox * oy))

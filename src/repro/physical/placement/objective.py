@@ -11,6 +11,7 @@ from repro.physical.placement.density import (
     density_grad,
     density_value,
     density_value_and_grad,
+    evaluation_pairs,
     placement_pairs,
 )
 from repro.physical.placement.wirelength import wa_wirelength_and_grad
@@ -59,8 +60,9 @@ class PlacementObjective:
         self.tau = float(tau)
         self.lam = 0.0
         self.n = self.virtual_widths.shape[0]
-        # Cell sizes are fixed, so the density's all-pairs set is built once
-        # per placement (None when the density bins its pairs per call).
+        # Cell sizes are fixed, so the density's all-pairs candidate set is
+        # built once per placement (None when the density bins its pairs
+        # per call).
         self.pairs = placement_pairs(self.virtual_widths, self.virtual_heights)
         # What gradient() needs from the last value() call: the WA
         # gradients, the pair set holding the density terms (None when
@@ -71,6 +73,7 @@ class PlacementObjective:
         # per place() call.
         self.wa_evals = 0
         self.density_evals = 0
+        self.density_pairs = 0  # pairs inside the cutoff, over density_evals
         self.gradient_evals = 0
 
     # ------------------------------------------------------------------
@@ -102,9 +105,13 @@ class PlacementObjective:
         # value() left there.
         self._pending = None
         x, y = self.unpack(z)
+        pairs = self.pairs
+        if pairs is None:
+            pairs = evaluation_pairs(x, y, self.virtual_widths, self.virtual_heights, self.tau)
         value, gx, gy = density_value_and_grad(
-            x, y, self.virtual_widths, self.virtual_heights, self.tau, self.pairs
+            x, y, self.virtual_widths, self.virtual_heights, self.tau, pairs
         )
+        self.density_pairs += pairs.kept
         return value, np.concatenate([gx, gy])
 
     def value(self, z: np.ndarray) -> float:
@@ -121,6 +128,7 @@ class PlacementObjective:
         d, pairs = density_value(
             x, y, self.virtual_widths, self.virtual_heights, self.tau, self.pairs
         )
+        self.density_pairs += pairs.kept
         self._pending = (wl_gx, wl_gy, pairs, self.lam)
         return wl + self.lam * d
 

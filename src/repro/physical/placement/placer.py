@@ -211,7 +211,11 @@ def place(
     if objective is not None:
         recorder.count("placement.wa_evals", objective.wa_evals)
         recorder.count("placement.density_evals", objective.density_evals)
+        recorder.count("placement.density_pairs", objective.density_pairs)
         recorder.count("placement.gradient_evals", objective.gradient_evals)
+    if "refined" in candidates:
+        # The analytic refinement lost to its own snapped starting point.
+        recorder.count("placement.seed_snapshot_chosen", int(chosen_name == "seed"))
     if stage_log:
         recorder.gauge("placement.final_overlap_ratio", stage_log[-1]["overlap_ratio"])
     recorder.gauge("placement.hpwl_after_legalization", hpwl_after_compact)

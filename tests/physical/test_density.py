@@ -1,5 +1,7 @@
 """Tests for the sigmoid density model and spatial pruning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,16 @@ from hypothesis import strategies as st
 
 import repro.physical.placement.density as density_module
 from repro.physical.placement.density import (
+    density_value,
     density_value_and_grad,
     placement_pairs,
     sigmoid_overlap,
     true_overlap,
 )
 from repro.physical.placement.spatial import candidate_pairs
+
+#: σ(-8): the most a pair beyond the 8τ cutoff adds to D.
+SIGMA_CUTOFF = 1.0 / (1.0 + np.exp(8.0))
 
 
 class TestSigmoidOverlap:
@@ -108,6 +114,17 @@ class TestTrueOverlap:
         dims = np.array([3.0, 3.0])
         assert true_overlap(x, y, dims, dims) == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("offset", [0.0, 3.0, -5.6])
+    def test_cell_spanning_another(self, offset):
+        # A 4 µm cell inside a 19.2 µm one along x overlaps it by its own
+        # 4 µm wherever it sits inside, not by the 11.6 µm half-width sum.
+        x = np.array([0.0, offset])
+        y = np.zeros(2)
+        widths = np.array([19.2, 4.0])
+        heights = np.array([4.0, 4.0])
+        assert true_overlap(x, y, widths, heights) == pytest.approx(16.0)
+        assert true_overlap(y, x, heights, widths) == pytest.approx(16.0)
+
 
 class TestSpatialPruning:
     def test_candidate_pairs_superset_of_overlaps(self):
@@ -128,22 +145,25 @@ class TestSpatialPruning:
                     assert (i, j) in found
 
     def test_binned_matches_full_density(self):
-        rng = np.random.default_rng(4)
-        n = 150
-        x = rng.random(n) * 80
-        y = rng.random(n) * 80
-        w = rng.uniform(1, 6, n)
-        h = rng.uniform(1, 6, n)
-        original = density_module.PAIRWISE_LIMIT
-        try:
-            density_module.PAIRWISE_LIMIT = 10**9
-            v_full, gx_full, _ = density_value_and_grad(x, y, w, h, tau=0.8)
-            density_module.PAIRWISE_LIMIT = 1
-            v_bin, gx_bin, _ = density_value_and_grad(x, y, w, h, tau=0.8)
-        finally:
-            density_module.PAIRWISE_LIMIT = original
-        assert v_bin == pytest.approx(v_full, rel=1e-3, abs=1e-6)
-        np.testing.assert_allclose(gx_bin, gx_full, atol=1e-3)
+        # Both ways of finding the pairs (the masked all-pairs set and the
+        # bins) stay within the bound the cutoff allows of the exact sum
+        # over every pair.
+        for seed in (4, 9, 21):
+            rng = np.random.default_rng(seed)
+            n = 150
+            x = rng.random(n) * 80
+            y = rng.random(n) * 80
+            w = rng.uniform(1, 6, n)
+            h = rng.uniform(1, 6, n)
+            ii, jj = np.triu_indices(n, k=1)
+            v_exact, gx_exact, gy_exact = _per_call_density(x, y, w, h, 0.8, ii, jj)
+            with pytest.MonkeyPatch.context() as patch:
+                for limit in (10**9, 1):
+                    patch.setattr(density_module, "PAIRWISE_LIMIT", limit)
+                    v_cut, gx_cut, gy_cut = density_value_and_grad(x, y, w, h, tau=0.8)
+                    assert v_cut == pytest.approx(v_exact, rel=1e-3, abs=1e-6)
+                    np.testing.assert_allclose(gx_cut, gx_exact, atol=1e-3)
+                    np.testing.assert_allclose(gy_cut, gy_exact, atol=1e-3)
 
     def test_binned_overlap_exact(self):
         rng = np.random.default_rng(5)
@@ -171,25 +191,20 @@ class TestSpatialPruning:
         assert ii.size == 0
 
 
-def _per_call_density(x, y, widths, heights, tau, binned):
-    """Reference: the per-call density body the pair set replaced.
+def _per_call_density(x, y, widths, heights, tau, ii, jj):
+    """Reference: the per-call density body, over the given pairs.
 
-    Builds the pairs on every call (``triu_indices``, or the binned
-    candidates), evaluates ``sigmoid_overlap`` and scatters with four
+    Evaluates ``sigmoid_overlap`` over the pairs and scatters with four
     ``np.add.at`` calls.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     grad_x = np.zeros_like(x)
     grad_y = np.zeros_like(y)
-    n = x.shape[0]
     half_w = np.asarray(widths, dtype=float) / 2.0
     half_h = np.asarray(heights, dtype=float) / 2.0
-    if binned:
-        margin = 8.0 * tau
-        ii, jj = candidate_pairs(x, y, np.maximum(half_w, half_h) + margin / 2.0)
-    else:
-        ii, jj = np.triu_indices(n, k=1)
+    ii = np.asarray(ii, dtype=int)
+    jj = np.asarray(jj, dtype=int)
     if ii.size == 0:
         return 0.0, grad_x, grad_y
     dx = x[ii] - x[jj]
@@ -210,6 +225,30 @@ def _per_call_density(x, y, widths, heights, tau, binned):
     np.add.at(grad_y, ii, gy_pair)
     np.add.at(grad_y, jj, -gy_pair)
     return value, grad_x, grad_y
+
+
+def _reach(widths, heights, tau):
+    """The cutoff reach per cell, ``max(w/2, h/2) + 4τ``."""
+    return np.maximum(np.asarray(widths) / 2.0, np.asarray(heights) / 2.0) + 4.0 * tau
+
+
+def _cutoff_pairs(x, y, widths, heights, tau):
+    """Brute force: the pairs ``i < j`` inside the cutoff, in row order."""
+    reach = _reach(widths, heights, tau)
+    kept = [
+        (i, j)
+        for i in range(len(x))
+        for j in range(i + 1, len(x))
+        if abs(x[i] - x[j]) <= reach[i] + reach[j]
+        and abs(y[i] - y[j]) <= reach[i] + reach[j]
+    ]
+    return [i for i, _ in kept], [j for _, j in kept]
+
+
+def _pair_set(ii, jj):
+    pairs = set(zip(np.asarray(ii).tolist(), np.asarray(jj).tolist()))
+    assert len(pairs) == len(ii)  # no pair twice
+    return pairs
 
 
 def _assert_identical(actual, expected):
@@ -237,7 +276,7 @@ def _designs(draw):
 
 
 class TestPairSetEquivalence:
-    """The pair-set kernel reproduces the per-call body bit for bit."""
+    """The kernel reproduces the per-call body over the cutoff pairs bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(design=_designs())
@@ -245,7 +284,8 @@ class TestPairSetEquivalence:
         widths, heights, tau, positions = design
         pairs = placement_pairs(widths, heights)
         for x, y in positions:
-            expected = _per_call_density(x, y, widths, heights, tau, binned=False)
+            ii, jj = _cutoff_pairs(x, y, widths, heights, tau)
+            expected = _per_call_density(x, y, widths, heights, tau, ii, jj)
             _assert_identical(
                 density_value_and_grad(x, y, widths, heights, tau, pairs), expected
             )
@@ -259,10 +299,62 @@ class TestPairSetEquivalence:
             patch.setattr(density_module, "PAIRWISE_LIMIT", 1)
             assert placement_pairs(widths, heights) is None
             for x, y in positions:
+                ii, jj = candidate_pairs(x, y, _reach(widths, heights, tau))
                 _assert_identical(
                     density_value_and_grad(x, y, widths, heights, tau),
-                    _per_call_density(x, y, widths, heights, tau, binned=True),
+                    _per_call_density(x, y, widths, heights, tau, ii, jj),
                 )
+
+
+class TestCutoff:
+    """Every size evaluates the same 8τ-cutoff sum."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(design=_designs())
+    def test_masked_selection_matches_candidate_pairs(self, design):
+        widths, heights, tau, positions = design
+        reused = placement_pairs(widths, heights)
+        for x, y in positions:
+            expected = _pair_set(*candidate_pairs(x, y, _reach(widths, heights, tau)))
+            assert expected == _pair_set(*_cutoff_pairs(x, y, widths, heights, tau))
+            _, pairs = density_value(x, y, widths, heights, tau, reused)
+            assert _pair_set(pairs.kept_ii, pairs.kept_jj) == expected
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(density_module, "PAIRWISE_LIMIT", 1)
+                _, binned = density_value(x, y, widths, heights, tau)
+            # The bins found exactly the kept pairs, so the mask drops none.
+            assert binned.kept == binned.ii.shape[0]
+            assert _pair_set(binned.kept_ii, binned.kept_jj) == expected
+
+    def test_coincident_centres_all_kept(self):
+        widths = np.array([1.0, 1.0, 4.0, 1.0])
+        heights = np.array([1.0, 2.0, 4.0, 1.0])
+        x = np.array([5.0, 5.0, 5.0, 90.0])
+        y = np.array([5.0, 5.0, 5.0, 5.0])
+        pairs = placement_pairs(widths, heights)
+        _, kept = density_value(x, y, widths, heights, 0.5, pairs)
+        assert _pair_set(kept.kept_ii, kept.kept_jj) == {(0, 1), (0, 2), (1, 2)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(design=_designs())
+    def test_dropped_pairs_bound_the_error(self, design):
+        # A pair beyond the cutoff has O < σ(-8) on some axis, so it adds
+        # less than σ(-8) to D and less than σ(-8)/τ to a gradient entry.
+        widths, heights, tau, positions = design
+        n = widths.shape[0]
+        all_ii, all_jj = np.triu_indices(n, k=1)
+        for x, y in positions:
+            exact = _per_call_density(x, y, widths, heights, tau, all_ii, all_jj)
+            value, grad_x, grad_y = density_value_and_grad(x, y, widths, heights, tau)
+            ii, jj = _cutoff_pairs(x, y, widths, heights, tau)
+            dropped = np.ones((n, n), dtype=bool)
+            dropped[ii, jj] = False
+            dropped = np.triu(dropped, k=1)
+            slack = 1e-9 * (1.0 + abs(exact[0]))
+            assert abs(value - exact[0]) <= dropped.sum() * SIGMA_CUTOFF + slack
+            per_cell = (dropped.sum(axis=0) + dropped.sum(axis=1)) * SIGMA_CUTOFF / tau
+            assert np.all(np.abs(grad_x - exact[1]) <= per_cell + 1e-9)
+            assert np.all(np.abs(grad_y - exact[2]) <= per_cell + 1e-9)
 
 
 class TestPairSetReuse:
@@ -286,6 +378,25 @@ class TestPairSetReuse:
         buffers = [a for a in vars(pairs).values() if isinstance(a, np.ndarray)]
         for grad in (gx1, gy1, second[1], second[2]):
             assert not any(np.shares_memory(grad, buffer) for buffer in buffers)
+
+    def test_evaluations_allocate_nothing_pair_sized(self):
+        # A temporary the length of the candidate list would be mapped and
+        # faulted in afresh on every evaluation; only the kept-pair index
+        # and the gradients may be allocated.
+        rng = np.random.default_rng(12)
+        n = 200
+        widths = rng.uniform(1, 6, n)
+        heights = rng.uniform(1, 6, n)
+        x, y = rng.random(n) * 400, rng.random(n) * 400
+        pairs = placement_pairs(widths, heights)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                density_value_and_grad(x, y, widths, heights, 0.7, pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pairs.ii.nbytes // 4
 
     def test_rejects_pair_set_of_another_size(self, design):
         widths, heights, ((x, y), _) = design

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.physical.placement.density as density_module
 from repro.physical.placement.objective import PlacementObjective
 
 
@@ -61,6 +62,22 @@ class TestValueAndGrad:
             vp, _ = objective.value_and_grad(plus)
             vm, _ = objective.value_and_grad(minus)
             assert grad[i] == pytest.approx((vp - vm) / (2 * eps), abs=1e-3)
+
+    @pytest.mark.parametrize("limit", [600, 1])
+    def test_counts_pairs_inside_the_cutoff(self, objective, limit, monkeypatch):
+        # Cells 0 and 1 touch; cell 2 lies far beyond the 8τ cutoff of both,
+        # with the all-pairs set and with the binned one.
+        monkeypatch.setattr(density_module, "PAIRWISE_LIMIT", limit)
+        objective = PlacementObjective(
+            sources=objective.sources, targets=objective.targets,
+            weights=objective.weights, virtual_widths=objective.virtual_widths,
+            virtual_heights=objective.virtual_heights, gamma=1.0, tau=0.5,
+        )
+        z = objective.pack(np.array([0.0, 1.0, 50.0]), np.zeros(3))
+        objective.lam = 1.0
+        objective.value(z)
+        objective.density_and_grad(z)
+        assert (objective.density_evals, objective.density_pairs) == (2, 2)
 
     def test_callable_protocol(self, objective):
         z = objective.pack(np.zeros(3), np.zeros(3))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.hardware.library import CrossbarLibrary
 from repro.mapping.netlist import CrossbarInstance, build_netlist
+from repro.observability import recording
 from repro.physical.cost import CostWeights, PhysicalCost, evaluate_cost, wire_delays_ns
 from repro.physical.layout import Placement
 from repro.physical.placement.initial import initial_placement
@@ -107,6 +108,17 @@ class TestPlace:
             for value in (0.0, -1.0, nan):
                 with pytest.raises(ValueError, match=name):
                     PlacementConfig(**{name: value})
+
+    def test_counters_explain_the_run(self, small_netlist):
+        config = PlacementConfig(max_lambda_stages=3, cg_iterations_per_stage=10)
+        with recording() as recorder:
+            placement = place(small_netlist, config=config, rng=7)
+        counts = recorder.snapshot()
+        n = small_netlist.num_cells
+        evals = counts.get("placement.density_evals")
+        assert 0 < counts.get("placement.density_pairs") <= evals * n * (n - 1) // 2
+        lost = int(placement.metadata["chosen_snapshot"] == "seed")
+        assert counts.get("placement.seed_snapshot_chosen") == lost
 
     def test_deterministic_given_seed(self, small_netlist):
         config = PlacementConfig(max_lambda_stages=3, cg_iterations_per_stage=10)
