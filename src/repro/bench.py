@@ -59,7 +59,7 @@ deterministic for a fixed seed and are gated by default.  Refresh the
 committed baselines intentionally with ``--update-baseline`` (the
 ``--update-golden`` of the perf layer) and commit the diff.
 
-Entry points: ``python -m repro bench`` and ``python benchmarks/harness.py``.
+Entry point: ``python -m repro bench`` (:func:`run_bench_command`).
 """
 
 from __future__ import annotations
@@ -733,7 +733,7 @@ def compare_to_baseline(
 # CLI
 # ----------------------------------------------------------------------
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``bench`` argument surface (shared by CLI and harness script)."""
+    """The ``bench`` argument surface of the CLI."""
     parser.add_argument("--suites", nargs="+", choices=SUITES, default=list(SUITES),
                         help="benchmark suites to run (default: all)")
     parser.add_argument("--fast", action="store_true",
@@ -838,13 +838,3 @@ def run_bench_command(args: argparse.Namespace) -> int:
             print(f"wrote {target}")
     return exit_status
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python benchmarks/harness.py``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="machine-readable perf harness: run tagged benchmarks, "
-                    "emit BENCH_*.json, gate regressions",
-    )
-    add_bench_arguments(parser)
-    return run_bench_command(parser.parse_args(argv))

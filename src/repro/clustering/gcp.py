@@ -30,6 +30,9 @@ from repro.clustering.spectral import spectral_embedding
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.utils.rng import RngLike, ensure_rng
 
+#: Most passes of Algorithm 2's outer loop (re-embed, k-means, split).
+MAX_OUTER_ITERATIONS = 50
+
 
 def _centroids_from_labels(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Mean of each cluster's points; empty clusters fall back to the origin."""
@@ -80,15 +83,31 @@ def _split_oversized(
     return labels, centroids, changed
 
 
+def _similarity(network: Union[ConnectionMatrix, np.ndarray]):
+    """The 0/1 similarity the merge pass counts connections in."""
+    if isinstance(network, ConnectionMatrix):
+        return network.adjacency(np.float64)
+    if sparse.issparse(network):
+        return sparse.csr_array(network).astype(np.float64)
+    return np.asarray(network, dtype=float)
+
+
 def greedy_cluster_size_prediction(
     network: Union[ConnectionMatrix, np.ndarray],
     max_size: int,
     rng: RngLike = None,
-    max_outer_iterations: int = 50,
-    balance: bool = True,
     split_mode: str = "lloyd",
 ) -> ClusteringResult:
     """Run GCP (Algorithm 2): size-capped spectral clustering.
+
+    After the split loop, undersized clusters merge with their nearest
+    spectral centroids while the combined size stays ≤ ``max_size``
+    (:func:`_merge_undersized`).  Algorithm 2 *predicts* ``k = n / s``
+    clusters of size ≈ ``s`` (the paper's Fig. 4(a) shows exactly such
+    balanced blocks); binary splitting alone can fragment
+    weakly-structured networks far below that, which starves the ISC
+    iterations.  The merge pass restores the predicted regime without
+    ever violating the size cap.
 
     Parameters
     ----------
@@ -97,14 +116,6 @@ def greedy_cluster_size_prediction(
     max_size:
         Upper bound ``s`` on every cluster size — the largest crossbar
         dimension available (64 in the paper's experiments).
-    balance:
-        Merge undersized clusters (nearest spectral centroids, combined
-        size ≤ ``max_size``) after the split loop.  Algorithm 2 *predicts*
-        ``k = n / s`` clusters of size ≈ ``s`` (the paper's Fig. 4(a)
-        shows exactly such balanced blocks); binary splitting alone can
-        fragment weakly-structured networks far below that, which starves
-        the ISC iterations.  The merge pass restores the predicted regime
-        without ever violating the size cap.
     split_mode:
         ``"lloyd"`` (default) is Algorithm 2 verbatim: after every split
         sweep the full k-means re-converges before the next sweep.  On
@@ -145,14 +156,7 @@ def greedy_cluster_size_prediction(
         points = basis[:, :k]
         km = kmeans(points, k, max_iterations=40, rng=rng, repair_empty=False)
         labels = _enforce_size_limit(points, km.labels, max_size, rng)
-        if balance:
-            if isinstance(network, ConnectionMatrix):
-                similarity = network.adjacency(np.float64)
-            elif sparse.issparse(network):
-                similarity = sparse.csr_array(network).astype(np.float64)
-            else:
-                similarity = np.asarray(network, dtype=float)
-            labels = _merge_undersized(points, labels, max_size, similarity)
+        labels = _merge_undersized(points, labels, max_size, _similarity(network))
         clusters = clusters_from_labels(labels)
         return ClusteringResult(
             clusters=clusters,
@@ -167,7 +171,7 @@ def greedy_cluster_size_prediction(
         )
     labels = None
     outer_iterations = 0
-    while outer_iterations < max_outer_iterations:
+    while outer_iterations < MAX_OUTER_ITERATIONS:
         outer_iterations += 1
         if k > basis_cap:
             basis_cap = min(n, max(2 * basis_cap, k))
@@ -203,14 +207,7 @@ def greedy_cluster_size_prediction(
     # out while k-means kept re-merging (rare oscillation on symmetric data).
     points = basis[:, : min(k, basis.shape[1])]
     labels = _enforce_size_limit(points, labels, max_size, rng)
-    if balance:
-        if isinstance(network, ConnectionMatrix):
-            similarity = network.adjacency(np.float64)
-        elif sparse.issparse(network):
-            similarity = sparse.csr_array(network).astype(np.float64)
-        else:
-            similarity = np.asarray(network, dtype=float)
-        labels = _merge_undersized(points, labels, max_size, similarity)
+    labels = _merge_undersized(points, labels, max_size, _similarity(network))
     clusters = clusters_from_labels(labels)
     return ClusteringResult(
         clusters=clusters,

@@ -29,7 +29,6 @@ from repro.clustering.preference import (
     crossbar_utilization,
     minimum_satisfiable_size,
 )
-from repro.clustering.result import Cluster
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.observability import get_recorder
 from repro.utils.rng import RngLike, ensure_rng
@@ -368,19 +367,3 @@ def iterative_spectral_clustering(
         )
     return result
 
-
-def single_pass_clusters(
-    network: ConnectionMatrix,
-    max_size: int,
-    rng: RngLike = None,
-) -> List[Cluster]:
-    """Convenience: one MSC+GCP pass, returning clusters with ≥1 connection.
-
-    This is what Fig. 3/4 visualize before ISC enters the picture.
-    """
-    clustering = greedy_cluster_size_prediction(network, max_size, rng=rng)
-    return [
-        cluster
-        for cluster in clustering.clusters
-        if network.connections_within(cluster.members) > 0
-    ]

@@ -110,11 +110,13 @@ def kmeans(
     k: int,
     initial_centroids: Optional[np.ndarray] = None,
     max_iterations: int = 100,
-    tolerance: float = 1e-8,
     rng: RngLike = None,
     repair_empty: bool = True,
 ) -> KMeansResult:
     """Run Lloyd's algorithm on ``points`` (shape ``(n, d)``).
+
+    Iteration stops when an update leaves every label unchanged, or after
+    ``max_iterations`` updates.
 
     Parameters
     ----------
@@ -154,7 +156,6 @@ def kmeans(
         if converged:
             break
     inertia = float(np.sum((points - centroids[labels]) ** 2))
-    _ = tolerance  # assignment-stability convergence; kept for API stability
     return KMeansResult(
         labels=labels.astype(int),
         centroids=centroids,

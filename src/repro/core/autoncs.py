@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.clustering.isc import IscResult, iterative_spectral_clustering
 from repro.core.config import AutoNcsConfig
 from repro.core.report import ComparisonReport
 from repro.hardware.library import CrossbarLibrary
+from repro.hardware.technology import Technology
 from repro.mapping.autoncs_mapping import autoncs_mapping
 from repro.mapping.fullcro import fullcro_mapping, fullcro_utilization
 from repro.mapping.netlist import MappingResult
@@ -185,20 +186,21 @@ def _place_with_fallback(
     return placement
 
 
-def _relaxed_routing_config(base: RoutingConfig, config: AutoNcsConfig) -> RoutingConfig:
-    """``base`` with more capacity, search room and rip-up budget, for the retry pass."""
-    capacity = (
-        base.capacity_per_bin
-        if base.capacity_per_bin is not None
-        else config.technology.routing_capacity_per_bin
-    )
-    return replace(
+def _relaxed_routing(
+    base: RoutingConfig, technology: Technology
+) -> Tuple[RoutingConfig, Technology]:
+    """``base`` and ``technology`` for the retry pass: double the edge
+    capacity, and widen the search window and the relax and rip-up budgets."""
+    config = replace(
         base,
-        capacity_per_bin=max(1, capacity) * 2,
         window_margin_bins=base.window_margin_bins + 8,
         max_relax_rounds=base.max_relax_rounds + 4,
         max_ripup_iterations=base.max_ripup_iterations + 8,
     )
+    relaxed = replace(
+        technology, routing_capacity_per_bin=technology.routing_capacity_per_bin * 2
+    )
+    return config, relaxed
 
 
 def _route_with_retry(
@@ -228,11 +230,14 @@ def _route_with_retry(
     diagnostics["fallbacks"].append(
         {"stage": "routing", "action": "relaxed_capacity_retry", "reason": reason}
     )
-    relaxed = _relaxed_routing_config(base, config)
+    relaxed_config, relaxed_technology = _relaxed_routing(base, config.technology)
     with _stage(diagnostics, "routing_retry", "flow.route_retry", wires=wires):
         try:
             routing = route(
-                mapping.netlist, placement, technology=config.technology, config=relaxed
+                mapping.netlist,
+                placement,
+                technology=relaxed_technology,
+                config=relaxed_config,
             )
         except Exception as exc:
             raise StageError(
@@ -380,8 +385,9 @@ class AutoNCS:
         """Run the configured clustering driver (flat ISC or tiered).
 
         ``config.clustering`` picks the driver; the default (``"auto"``)
-        runs the paper's flat ISC up to ``config.hierarchical_threshold``
-        neurons — so all paper-scale results are untouched — and the tiered
+        runs the paper's flat ISC up to
+        :data:`~repro.core.config.HIERARCHICAL_THRESHOLD` neurons — so all
+        paper-scale results are untouched — and the tiered
         :func:`~repro.clustering.hierarchical.cluster_hierarchical` pass
         above it.
         """

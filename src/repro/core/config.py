@@ -11,6 +11,10 @@ from repro.physical.cost import CostWeights
 from repro.physical.placement.placer import PlacementConfig
 from repro.physical.routing.router import RoutingConfig
 
+#: Network size above which ``clustering="auto"`` switches from flat ISC to
+#: the tiered pass.
+HIERARCHICAL_THRESHOLD = 4096
+
 
 @dataclass
 class AutoNcsConfig:
@@ -32,12 +36,9 @@ class AutoNcsConfig:
         Which clustering driver runs: ``"isc"`` (flat, the paper's
         Algorithm 3), ``"hierarchical"`` (tiered Group-Scissor-style pass
         for very large networks), or ``"auto"`` (default) — flat ISC up to
-        ``hierarchical_threshold`` neurons, tiered above it.
+        :data:`HIERARCHICAL_THRESHOLD` neurons, tiered above it.
     tier_size:
         Maximum neurons per tier of the hierarchical pass.
-    hierarchical_threshold:
-        Network size above which ``clustering="auto"`` switches to the
-        tiered pass.
     technology:
         Physical technology model (45 nm default).
     placement / routing:
@@ -52,7 +53,6 @@ class AutoNcsConfig:
     max_isc_iterations: int = 50
     clustering: str = "auto"
     tier_size: int = 1024
-    hierarchical_threshold: int = 4096
     technology: Technology = field(default_factory=lambda: DEFAULT_TECHNOLOGY)
     placement: Optional[PlacementConfig] = None
     routing: Optional[RoutingConfig] = None
@@ -63,8 +63,11 @@ class AutoNcsConfig:
         if not sizes or sizes[0] < 1:
             raise ValueError(f"crossbar_sizes must be positive, got {self.crossbar_sizes}")
         self.crossbar_sizes = sizes
-        if self.utilization_threshold is not None and self.utilization_threshold < 0:
-            raise ValueError("utilization_threshold must be >= 0 or None")
+        # ``not x >= 0`` also rejects NaN, under which ISC would never stop.
+        if self.utilization_threshold is not None and not self.utilization_threshold >= 0:
+            raise ValueError(
+                f"utilization_threshold must be >= 0 or None, got {self.utilization_threshold}"
+            )
         if not 0.0 < self.selection_quantile < 1.0:
             raise ValueError("selection_quantile must lie in (0, 1)")
         if self.max_isc_iterations < 1:
@@ -76,16 +79,12 @@ class AutoNcsConfig:
             )
         if self.tier_size < 1:
             raise ValueError(f"tier_size must be >= 1, got {self.tier_size}")
-        if self.hierarchical_threshold < 1:
-            raise ValueError(
-                f"hierarchical_threshold must be >= 1, got {self.hierarchical_threshold}"
-            )
 
     def clustering_for(self, n: int) -> str:
         """Resolve the clustering driver for a network of ``n`` neurons."""
         if self.clustering != "auto":
             return self.clustering
-        return "hierarchical" if n > self.hierarchical_threshold else "isc"
+        return "hierarchical" if n > HIERARCHICAL_THRESHOLD else "isc"
 
     def cache_key(self) -> str:
         """A stable content hash over every knob of this configuration.

@@ -9,11 +9,16 @@ pinned near the paper's constant FullCro delay of 1.95 ns, and the area
 terms put a ~500-neuron FullCro design in the same order of magnitude as
 Table 1 (tens of thousands of µm²).  Only relative comparisons matter for
 the paper's claims; all parameters are user-overridable.
+
+The placer reads ω and the router reads θ and the edge capacity from here
+only; no placement or routing configuration overrides them.  The flow's
+relaxed routing retry routes with a copy whose capacity is doubled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 from repro.utils.validation import check_positive
 
@@ -43,12 +48,12 @@ class Technology:
         Unit-length interconnect RC for routed-wire delay (``½ r c L²``).
     routing_space_factor:
         The placer's ω — cells occupy ``ω ×`` their physical width so that
-        routing space is reserved (Sec. 3.5).
+        routing space is reserved (Sec. 3.5).  Finite and ``>= 1``.
     routing_bin_um:
         The router's grid bin width θ (Sec. 3.5).
     routing_capacity_per_bin:
         Wires a routing-grid edge accommodates before it is congested
-        (the virtual capacity baseline of [17]).
+        (the virtual capacity baseline of [17]).  A whole number ``>= 1``.
     """
 
     feature_size_nm: float = 45.0
@@ -64,7 +69,6 @@ class Technology:
     routing_space_factor: float = 1.25
     routing_bin_um: float = 4.0
     routing_capacity_per_bin: int = 40
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         check_positive("feature_size_nm", self.feature_size_nm)
@@ -77,14 +81,17 @@ class Technology:
         check_positive("synapse_delay_ns", self.synapse_delay_ns)
         check_positive("wire_resistance_ohm_per_um", self.wire_resistance_ohm_per_um)
         check_positive("wire_capacitance_ff_per_um", self.wire_capacitance_ff_per_um)
-        if self.routing_space_factor < 1.0:
+        # Tested as ``not ...`` so that NaN fails too.
+        if not 1.0 <= self.routing_space_factor < math.inf:
             raise ValueError(
-                f"routing_space_factor must be >= 1, got {self.routing_space_factor}"
+                "routing_space_factor must be finite and >= 1, "
+                f"got {self.routing_space_factor}"
             )
         check_positive("routing_bin_um", self.routing_bin_um)
-        if self.routing_capacity_per_bin < 1:
+        capacity = self.routing_capacity_per_bin
+        if not (capacity >= 1 and capacity % 1 == 0):
             raise ValueError(
-                f"routing_capacity_per_bin must be >= 1, got {self.routing_capacity_per_bin}"
+                f"routing_capacity_per_bin must be a whole number >= 1, got {capacity}"
             )
 
     # ------------------------------------------------------------------

@@ -17,6 +17,11 @@ import numpy as np
 
 from repro.utils.rng import RngLike, ensure_rng
 
+#: Initial-region inflation over the total virtual cell area.  The analytic
+#: placer also sizes its γ and τ from the side of this region, and the
+#: annealing placer starts from it.
+WHITESPACE_FACTOR = 1.8
+
 
 def _row_pack_by_size(
     widths: np.ndarray, heights: np.ndarray, row_width: float
@@ -46,7 +51,7 @@ def _row_pack_by_size(
 def initial_placement(
     widths: np.ndarray,
     heights: np.ndarray,
-    whitespace_factor: float = 1.8,
+    whitespace_factor: float = WHITESPACE_FACTOR,
     rng: RngLike = None,
     compression: float = 0.75,
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from repro.physical.placement.wirelength import wa_wirelength_and_grad
 
 
 class PlacementObjective:
-    """Callable objective bundling wirelength and density terms.
+    """The placement objective: wirelength and density terms together.
 
     Operates on a packed variable vector ``z = [x; y]`` so generic
     optimizers can consume it.  :meth:`value` evaluates ``WL + λ·D`` at a
@@ -153,9 +153,6 @@ class PlacementObjective:
         """``WL + λ·D`` with gradient, at the current λ."""
         value = self.value(z)
         return value, self.gradient()
-
-    def __call__(self, z: np.ndarray) -> Tuple[float, np.ndarray]:
-        return self.value_and_grad(z)
 
     # ------------------------------------------------------------------
     def initial_lambda(self, z: np.ndarray) -> float:

@@ -14,14 +14,14 @@ the gradients of rejected trials are never computed (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import Protocol, Tuple
 
 import numpy as np
 
-ValueAndGrad = Callable[[np.ndarray], Tuple[float, np.ndarray]]
+#: CG stops once the gradient's L2 norm falls to this value.
+GRADIENT_TOLERANCE = 1e-6
 
 
-@runtime_checkable
 class Objective(Protocol):
     """A function the line search evaluates in two steps.
 
@@ -34,21 +34,6 @@ class Objective(Protocol):
     def value(self, z: np.ndarray) -> float: ...
 
     def gradient(self) -> np.ndarray: ...
-
-
-class _EagerObjective:
-    """A plain ``z -> (value, gradient)`` callable as an :class:`Objective`."""
-
-    def __init__(self, function: ValueAndGrad) -> None:
-        self._function = function
-        self._grad: Optional[np.ndarray] = None
-
-    def value(self, z: np.ndarray) -> float:
-        value, self._grad = self._function(z)
-        return value
-
-    def gradient(self) -> np.ndarray:
-        return self._grad
 
 
 @dataclass
@@ -110,34 +95,21 @@ def _armijo_line_search(
 
 
 def conjugate_gradient(
-    objective: Union[Objective, ValueAndGrad],
+    objective: Objective,
     z0: np.ndarray,
     max_iterations: int = 100,
-    gradient_tolerance: float = 1e-6,
-    step_scale: float = 1.0,
 ) -> CgResult:
     """Minimize ``objective`` from ``z0`` with Polak–Ribière+ CG.
-
-    Parameters
-    ----------
-    objective:
-        An :class:`Objective`, or a plain callable returning
-        ``(value, gradient)``, which then computes a gradient at every
-        trial point.
-    step_scale:
-        Multiplier on the heuristic initial step of each line search —
-        larger values explore faster, smaller values are safer.
 
     Returns
     -------
     CgResult
         Final point, value, iteration count, and a convergence flag
-        (gradient norm below tolerance or line search exhausted).
+        (gradient norm at most :data:`GRADIENT_TOLERANCE` or line search
+        exhausted).
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    if not isinstance(objective, Objective):
-        objective = _EagerObjective(objective)
     z = np.asarray(z0, dtype=float).copy()
     value = objective.value(z)
     grad = objective.gradient()
@@ -152,14 +124,14 @@ def conjugate_gradient(
     target_move = max(0.02 * span, 1e-3)
     for iteration in range(1, max_iterations + 1):
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= gradient_tolerance:
+        if grad_norm <= GRADIENT_TOLERANCE:
             converged = True
             break
         direction_norm = float(np.max(np.abs(direction)))
         if direction_norm <= 0.0:
             converged = True
             break
-        initial_step = step_scale * target_move / direction_norm
+        initial_step = target_move / direction_norm
         z_new, value_new, grad_new, step = _armijo_line_search(
             objective, z, value, grad, direction, initial_step
         )

@@ -8,7 +8,8 @@ Pipeline:
    endpoints (:mod:`~repro.physical.placement.seed`); designs without
    crossbar structure fall back to an area-aware packed grid.
 2. **Penalty loop** (lines 2–6): minimize ``WL(x,y) + λ·D(x,y)`` by
-   conjugate gradient, doubling λ while the overlap exceeds the threshold.
+   conjugate gradient, doubling λ while the overlap ratio exceeds
+   :data:`OVERLAP_THRESHOLD`.
 3. **Legalization** (line 7): a structure-preserving grid-snap assigns
    every cell the free site nearest its optimized location; the snap of
    the raw seed is kept as a second candidate and the better (by weighted
@@ -18,13 +19,13 @@ Pipeline:
    remaining whitespace without reordering cells.
 
 Cells use *virtual* dimensions (physical size × the routing-space factor
-ω, Sec. 3.5) through steps 1–4 so that routing space is reserved around
-every cell.
+ω, Sec. 3.5, read from the technology) through steps 1–4 so that routing
+space is reserved around every cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.mapping.netlist import CellKind, Netlist
 from repro.observability import get_recorder
 from repro.physical.layout import Placement
 from repro.physical.placement.density import true_overlap
-from repro.physical.placement.initial import initial_placement
+from repro.physical.placement.initial import WHITESPACE_FACTOR, initial_placement
 from repro.physical.placement.legalize import compact, grid_snap
 from repro.physical.placement.objective import PlacementObjective
 from repro.physical.placement.optimizer import conjugate_gradient
@@ -43,55 +44,33 @@ from repro.physical.placement.wirelength import hpwl
 from repro.utils.rng import RngLike, ensure_rng
 
 
+#: Algorithm 4's stop rule: λ stops doubling once total (virtual) overlap
+#: area over total (virtual) cell area falls to this ratio.
+OVERLAP_THRESHOLD = 0.02
+
+
 @dataclass
 class PlacementConfig:
-    """Tuning knobs of the analytical placer.
+    """The penalty-loop budget of the analytical placer (Algorithm 4 lines 2–6).
 
-    ``None`` values are auto-scaled from the design size at run time.
+    The WA and density smoothing lengths γ and τ scale with the design
+    (about 1 % and 0.5 % of the estimated chip side); ω comes from the
+    :class:`~repro.hardware.technology.Technology`.
 
     Attributes
     ----------
-    gamma_um / tau_um:
-        WA and density smoothing lengths; auto ≈ 1 % / 0.5 % of the
-        estimated chip side.
-    whitespace_factor:
-        Initial-region inflation over total virtual cell area.
-    overlap_threshold:
-        Stop doubling λ once total (virtual) overlap area over total
-        (virtual) cell area falls below this ratio.
-    max_lambda_stages / cg_iterations_per_stage:
-        Penalty-loop budget (Algorithm 4 lines 2–6).
-    routing_space_factor:
-        Override of the technology's ω; ``None`` uses the technology value.
+    max_lambda_stages:
+        Most λ values tried; λ doubles after each stage.
+    cg_iterations_per_stage:
+        Conjugate-gradient iterations per λ stage.
     """
 
-    gamma_um: Optional[float] = None
-    tau_um: Optional[float] = None
-    whitespace_factor: float = 1.8
-    overlap_threshold: float = 0.02
     max_lambda_stages: int = 8
     cg_iterations_per_stage: int = 30
-    routing_space_factor: Optional[float] = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # ``not x > 0`` style tests also reject NaN, which ``x <= 0`` lets through.
-        for name in ("gamma_um", "tau_um"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be > 0 or None, got {value}")
-        if not self.whitespace_factor >= 1.0:
-            raise ValueError(f"whitespace_factor must be >= 1, got {self.whitespace_factor}")
-        if not 0.0 < self.overlap_threshold < 1.0:
-            raise ValueError(
-                f"overlap_threshold must lie in (0, 1), got {self.overlap_threshold}"
-            )
         if self.max_lambda_stages < 1 or self.cg_iterations_per_stage < 1:
             raise ValueError("stage/iteration budgets must be >= 1")
-
-
-#: A reduced-effort configuration for unit tests and quick examples.
-FAST_PLACEMENT = PlacementConfig(max_lambda_stages=4, cg_iterations_per_stage=12)
 
 
 def place(
@@ -111,11 +90,7 @@ def place(
     rng = ensure_rng(rng)
     widths = netlist.widths()
     heights = netlist.heights()
-    omega = (
-        config.routing_space_factor
-        if config.routing_space_factor is not None
-        else technology.routing_space_factor
-    )
+    omega = technology.routing_space_factor
     virtual_w = widths * omega
     virtual_h = heights * omega
     total_virtual_area = float(np.sum(virtual_w * virtual_h))
@@ -126,14 +101,12 @@ def place(
         seed_x, seed_y = connectivity_seed(netlist, virtual_w, virtual_h, rng=rng)
         seed_kind = "connectivity"
     else:
-        seed_x, seed_y = initial_placement(
-            virtual_w, virtual_h, whitespace_factor=config.whitespace_factor, rng=rng
-        )
+        seed_x, seed_y = initial_placement(virtual_w, virtual_h, rng=rng)
         seed_kind = "area_grid"
 
-    side_estimate = float(np.sqrt(total_virtual_area * config.whitespace_factor))
-    gamma = config.gamma_um if config.gamma_um is not None else max(0.01 * side_estimate, 0.5)
-    tau = config.tau_um if config.tau_um is not None else max(0.005 * side_estimate, 0.25)
+    side_estimate = float(np.sqrt(total_virtual_area * WHITESPACE_FACTOR))
+    gamma = max(0.01 * side_estimate, 0.5)
+    tau = max(0.005 * side_estimate, 0.25)
 
     recorder = get_recorder()
     stage_log = []
@@ -174,7 +147,7 @@ def place(
                         "overlap_ratio": overlap_ratio,
                     }
                 )
-                if overlap_ratio <= config.overlap_threshold:
+                if overlap_ratio <= OVERLAP_THRESHOLD:
                     break
                 lam *= 2.0  # Algorithm 4 line 5
             loop_span.annotate(

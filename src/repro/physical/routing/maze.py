@@ -139,7 +139,9 @@ def maze_route(
 
     Edge cost is ``θ · (1 + congestion_weight · usage/capacity)``; an edge
     at capacity is impassable unless ``allow_overflow`` is set, in which
-    case it costs an extra factor ``overflow_penalty``.
+    case it costs an extra factor ``overflow_penalty``.  Both routers use
+    the defaults here.  A penalty of at least 1 keeps an overflowing edge
+    dearer than any edge under capacity.
 
     With ``present_weight`` set the search instead uses the negotiated
     (PathFinder) cost ``θ · (1 + history) · (1 + present_weight ·

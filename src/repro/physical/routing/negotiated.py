@@ -9,11 +9,12 @@ router iteratively rips up exactly the wires crossing overused edges and
 reroutes them under two escalating cost terms:
 
 * a **present** cost ``1 + present_weight · overuse`` that grows
-  geometrically each iteration (``present_growth``), making currently
-  contested edges progressively more expensive, and
+  geometrically each iteration (×:data:`PRESENT_GROWTH` from
+  :data:`PRESENT_WEIGHT`), making currently contested edges
+  progressively more expensive, and
 * a **history** cost accumulated on every edge that was overused at the
-  end of an iteration (``history_increment`` per unit of overuse), which
-  remembers chronic congestion across iterations so wires stop
+  end of an iteration (:data:`HISTORY_INCREMENT` per unit of overuse),
+  which remembers chronic congestion across iterations so wires stop
   oscillating between two equally contested corridors.
 
 The search itself is the existing windowed A* of
@@ -41,6 +42,15 @@ from repro.physical.routing.maze import MazeWorkspace, maze_route
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.physical.routing.router import RoutingConfig
+
+#: Present-congestion weight of the first rip-up round.
+PRESENT_WEIGHT = 0.5
+
+#: Factor on the present-congestion weight after each rip-up round.
+PRESENT_GROWTH = 1.6
+
+#: History cost added per unit of overuse to each overused edge per round.
+HISTORY_INCREMENT = 0.4
 
 
 @dataclass
@@ -105,7 +115,7 @@ def negotiate_routes(
     verifier, congestion maps) see the same bookkeeping.
     """
     h_history, v_history = workspace.ensure_history()
-    present = config.present_weight
+    present = PRESENT_WEIGHT
     paths: Dict[int, List[BinCoord]] = {}
     lengths: Dict[int, float] = {}
 
@@ -120,7 +130,6 @@ def negotiate_routes(
             start,
             goal,
             window_margin=config.window_margin_bins,
-            congestion_weight=config.congestion_weight,
             workspace=workspace,
             present_weight=present,
         )
@@ -143,10 +152,10 @@ def negotiate_routes(
         iterations += 1
         # Chronic congestion leaves a permanent trace: every overused
         # edge gets history proportional to how far over it went.
-        h_history += config.history_increment * np.maximum(
+        h_history += HISTORY_INCREMENT * np.maximum(
             grid.horizontal_usage - grid.horizontal_capacity, 0
         )
-        v_history += config.history_increment * np.maximum(
+        v_history += HISTORY_INCREMENT * np.maximum(
             grid.vertical_usage - grid.vertical_capacity, 0
         )
         victims = [
@@ -157,7 +166,7 @@ def negotiate_routes(
         for index in victims:
             grid.add_usage(paths[index], amount=-1)
         ripups += len(victims)
-        present *= config.present_growth
+        present *= PRESENT_GROWTH
         for index in victims:
             search(index)
 

@@ -11,6 +11,10 @@ failed wires until all wires are routed."  A final allow-overflow pass
 guarantees completion even under extreme congestion (reported in the
 result's overflow statistics).
 
+The grid's bin width θ and edge capacity come from the technology; on a
+die wider than :data:`MAX_GRID_BINS` bins θ coarsens and the capacity
+scales with it.
+
 Two algorithms share this driver, selected by
 ``RoutingConfig.algorithm``:
 
@@ -24,7 +28,7 @@ Two algorithms share this driver, selected by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -40,58 +44,43 @@ from repro.physical.routing.negotiated import _pin_bins, negotiate_routes
 #: The routing algorithms ``route`` can dispatch to.
 ROUTING_ALGORITHMS = ("ordered", "negotiated")
 
+#: Capacity added to every edge per relaxation round of the ordered router.
+RELAX_INCREMENT = 4
+
+#: Empty bins added around the placement's bounding box on each side.
+REGION_MARGIN_BINS = 1
+
+#: Most bins along the die's longer side; larger dies coarsen θ to fit.
+MAX_GRID_BINS = 56
+
 
 @dataclass
 class RoutingConfig:
-    """Tuning knobs of the global router.
+    """Which global router runs, and its search and retry budgets.
 
-    ``None`` values fall back to the technology parameters (θ, capacity).
+    θ and the edge capacity come from the
+    :class:`~repro.hardware.technology.Technology`.
 
     ``algorithm`` selects the router: ``"ordered"`` is the paper's
     single-pass ordered route with capacity relaxation;
     ``"negotiated"`` is PathFinder-style negotiated-congestion rip-up
-    and reroute.  The ``max_ripup_iterations`` / ``present_weight`` /
-    ``present_growth`` / ``history_increment`` knobs only affect the
-    negotiated algorithm; ``max_relax_rounds`` / ``relax_increment`` /
-    ``overflow_penalty`` only the ordered one.
+    and reroute.  ``max_relax_rounds`` only affects the ordered
+    algorithm and ``max_ripup_iterations`` only the negotiated one.
     """
 
     # Read only by benchmarks/e2e/measure.py, which prints it in its run header.
     kernel: ClassVar[str] = "python"
 
-    bin_um: Optional[float] = None
-    capacity_per_bin: Optional[int] = None
     window_margin_bins: int = 8
-    congestion_weight: float = 2.0
     max_relax_rounds: int = 5
-    relax_increment: int = 4
-    overflow_penalty: float = 10.0
-    region_margin_bins: int = 1
-    max_grid_bins: int = 56
     algorithm: str = "ordered"
     max_ripup_iterations: int = 16
-    present_weight: float = 0.5
-    present_growth: float = 1.6
-    history_increment: float = 0.4
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # The cost terms are tested as ``not x >= bound`` so NaN fails too.
         if self.window_margin_bins < 0:
             raise ValueError("window_margin_bins must be >= 0")
         if self.max_relax_rounds < 0:
             raise ValueError("max_relax_rounds must be >= 0")
-        if self.relax_increment < 1:
-            raise ValueError("relax_increment must be >= 1")
-        if not self.congestion_weight >= 0:
-            raise ValueError(f"congestion_weight must be >= 0, got {self.congestion_weight}")
-        # At 1 or more an overflowing edge costs at least θ·(1 + congestion
-        # weight), more than any edge under capacity; below 0 the maze
-        # search would see negative edge costs.
-        if not self.overflow_penalty >= 1.0:
-            raise ValueError(f"overflow_penalty must be >= 1, got {self.overflow_penalty}")
-        if self.max_grid_bins < 2:
-            raise ValueError("max_grid_bins must be >= 2")
         if self.algorithm not in ROUTING_ALGORITHMS:
             raise ValueError(
                 f"algorithm must be one of {ROUTING_ALGORITHMS}, "
@@ -99,12 +88,6 @@ class RoutingConfig:
             )
         if self.max_ripup_iterations < 0:
             raise ValueError("max_ripup_iterations must be >= 0")
-        if not self.present_weight > 0:
-            raise ValueError(f"present_weight must be > 0, got {self.present_weight}")
-        if not self.present_growth >= 1.0:
-            raise ValueError(f"present_growth must be >= 1, got {self.present_growth}")
-        if not self.history_increment >= 0:
-            raise ValueError(f"history_increment must be >= 0, got {self.history_increment}")
 
 
 @dataclass
@@ -205,21 +188,17 @@ def route(
         raise ValueError(
             f"placement has {placement.num_cells} cells, netlist has {netlist.num_cells}"
         )
-    bin_um = config.bin_um if config.bin_um is not None else technology.routing_bin_um
-    capacity = (
-        config.capacity_per_bin
-        if config.capacity_per_bin is not None
-        else technology.routing_capacity_per_bin
-    )
+    bin_um = technology.routing_bin_um
+    capacity = technology.routing_capacity_per_bin
     xmin, ymin, xmax, ymax = placement.bounding_box()
     # Coarsen θ on large dies so the grid stays tractable; capacity scales
     # with the merge factor (a wider boundary carries more wires).
     span = max(xmax - xmin, ymax - ymin, bin_um)
-    if span / bin_um > config.max_grid_bins:
-        scale = span / (bin_um * config.max_grid_bins)
+    if span / bin_um > MAX_GRID_BINS:
+        scale = span / (bin_um * MAX_GRID_BINS)
         bin_um *= scale
         capacity = max(1, int(round(capacity * scale)))
-    margin = config.region_margin_bins * bin_um
+    margin = REGION_MARGIN_BINS * bin_um
     grid = RoutingGrid(
         origin=(xmin - margin, ymin - margin),
         width=(xmax - xmin) + 2 * margin,
@@ -298,9 +277,7 @@ def _route_ordered(
             start,
             goal,
             window_margin=config.window_margin_bins,
-            congestion_weight=config.congestion_weight,
             allow_overflow=allow_overflow,
-            overflow_penalty=config.overflow_penalty,
             workspace=workspace,
         )
         if path is None:
@@ -332,7 +309,7 @@ def _route_ordered(
     ripup_retries = 0
     while failed and relax_rounds < config.max_relax_rounds:
         relax_rounds += 1
-        grid.relax_capacity(config.relax_increment)
+        grid.relax_capacity(RELAX_INCREMENT)
         recorder.event("routing.relax_round", round=relax_rounds, failed=len(failed))
         ripup_retries += len(failed)
         failed = route_pass(failed, allow_overflow=False)

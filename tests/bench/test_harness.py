@@ -17,12 +17,12 @@ from repro.bench import (
     SUITES,
     compare_to_baseline,
     load_suite_json,
-    main,
     metric_gate,
     run_suite,
     suite_result_from_dict,
     write_suite_json,
 )
+from repro.cli import main
 
 DIM = 16  # smallest practical scaled testbench
 
@@ -203,42 +203,47 @@ class TestRegressionGate:
         )
 
 
+def bench(argv):
+    """``python -m repro bench`` with ``argv``, the harness's only entry point."""
+    return main(["bench"] + argv)
+
+
 class TestCli:
     ARGS = ["--suites", "routing", "--fast",
             "--dimension", str(DIM), "--testbenches", "1"]
 
     def test_write_then_check_round_trips(self, tmp_path, capsys):
         base = ["--baseline-dir", str(tmp_path)] + self.ARGS
-        assert main(base) == 0
+        assert bench(base) == 0
         assert (tmp_path / BASELINE_FILES["routing"]).exists()
-        assert main(base + ["--check"]) == 0
+        assert bench(base + ["--check"]) == 0
         out = capsys.readouterr().out
         assert "OK routing" in out
 
     def test_check_without_baseline_fails(self, tmp_path, capsys):
-        assert main(["--baseline-dir", str(tmp_path), "--check"] + self.ARGS) == 1
+        assert bench(["--baseline-dir", str(tmp_path), "--check"] + self.ARGS) == 1
         assert "no baseline" in capsys.readouterr().out
 
     def test_check_detects_doctored_baseline(self, tmp_path, capsys):
         base = ["--baseline-dir", str(tmp_path)] + self.ARGS
-        assert main(base) == 0
+        assert bench(base) == 0
         path = tmp_path / BASELINE_FILES["routing"]
         payload = json.loads(path.read_text())
         for record in payload["benchmarks"]:
             record["qor"]["wirelength_um"] /= 10.0
         path.write_text(json.dumps(payload))
-        assert main(base + ["--check"]) == 1
+        assert bench(base + ["--check"]) == 1
         assert "regressed" in capsys.readouterr().out
 
     def test_check_and_update_are_exclusive(self, tmp_path, capsys):
-        status = main(
+        status = bench(
             ["--baseline-dir", str(tmp_path), "--check", "--update-baseline"]
             + self.ARGS
         )
         assert status == 2
 
     def test_update_baseline_writes(self, tmp_path):
-        assert main(
+        assert bench(
             ["--baseline-dir", str(tmp_path), "--update-baseline"] + self.ARGS
         ) == 0
         assert load_suite_json(tmp_path / BASELINE_FILES["routing"]).mode == "fast"

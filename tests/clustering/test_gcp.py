@@ -1,9 +1,11 @@
 """Tests for GCP (Algorithm 2)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.clustering.gcp as gcp_module
 from repro.clustering.gcp import greedy_cluster_size_prediction
 from repro.networks import block_diagonal_network, random_sparse_network
 
@@ -48,13 +50,22 @@ class TestQuality:
         clusters = [c.members for c in result.clusters]
         assert net.outlier_ratio(clusters) < 0.25
 
-    def test_balance_merges_fragments(self, sparse_network):
-        balanced = greedy_cluster_size_prediction(sparse_network, 30, rng=0, balance=True)
-        raw = greedy_cluster_size_prediction(sparse_network, 30, rng=0, balance=False)
-        assert balanced.k <= raw.k
+    def test_balance_merges_fragments(self, sparse_network, monkeypatch):
+        # The merge pass runs last, on the split loop's labels; catch them.
+        before_merge = []
+        merge = gcp_module._merge_undersized
+
+        def spy(points, labels, max_size, similarity):
+            before_merge.append(labels)
+            return merge(points, labels, max_size, similarity)
+
+        monkeypatch.setattr(gcp_module, "_merge_undersized", spy)
+        result = greedy_cluster_size_prediction(sparse_network, 30, rng=0)
+        (labels,) = before_merge
+        assert result.k <= len(np.unique(labels))
 
     def test_balance_never_violates_cap(self, sparse_network):
-        result = greedy_cluster_size_prediction(sparse_network, 13, rng=0, balance=True)
+        result = greedy_cluster_size_prediction(sparse_network, 13, rng=0)
         assert result.max_size() <= 13
 
 

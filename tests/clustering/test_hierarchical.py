@@ -12,7 +12,7 @@ from repro.clustering import (
     iterative_spectral_clustering,
 )
 from repro.core.autoncs import AutoNCS
-from repro.core.config import AutoNcsConfig
+from repro.core.config import HIERARCHICAL_THRESHOLD, AutoNcsConfig
 from repro.mapping import autoncs_mapping
 from repro.networks import block_diagonal_network, scale_free_network
 
@@ -104,8 +104,8 @@ class TestConfigRouting:
 
     def test_clustering_for_resolves(self):
         config = AutoNcsConfig()
-        assert config.clustering_for(100) == "isc"
-        assert config.clustering_for(config.hierarchical_threshold + 1) == "hierarchical"
+        assert config.clustering_for(HIERARCHICAL_THRESHOLD) == "isc"
+        assert config.clustering_for(HIERARCHICAL_THRESHOLD + 1) == "hierarchical"
 
     def test_explicit_modes_override_auto(self):
         assert AutoNcsConfig(clustering="isc").clustering_for(10**6) == "isc"

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.isc import (
-    CrossbarAssignment,
-    iterative_spectral_clustering,
-    single_pass_clusters,
-)
+from repro.clustering.isc import CrossbarAssignment, iterative_spectral_clustering
 from repro.mapping import fullcro_utilization
 from repro.networks import ConnectionMatrix, block_diagonal_network, random_sparse_network
 
@@ -117,17 +113,6 @@ class TestIscControls:
     def test_rejects_bad_max_iterations(self, block_network):
         with pytest.raises(ValueError):
             iterative_spectral_clustering(block_network, max_iterations=0)
-
-
-class TestSinglePass:
-    def test_clusters_have_connections(self, block_network):
-        clusters = single_pass_clusters(block_network, 30, rng=0)
-        for cluster in clusters:
-            assert block_network.connections_within(cluster.members) > 0
-
-    def test_respects_size(self, block_network):
-        clusters = single_pass_clusters(block_network, 25, rng=0)
-        assert all(c.size <= 25 for c in clusters)
 
 
 @settings(max_examples=8, deadline=None)

@@ -30,6 +30,12 @@ class TestAutoNcsConfig:
         with pytest.raises(ValueError):
             AutoNcsConfig(utilization_threshold=-0.1)
 
+    def test_rejects_nan_threshold(self):
+        # ISC stops when the round's utilization falls below t; under a NaN
+        # t that test never fires.
+        with pytest.raises(ValueError, match="utilization_threshold"):
+            AutoNcsConfig(utilization_threshold=float("nan"))
+
     def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError):
             AutoNcsConfig(max_isc_iterations=0)

@@ -14,8 +14,9 @@ import pytest
 
 import repro.core.autoncs as autoncs_module
 from repro.core import AutoNCS
-from repro.core.autoncs import _relaxed_routing_config
-from repro.core.config import AutoNcsConfig, fast_config
+from repro.core.autoncs import _relaxed_routing
+from repro.core.config import fast_config
+from repro.hardware.technology import Technology
 from repro.networks import random_sparse_network
 from repro.observability import NULL_RECORDER, get_recorder, recording
 from repro.physical.placement.placer import place as real_place
@@ -170,28 +171,14 @@ class TestRunnerJobSeconds:
 
 
 def test_relaxed_routing_config_changes_only_the_relaxed_fields():
-    relaxed_fields = {
-        "capacity_per_bin", "window_margin_bins", "max_relax_rounds", "max_ripup_iterations",
-    }
-    base = RoutingConfig(
-        bin_um=12.5,
-        capacity_per_bin=3,
-        congestion_weight=1.5,
-        relax_increment=2,
-        overflow_penalty=4.0,
-        region_margin_bins=2,
-        max_grid_bins=40,
-        algorithm="negotiated",
-        present_weight=0.7,
-        present_growth=1.3,
-        history_increment=0.2,
-        metadata={"origin": "test"},
-    )
-    relaxed = _relaxed_routing_config(base, AutoNcsConfig())
+    base = RoutingConfig(algorithm="negotiated", max_relax_rounds=2)
+    technology = Technology(routing_bin_um=12.5, routing_capacity_per_bin=3)
+    relaxed, relaxed_technology = _relaxed_routing(base, technology)
     changed = {
         item.name
         for item in dataclasses.fields(RoutingConfig)
         if getattr(relaxed, item.name) != getattr(base, item.name)
     }
-    assert changed == relaxed_fields
-    assert relaxed.capacity_per_bin == 6
+    assert changed == {"window_margin_bins", "max_relax_rounds", "max_ripup_iterations"}
+    # The retry doubles the technology's edge capacity and nothing else.
+    assert relaxed_technology == dataclasses.replace(technology, routing_capacity_per_bin=6)

@@ -49,9 +49,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             Technology(routing_space_factor=0.5)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_rejects_non_finite_routing_factor(self, factor):
+        with pytest.raises(ValueError, match="routing_space_factor"):
+            Technology(routing_space_factor=factor)
+
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             Technology(routing_capacity_per_bin=0)
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 2.5])
+    def test_rejects_fractional_or_nan_capacity(self, capacity):
+        with pytest.raises(ValueError, match="routing_capacity_per_bin"):
+            Technology(routing_capacity_per_bin=capacity)
 
     def test_delay_rejects_bad_size(self):
         with pytest.raises(ValueError):

@@ -200,14 +200,22 @@ class TestLineSearchEquivalence:
             patch.setattr(density_module, "PAIRWISE_LIMIT", 1)
             _run_both(*problem)
 
-    def test_plain_callable_still_accepted(self):
+    def test_wrapped_function_matches(self):
         def quadratic(z):
             diff = z - 3.0
             return float(diff @ diff), 2.0 * diff
 
+        class Quadratic:
+            def value(self, z):
+                value, self.grad = quadratic(z)
+                return value
+
+            def gradient(self):
+                return self.grad
+
         start = np.array([0.0, 1.0, -2.0])
         expected = _eager_conjugate_gradient(quadratic, start, max_iterations=20)
-        actual = conjugate_gradient(quadratic, start, max_iterations=20)
+        actual = conjugate_gradient(Quadratic(), start, max_iterations=20)
         assert actual.z.tobytes() == expected.z.tobytes()
         assert (actual.value, actual.iterations, actual.converged) == (
             expected.value, expected.iterations, expected.converged
@@ -258,7 +266,13 @@ def test_place_matches_eager_line_search(testbench_netlists, index, monkeypatch)
     netlist = testbench_netlists[index]
     with recording() as lazy_recorder:
         lazy = placer_module.place(netlist, rng=np.random.default_rng(FLOW_SEED))
-    monkeypatch.setattr(placer_module, "conjugate_gradient", _eager_conjugate_gradient)
+    monkeypatch.setattr(
+        placer_module,
+        "conjugate_gradient",
+        lambda objective, z0, **kwargs: _eager_conjugate_gradient(
+            objective.value_and_grad, z0, **kwargs
+        ),
+    )
     with recording() as eager_recorder:
         eager = placer_module.place(netlist, rng=np.random.default_rng(FLOW_SEED))
     assert lazy.x.tobytes() == eager.x.tobytes()

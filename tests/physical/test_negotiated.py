@@ -25,6 +25,7 @@ from repro.core.autoncs import AutoNCS
 from repro.core.config import fast_config
 from repro.experiments.testbenches import build_testbench, scaled_testbench
 from repro.hardware.library import CrossbarLibrary
+from repro.hardware.technology import Technology
 from repro.mapping.autoncs_mapping import autoncs_mapping
 from repro.mapping.netlist import build_netlist
 from repro.physical.layout import Placement
@@ -111,8 +112,9 @@ class TestSharedInvariants:
 
     def test_tight_capacity(self, algorithm):
         netlist, placement = _chain_design(n_cells=10, span=50.0, seed=3)
-        config = RoutingConfig(algorithm=algorithm, capacity_per_bin=1, bin_um=20.0)
-        result = route(netlist, placement, config=config)
+        technology = Technology(routing_bin_um=20.0, routing_capacity_per_bin=1)
+        config = RoutingConfig(algorithm=algorithm)
+        result = route(netlist, placement, technology=technology, config=config)
         assert_routing_invariants(netlist, placement, result)
 
     def test_result_reports_algorithm_counters(self, algorithm):
@@ -146,10 +148,9 @@ class TestNegotiatedSpecifics:
         placement = Placement(
             x=x, y=y, widths=netlist.widths(), heights=netlist.heights()
         )
-        config = RoutingConfig(
-            algorithm="negotiated", capacity_per_bin=1, bin_um=10.0
-        )
-        result = route(netlist, placement, config=config)
+        technology = Technology(routing_bin_um=10.0, routing_capacity_per_bin=1)
+        config = RoutingConfig(algorithm="negotiated")
+        result = route(netlist, placement, technology=technology, config=config)
         assert_routing_invariants(netlist, placement, result)
         assert result.ripup_iterations > 0
 
@@ -161,18 +162,8 @@ class TestNegotiatedSpecifics:
         assert_routing_invariants(netlist, placement, result)
 
     def test_config_validation(self):
-        nan = float("nan")
         with pytest.raises(ValueError, match="algorithm"):
             RoutingConfig(algorithm="steiner")
-        for weight in (0.0, -1.0, nan):
-            with pytest.raises(ValueError, match="present_weight"):
-                RoutingConfig(present_weight=weight)
-        for growth in (0.5, -1.0, nan):
-            with pytest.raises(ValueError, match="present_growth"):
-                RoutingConfig(present_growth=growth)
-        for increment in (-1.0, nan):
-            with pytest.raises(ValueError, match="history_increment"):
-                RoutingConfig(history_increment=increment)
         with pytest.raises(ValueError):
             RoutingConfig(max_ripup_iterations=-1)
 
@@ -255,12 +246,13 @@ def test_both_algorithms_agree_on_uncongested_wirelength(seed):
     # With capacity to spare, both algorithms find shortest paths — total
     # wirelength must agree exactly (paths may differ, lengths cannot).
     netlist, placement = _chain_design(n_cells=6, seed=seed)
-    config = {"capacity_per_bin": 64}
+    technology = Technology(routing_capacity_per_bin=64)
     lengths = {
         algorithm: route(
             netlist,
             placement,
-            config=RoutingConfig(algorithm=algorithm, **config),
+            technology=technology,
+            config=RoutingConfig(algorithm=algorithm),
         ).total_wirelength_um
         for algorithm in ROUTING_ALGORITHMS
     }
@@ -325,13 +317,9 @@ def test_hidden_overflow_is_detected():
     # Force real overflow, then pretend there was none: the verifier must
     # flag over-capacity edges paired with overflow_wires == 0.
     netlist, placement = _chain_design(n_cells=10, span=50.0, seed=3)
-    config = RoutingConfig(
-        algorithm="negotiated",
-        capacity_per_bin=1,
-        bin_um=25.0,
-        max_ripup_iterations=2,
-    )
-    result = route(netlist, placement, config=config)
+    technology = Technology(routing_bin_um=25.0, routing_capacity_per_bin=1)
+    config = RoutingConfig(algorithm="negotiated", max_ripup_iterations=2)
+    result = route(netlist, placement, technology=technology, config=config)
     over = int(
         np.count_nonzero(result.grid.horizontal_usage > result.grid.horizontal_capacity)
         + np.count_nonzero(result.grid.vertical_usage > result.grid.vertical_capacity)

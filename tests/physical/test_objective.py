@@ -79,12 +79,6 @@ class TestValueAndGrad:
         objective.density_and_grad(z)
         assert (objective.density_evals, objective.density_pairs) == (2, 2)
 
-    def test_callable_protocol(self, objective):
-        z = objective.pack(np.zeros(3), np.zeros(3))
-        value, grad = objective(z)
-        assert np.isfinite(value)
-        assert grad.shape == (6,)
-
 
 class TestInitialLambda:
     def test_paper_formula(self, objective):

@@ -6,6 +6,21 @@ import pytest
 from repro.physical.placement.optimizer import conjugate_gradient
 
 
+class Function:
+    """A plain ``z -> (value, gradient)`` function as a CG objective."""
+
+    def __init__(self, function):
+        self.function = function
+        self.grad = None
+
+    def value(self, z):
+        value, self.grad = self.function(z)
+        return value
+
+    def gradient(self):
+        return self.grad
+
+
 def quadratic(center):
     center = np.asarray(center, dtype=float)
 
@@ -13,7 +28,7 @@ def quadratic(center):
         diff = z - center
         return float(diff @ diff), 2.0 * diff
 
-    return objective
+    return Function(objective)
 
 
 class TestConjugateGradient:
@@ -35,18 +50,18 @@ class TestConjugateGradient:
 
         start = np.array([-1.0, 1.0])
         start_value, _ = rosenbrock(start)
-        result = conjugate_gradient(rosenbrock, start, max_iterations=300)
+        result = conjugate_gradient(Function(rosenbrock), start, max_iterations=300)
         assert result.value < start_value / 10
 
     def test_monotone_decrease(self):
         values = []
 
         def tracked(z):
-            value, grad = quadratic([5.0])(z)
+            value, grad = quadratic([5.0]).function(z)
             values.append(value)
             return value, grad
 
-        conjugate_gradient(tracked, np.zeros(1), max_iterations=50)
+        conjugate_gradient(Function(tracked), np.zeros(1), max_iterations=50)
         # line-search evaluations may jitter, but accepted values decrease:
         # final must be far below initial
         assert values[-1] <= values[0]
@@ -77,5 +92,5 @@ class TestConjugateGradient:
 
         start = np.full(5, 2.0)
         start_value, _ = objective(start)
-        result = conjugate_gradient(objective, start, max_iterations=100)
+        result = conjugate_gradient(Function(objective), start, max_iterations=100)
         assert result.value <= start_value + 1e-12

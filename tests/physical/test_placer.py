@@ -96,18 +96,10 @@ class TestPlace:
         assert optimized < shuffled.hpwl(sources, targets)
 
     def test_config_validation(self):
-        nan = float("nan")
-        with pytest.raises(ValueError):
-            PlacementConfig(overlap_threshold=0.0)
-        for factor in (0.9, -1.0, nan):
-            with pytest.raises(ValueError):
-                PlacementConfig(whitespace_factor=factor)
         with pytest.raises(ValueError):
             PlacementConfig(max_lambda_stages=0)
-        for name in ("gamma_um", "tau_um"):
-            for value in (0.0, -1.0, nan):
-                with pytest.raises(ValueError, match=name):
-                    PlacementConfig(**{name: value})
+        with pytest.raises(ValueError):
+            PlacementConfig(cg_iterations_per_stage=0)
 
     def test_counters_explain_the_run(self, small_netlist):
         config = PlacementConfig(max_lambda_stages=3, cg_iterations_per_stage=10)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.physical.routing.router as router_module
 from repro.hardware.library import CrossbarLibrary
+from repro.hardware.technology import Technology
 from repro.mapping.netlist import build_netlist
 from repro.physical.layout import Placement
 from repro.physical.routing.grid import RoutingGrid
@@ -149,8 +151,9 @@ class TestRouteDriver:
 
     def test_tight_capacity_relaxes(self, placed_design):
         netlist, placement = placed_design
-        config = RoutingConfig(capacity_per_bin=1, bin_um=30.0, max_relax_rounds=4)
-        result = route(netlist, placement, config=config)
+        technology = Technology(routing_bin_um=30.0, routing_capacity_per_bin=1)
+        config = RoutingConfig(max_relax_rounds=4)
+        result = route(netlist, placement, technology=technology, config=config)
         assert len(result.wires) == netlist.num_wires
 
     def test_mismatched_placement_rejected(self, placed_design):
@@ -160,36 +163,28 @@ class TestRouteDriver:
             route(netlist, bad)
 
     def test_config_validation(self):
-        nan = float("nan")
         with pytest.raises(ValueError):
             RoutingConfig(window_margin_bins=-1)
         with pytest.raises(ValueError):
-            RoutingConfig(relax_increment=0)
-        for weight in (-1.0, nan):
-            with pytest.raises(ValueError, match="congestion_weight"):
-                RoutingConfig(congestion_weight=weight)
-        # A penalty below 1 makes overflowing cheaper than a free edge;
-        # below 0 it would hand the maze search negative edge costs.
-        for penalty in (0.5, 0.0, -10.0, nan):
-            with pytest.raises(ValueError, match="overflow_penalty"):
-                RoutingConfig(overflow_penalty=penalty)
+            RoutingConfig(max_relax_rounds=-1)
 
-    def test_coarsening_scales_grid_and_capacity(self, placed_design):
-        # A die wider than max_grid_bins bins triggers the coarsening
+    def test_coarsening_scales_grid_and_capacity(self, placed_design, monkeypatch):
+        # A die wider than MAX_GRID_BINS bins triggers the coarsening
         # branch: θ grows, capacity rescales with the merge factor.
         netlist, placement = placed_design
-        config = RoutingConfig(bin_um=2.0, max_grid_bins=8, capacity_per_bin=2)
-        result = route(netlist, placement, config=config)
+        monkeypatch.setattr(router_module, "MAX_GRID_BINS", 8)
+        technology = Technology(routing_bin_um=2.0, routing_capacity_per_bin=2)
+        result = route(netlist, placement, technology=technology)
         grid = result.grid
-        assert grid.bin_um > config.bin_um
+        assert grid.bin_um > technology.routing_bin_um
         # The routed region is the bounding box + 1 margin bin per side.
-        assert grid.nx <= config.max_grid_bins + 2
-        assert grid.ny <= config.max_grid_bins + 2
+        assert grid.nx <= 8 + 2
+        assert grid.ny <= 8 + 2
         # span ≈ 60 µm over 8 bins of 2 µm → scale ≈ 3.75, capacity 2 → 8ish
-        assert grid.base_capacity > config.capacity_per_bin
+        assert grid.base_capacity > technology.routing_capacity_per_bin
         assert len(result.wires) == netlist.num_wires
 
-    def test_coarsening_capacity_rounds_to_at_least_one(self, placed_design):
+    def test_coarsening_capacity_rounds_to_at_least_one(self, placed_design, monkeypatch):
         # int(round(capacity * scale)) at scale ≈ 1: capacity 1 must
         # survive the rescale as 1, never drop to 0.
         netlist, placement = placed_design
@@ -198,10 +193,12 @@ class TestRouteDriver:
             placement.y.max() - placement.y.min(),
         )
         bins = 16
-        # bin_um chosen so span/bin_um is barely above max_grid_bins.
-        bin_um = span / (bins + 0.05)
-        config = RoutingConfig(bin_um=bin_um, max_grid_bins=bins, capacity_per_bin=1)
-        result = route(netlist, placement, config=config)
+        monkeypatch.setattr(router_module, "MAX_GRID_BINS", bins)
+        # bin_um chosen so span/bin_um is barely above MAX_GRID_BINS.
+        technology = Technology(
+            routing_bin_um=span / (bins + 0.05), routing_capacity_per_bin=1
+        )
+        result = route(netlist, placement, technology=technology)
         assert result.grid.base_capacity == 1
         assert len(result.wires) == netlist.num_wires
 
@@ -217,10 +214,9 @@ class TestRouteDriver:
         placement = Placement(
             x=x, y=y, widths=netlist.widths(), heights=netlist.heights()
         )
-        config = RoutingConfig(
-            capacity_per_bin=1, bin_um=10.0, max_relax_rounds=0
-        )
-        result = route(netlist, placement, config=config)
+        technology = Technology(routing_bin_um=10.0, routing_capacity_per_bin=1)
+        config = RoutingConfig(max_relax_rounds=0)
+        result = route(netlist, placement, technology=technology, config=config)
         assert len(result.wires) == netlist.num_wires
         assert result.relax_rounds == 0
         assert result.overflow_wires > 0

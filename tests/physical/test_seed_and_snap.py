@@ -123,6 +123,6 @@ class TestAnnealingBaseline:
         from repro.physical.placement.annealing import AnnealingConfig
 
         with pytest.raises(ValueError):
-            AnnealingConfig(cooling=1.0)
+            AnnealingConfig(moves_per_temperature=0)
         with pytest.raises(ValueError):
             AnnealingConfig(temperatures=0)

@@ -16,6 +16,7 @@ from repro.clustering import (
 from repro.core import AutoNCS, StageError
 from repro.core.config import fast_config
 from repro.hardware.simulation import CrossbarSimulator, NonIdealityModel
+from repro.hardware.technology import Technology
 from repro.mapping import autoncs_mapping, fullcro_mapping
 from repro.networks import ConnectionMatrix, random_sparse_network
 from repro.networks.hopfield import HopfieldNetwork, recognition_rate
@@ -37,8 +38,9 @@ class TestRoutingUnderStress:
             widths=netlist.widths(),
             heights=netlist.heights(),
         )
-        config = RoutingConfig(capacity_per_bin=1, max_relax_rounds=2)
-        result = route(netlist, placement, config=config)
+        technology = Technology(routing_capacity_per_bin=1)
+        config = RoutingConfig(max_relax_rounds=2)
+        result = route(netlist, placement, technology=technology, config=config)
         assert len(result.wires) == netlist.num_wires  # never-fail guarantee
         # congestion is reported, not hidden
         assert result.grid.max_congestion() >= 1.0
@@ -53,7 +55,7 @@ class TestRoutingUnderStress:
             widths=netlist.widths(),
             heights=netlist.heights(),
         )
-        result = route(netlist, placement, config=RoutingConfig(bin_um=50.0))
+        result = route(netlist, placement, technology=Technology(routing_bin_um=50.0))
         # every wire is intra-bin: zero routed grid length
         assert result.total_wirelength_um == pytest.approx(0.0)
 

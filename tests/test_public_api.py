@@ -10,6 +10,8 @@ package).
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import inspect
 
 import pytest
@@ -62,6 +64,41 @@ def test_api_module_all():
 def test_version_is_semver():
     major, minor, patch = repro.__version__.split(".")
     assert all(part.isdigit() for part in (major, minor, patch))
+
+
+#: Every settable field of the flow's configuration objects.  A field here
+#: is one more configuration that tests and benchmarks must cover, so a new
+#: one should be needed by two callers outside the tests.
+CONFIG_FIELDS = {
+    "repro.core.config.AutoNcsConfig": (
+        "crossbar_sizes", "utilization_threshold", "selection_quantile",
+        "max_isc_iterations", "clustering", "tier_size", "technology",
+        "placement", "routing", "cost_weights",
+    ),
+    "repro.physical.placement.placer.PlacementConfig": (
+        "max_lambda_stages", "cg_iterations_per_stage",
+    ),
+    "repro.physical.routing.router.RoutingConfig": (
+        "window_margin_bins", "max_relax_rounds", "algorithm", "max_ripup_iterations",
+    ),
+    "repro.physical.placement.annealing.AnnealingConfig": (
+        "moves_per_temperature", "temperatures",
+    ),
+    "repro.hardware.technology.Technology": (
+        "feature_size_nm", "memristor_pitch_um", "crossbar_margin_um",
+        "neuron_area_um2", "synapse_area_um2", "crossbar_delay_base_ns",
+        "crossbar_delay_quadratic_ns", "synapse_delay_ns",
+        "wire_resistance_ohm_per_um", "wire_capacitance_ff_per_um",
+        "routing_space_factor", "routing_bin_um", "routing_capacity_per_bin",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_FIELDS))
+def test_config_fields_snapshot(path):
+    module, name = path.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module), name)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == CONFIG_FIELDS[path]
 
 
 # ------------------------------------------------------- keyword-only args
