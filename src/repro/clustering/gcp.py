@@ -7,7 +7,9 @@ limit greedily: starting from ``k = n / s`` clusters, any cluster that
 exceeds the limit is split in two by a nested 2-means, its centroid is
 replaced by the two sub-centroids, and ``k`` grows by one.  The outer loop
 re-extracts the embedding with the enlarged ``k`` (the first ``k`` columns
-of the full eigenbasis) until no split happens.
+of the full eigenbasis) until no split happens.  One helper,
+:func:`_bisect`, states that split rule for the split sweeps and for the
+safety net that caps whatever the sweeps leave oversized.
 
 Deviation from the paper (documented in DESIGN.md): the pseudo-code
 initializes centroids "as zeros", which makes the first k-means assignment
@@ -24,7 +26,7 @@ from typing import Union
 import numpy as np
 from scipy import sparse
 
-from repro.clustering.kmeans import kmeans, kmeans_plus_plus_centroids
+from repro.clustering.kmeans import _update_centroids, kmeans, kmeans_plus_plus_centroids
 from repro.clustering.result import ClusteringResult, clusters_from_labels
 from repro.clustering.spectral import spectral_embedding
 from repro.networks.connection_matrix import ConnectionMatrix
@@ -33,15 +35,27 @@ from repro.utils.rng import RngLike, ensure_rng
 #: Most passes of Algorithm 2's outer loop (re-embed, k-means, split).
 MAX_OUTER_ITERATIONS = 50
 
+#: The merge pass keeps a merge whose crossbar preference is above this
+#: fraction of the better part's (:func:`_merge_undersized`).
+MERGE_TOLERANCE = 0.6
 
-def _centroids_from_labels(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Mean of each cluster's points; empty clusters fall back to the origin."""
-    centroids = np.zeros((k, points.shape[1]), dtype=float)
-    counts = np.bincount(labels, minlength=k).astype(float)
-    np.add.at(centroids, labels, points)
-    nonempty = counts > 0
-    centroids[nonempty] /= counts[nonempty, None]
-    return centroids
+
+def _bisect(points: np.ndarray, members: np.ndarray, rng: np.random.Generator) -> tuple:
+    """Split ``members`` in two by a 2-means on their points.
+
+    Returns ``(half, centroids)``: the mask of the members that form the new
+    cluster, and the ``(2, d)`` centroids of the kept and the new part.  When
+    k-means leaves one side empty (all points coincide), the members are cut
+    in half by position instead, so every bisection makes progress.
+    """
+    sub = kmeans(points[members], 2, rng=rng)
+    half = sub.labels == 1
+    if half.any() and not half.all():
+        return half, sub.centroids
+    half = np.zeros(members.size, dtype=bool)
+    half[members.size // 2 :] = True
+    kept, new = points[members[~half]], points[members[half]]
+    return half, np.stack([kept.mean(axis=0), new.mean(axis=0)])
 
 
 def _split_oversized(
@@ -51,36 +65,28 @@ def _split_oversized(
     max_size: int,
     rng: np.random.Generator,
 ) -> tuple:
-    """One sweep of Algorithm 2 lines 8–14: 2-means-split every oversized cluster.
+    """One sweep of Algorithm 2 lines 8–14: bisect every oversized cluster.
 
-    Returns the updated ``(labels, centroids, changed)``.
+    Oversized clusters are visited in ascending label order.  Each keeps its
+    label and centroid row for the first half; the second half takes the
+    next new label and an appended centroid row.  Returns the updated
+    ``(labels, centroids, splits)``.
     """
-    changed = False
     k = centroids.shape[0]
-    for j in range(k):
-        members = np.nonzero(labels == j)[0]
-        if members.size <= max_size:
-            continue
-        sub = kmeans(points[members], 2, rng=rng)
-        # Guard against a degenerate split (all points identical): force an
-        # arbitrary balanced cut so progress is guaranteed.
-        if len(np.unique(sub.labels)) < 2:
-            forced = np.zeros(members.size, dtype=int)
-            forced[members.size // 2 :] = 1
-            sub_labels = forced
-            sub_centroids = np.stack(
-                [points[members[forced == 0]].mean(axis=0), points[members[forced == 1]].mean(axis=0)]
-            )
-        else:
-            sub_labels = sub.labels
-            sub_centroids = sub.centroids
-        new_label = centroids.shape[0]
-        labels = labels.copy()
-        labels[members[sub_labels == 1]] = new_label
-        centroids = np.vstack([centroids, sub_centroids[1][None, :]])
-        centroids[j] = sub_centroids[0]
-        changed = True
-    return labels, centroids, changed
+    oversized = np.flatnonzero(np.bincount(labels, minlength=k) > max_size)
+    if oversized.size == 0:
+        return labels, centroids, 0
+    before, labels = labels, labels.copy()
+    kept, new = [], []
+    for offset, j in enumerate(oversized):
+        members = np.flatnonzero(before == j)
+        half, halves = _bisect(points, members, rng)
+        labels[members[half]] = k + offset
+        kept.append(halves[0])
+        new.append(halves[1])
+    centroids = np.vstack([centroids, new])
+    centroids[oversized] = kept
+    return labels, centroids, int(oversized.size)
 
 
 def _similarity(network: Union[ConnectionMatrix, np.ndarray]):
@@ -121,24 +127,22 @@ def greedy_cluster_size_prediction(
         sweep the full k-means re-converges before the next sweep.  On
         hub-dominated topologies (scale-free tiers) that loop can run
         hundreds of sweeps, each re-running Lloyd's from scratch.
-        ``"bisect"`` runs one k-means and then caps sizes by deterministic
-        recursive 2-means bisection — the same machinery the safety net
-        uses — trading a little cluster quality for orders of magnitude in
-        speed.  The tiered large-network pass uses ``"bisect"``; the
-        paper-scale flows keep ``"lloyd"``, so existing results are
-        untouched.
+        ``"bisect"`` runs the same first k-means and skips the sweeps, so
+        the safety net's recursive bisection caps the sizes — trading a
+        little cluster quality for orders of magnitude in speed.  The tiered
+        large-network pass uses ``"bisect"``; the paper-scale flows keep
+        ``"lloyd"``.
 
     Returns
     -------
     ClusteringResult
         A partition of all neurons with ``max(cluster sizes) <= max_size``,
-        ``method == "gcp"``.
+        ``method == "gcp"``.  ``metadata["kmeans_calls"]`` counts the
+        k-means runs, nested 2-means splits included.
     """
     rng = ensure_rng(rng)
-    if isinstance(network, ConnectionMatrix):
-        n = network.size
-    else:
-        n = np.asarray(network).shape[0]
+    similarity = _similarity(network)
+    n = similarity.shape[0]
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     if n == 0:
@@ -152,24 +156,8 @@ def greedy_cluster_size_prediction(
     k = max(1, min(n, math.ceil(n / max_size)))
     basis_cap = min(n, max(4 * k, 32))
     basis, _ = spectral_embedding(network, k=basis_cap)
-    if split_mode == "bisect":
-        points = basis[:, :k]
-        km = kmeans(points, k, max_iterations=40, rng=rng, repair_empty=False)
-        labels = _enforce_size_limit(points, km.labels, max_size, rng)
-        labels = _merge_undersized(points, labels, max_size, _similarity(network))
-        clusters = clusters_from_labels(labels)
-        return ClusteringResult(
-            clusters=clusters,
-            n=n,
-            method="gcp",
-            metadata={
-                "max_size": max_size,
-                "final_k": len(clusters),
-                "outer_iterations": 1,
-                "split_mode": "bisect",
-            },
-        )
     labels = None
+    kmeans_calls = 0
     outer_iterations = 0
     while outer_iterations < MAX_OUTER_ITERATIONS:
         outer_iterations += 1
@@ -180,7 +168,9 @@ def greedy_cluster_size_prediction(
         if labels is None:
             centroids = kmeans_plus_plus_centroids(points, k, rng=rng)
         else:
-            centroids = _centroids_from_labels(points, labels, k)
+            centroids = _update_centroids(
+                points, labels, k, rng, repair_empty=False, previous_centroids=np.zeros((k, k))
+            )
         outer_changed = False
         while True:
             km = kmeans(
@@ -191,12 +181,14 @@ def greedy_cluster_size_prediction(
                 rng=rng,
                 repair_empty=False,
             )
+            kmeans_calls += 1
             labels, centroids = km.labels, km.centroids
-            labels, centroids, inner_changed = _split_oversized(
-                points, labels, centroids, max_size, rng
-            )
+            if split_mode == "bisect":
+                break
+            labels, centroids, splits = _split_oversized(points, labels, centroids, max_size, rng)
+            kmeans_calls += splits
             k = centroids.shape[0]
-            if not inner_changed:
+            if not splits:
                 break
             outer_changed = True
             if k >= n:
@@ -206,8 +198,8 @@ def greedy_cluster_size_prediction(
     # Safety net: guarantee the postcondition even if the loop budget ran
     # out while k-means kept re-merging (rare oscillation on symmetric data).
     points = basis[:, : min(k, basis.shape[1])]
-    labels = _enforce_size_limit(points, labels, max_size, rng)
-    labels = _merge_undersized(points, labels, max_size, _similarity(network))
+    labels, splits = _enforce_size_limit(points, labels, max_size, rng)
+    labels = _merge_undersized(points, labels, max_size, similarity)
     clusters = clusters_from_labels(labels)
     return ClusteringResult(
         clusters=clusters,
@@ -217,125 +209,110 @@ def greedy_cluster_size_prediction(
             "max_size": max_size,
             "final_k": len(clusters),
             "outer_iterations": outer_iterations,
+            "split_mode": split_mode,
+            "kmeans_calls": kmeans_calls + splits,
         },
     )
 
 
 def _merge_undersized(
-    points: np.ndarray,
-    labels: np.ndarray,
-    max_size: int,
-    similarity,
-    tolerance: float = 0.6,
+    points: np.ndarray, labels: np.ndarray, max_size: int, similarity
 ) -> np.ndarray:
     """Greedily merge small clusters with their nearest-centroid neighbour.
 
     A merge must not *hurt*: two clusters combine only when the merged
-    cluster's crossbar preference (``m²/s³``) stays above ``tolerance``
-    times the better of the two, or when neither cluster holds any
-    connection (dead fragments merge freely by spectral proximity).  The
-    tolerance trades crossbar granularity against outlier count: 1.0
-    (strictly improving merges) keeps many small dense crossbars but
-    leaves more between-cluster connections to discrete synapses, while
-    the calibrated default (0.6) consolidates toward the 32–64 sizes the
-    paper's final implementations show (Fig. 9(c)) and drives the ISC
-    outlier ratio to the paper's few-percent range.
+    cluster's crossbar preference (``m²/s³``) stays above
+    :data:`MERGE_TOLERANCE` times the better of the two, or when neither
+    cluster holds any connection (dead fragments merge freely by spectral
+    proximity).  The tolerance trades crossbar granularity against outlier
+    count: 1.0 (strictly improving merges) keeps many small dense crossbars
+    but leaves more between-cluster connections to discrete synapses, while
+    0.6 consolidates toward the 32–64 sizes the paper's final
+    implementations show (Fig. 9(c)) and drives the ISC outlier ratio to
+    the paper's few-percent range.
+
+    The order is part of the contract (DESIGN.md).  Live clusters are
+    visited by a stable sort on size; a visitor's partners that fit under
+    ``max_size`` are tried by a stable sort on squared centroid distance;
+    the first partner that passes absorbs the visitor, keeping its label,
+    with the visitor's members first in the merged centroid's mean; and the
+    scan restarts after every merge.
     """
-    labels = labels.copy()
-    unique = list(np.unique(labels))
-    members = {value: np.nonzero(labels == value)[0] for value in unique}
-    centroids = {value: points[idx].mean(axis=0) for value, idx in members.items()}
+    values, position, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    n, count = labels.shape[0], values.size
+    members = np.split(np.argsort(position, kind="stable"), np.cumsum(sizes)[:-1])
+    centroids = np.array([points[idx].mean(axis=0) for idx in members])
     # Cluster-pair connection counts via one indicator-matrix product:
-    # pair_connections[a, b] = connections from cluster a's rows to b's cols.
-    index_of = {value: pos for pos, value in enumerate(unique)}
-    n = labels.shape[0]
-    indicator = np.zeros((n, len(unique)))
-    for value, idx in members.items():
-        indicator[idx, index_of[value]] = 1.0
+    # pairs[a, b] = connections from cluster a's rows to b's cols.
+    indicator = np.zeros((n, count))
+    indicator[np.arange(n), position] = 1.0
     # Right-to-left keeps the product sparse-compatible (csr @ dense → dense);
     # all entries are 0/1 sums, exact in float64 on either path.
-    pair_connections = indicator.T @ (similarity @ indicator)
-
-    def preference(value) -> float:
-        pos = index_of[value]
-        m = pair_connections[pos, pos]
-        s = max(members[value].size, 1)
-        return float(m * m) / float(s**3)
-
-    def merged_preference(a, b) -> float:
-        pa, pb = index_of[a], index_of[b]
-        m = (
-            pair_connections[pa, pa]
-            + pair_connections[pb, pb]
-            + pair_connections[pa, pb]
-            + pair_connections[pb, pa]
-        )
-        s = members[a].size + members[b].size
-        return float(m * m) / float(s**3)
-
-    while len(members) > 1:
-        order = sorted(members, key=lambda v: members[v].size)
-        merged = False
-        for value in order:
-            size = members[value].size
-            partners = [
-                other
-                for other in members
-                if other != value and members[other].size + size <= max_size
-            ]
-            if not partners:
+    pairs = indicator.T @ (similarity @ indicator)
+    alive = np.ones(count, dtype=bool)
+    labels = labels.copy()
+    while count > 1:
+        live = np.flatnonzero(alive)
+        live_sizes = sizes[live]
+        preference = np.diagonal(pairs)[live] ** 2 / live_sizes**3
+        for a in np.argsort(live_sizes, kind="stable"):
+            value = live[a]
+            fits = (live_sizes + sizes[value] <= max_size) & (live != value)
+            if not fits.any():
                 continue
-            centroid = centroids[value]
-            partners.sort(
-                key=lambda other: float(np.sum((centroids[other] - centroid) ** 2))
+            partners = live[fits]
+            distance = np.sum((centroids[partners] - centroids[value]) ** 2, axis=1)
+            order = np.argsort(distance, kind="stable")
+            partners, other_cp = partners[order], preference[fits][order]
+            m = (
+                pairs[value, value]
+                + pairs[partners, partners]
+                + pairs[value, partners]
+                + pairs[partners, value]
             )
-            own_cp = preference(value)
-            for other in partners:
-                other_cp = preference(other)
-                both_dead = own_cp == 0.0 and other_cp == 0.0
-                if not both_dead and merged_preference(value, other) <= tolerance * max(
-                    own_cp, other_cp
-                ):
-                    continue
-                combined = np.concatenate([members[value], members[other]])
-                labels[combined] = other
-                members[other] = combined
-                centroids[other] = points[combined].mean(axis=0)
-                # Fold value's pair counts into other's row/column.
-                pv, po = index_of[value], index_of[other]
-                pair_connections[po, :] += pair_connections[pv, :]
-                pair_connections[:, po] += pair_connections[:, pv]
-                del members[value]
-                del centroids[value]
-                del index_of[value]
-                merged = True
-                break
-            if merged:
-                break
-        if not merged:
+            merged_cp = m * m / ((sizes[value] + sizes[partners]) ** 3)
+            own_cp = preference[a]
+            both_dead = (own_cp == 0.0) & (other_cp == 0.0)
+            passes = both_dead | (merged_cp > MERGE_TOLERANCE * np.maximum(own_cp, other_cp))
+            if not passes.any():
+                continue
+            other = partners[np.argmax(passes)]
+            combined = np.concatenate([members[value], members[other]])
+            labels[members[value]] = values[other]
+            members[other] = combined
+            sizes[other] = combined.size
+            centroids[other] = points[combined].mean(axis=0)
+            # Fold value's pair counts into other's row/column.
+            pairs[other, :] += pairs[value, :]
+            pairs[:, other] += pairs[:, value]
+            alive[value] = False
+            count -= 1
             break
+        else:
+            break  # no visitor found a partner
     return labels
 
 
 def _enforce_size_limit(
     points: np.ndarray, labels: np.ndarray, max_size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Deterministically split any remaining oversized cluster (no re-k-means)."""
+) -> tuple:
+    """Bisect every oversized cluster until all fit (no re-k-means).
+
+    Oversized clusters are taken from the highest label down; a split gives
+    the new part the next unused label, then splits the new part, then the
+    kept part, until each fits.  Returns ``(labels, splits)``.
+    """
     labels = labels.copy()
-    next_label = labels.max() + 1
-    stack = [value for value in np.unique(labels)]
+    first_new = labels.max() + 1
+    oversized = np.flatnonzero(np.bincount(labels) > max_size)
+    stack = [np.flatnonzero(labels == value) for value in oversized]
+    splits = 0
     while stack:
-        value = stack.pop()
-        members = np.nonzero(labels == value)[0]
+        members = stack.pop()
         if members.size <= max_size:
             continue
-        sub = kmeans(points[members], 2, rng=rng)
-        half = sub.labels == 1
-        if not half.any() or half.all():
-            half = np.zeros(members.size, dtype=bool)
-            half[members.size // 2 :] = True
-        labels[members[half]] = next_label
-        stack.append(value)
-        stack.append(next_label)
-        next_label += 1
-    return labels
+        half, _ = _bisect(points, members, rng)
+        labels[members[half]] = first_new + splits
+        splits += 1
+        stack += [members[~half], members[half]]
+    return labels, splits

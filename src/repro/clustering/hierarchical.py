@@ -83,7 +83,7 @@ def coarse_partition(
     else:
         embedding, _ = spectral_embedding(network, k=min(k, n))
         km = kmeans(embedding, k, rng=rng)
-        labels = _enforce_size_limit(embedding, km.labels, tier_size, rng)
+        labels, _ = _enforce_size_limit(embedding, km.labels, tier_size, rng)
     return ClusteringResult(
         clusters=clusters_from_labels(labels),
         n=n,

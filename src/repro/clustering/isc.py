@@ -259,85 +259,94 @@ def iterative_spectral_clustering(
     remaining = network.copy(name=f"{network.name}-remaining")
     crossbars: List[CrossbarAssignment] = []
     records: List[IscIterationRecord] = []
+    recorder = get_recorder()
+    kmeans_calls = 0  # plain int, flushed once per run
 
     iteration = 0
     while iteration < max_iterations and remaining.num_connections > 0:
         iteration += 1
-        # Algorithm 3 line 3: cluster the remaining network, size-capped.
-        clustering = clusterer(remaining, max_s, rng=rng)
-        # Lines 4-5: score clusters by CP at their minimum satisfiable size.
-        # The clusters partition the network, so all within-counts come from
-        # a single O(connections) pass.
-        within_counts = remaining.connections_within_many(
-            [cluster.members for cluster in clustering.clusters]
-        )
-        scored = []
-        for cluster, m in zip(clustering.clusters, within_counts.tolist()):
-            if m == 0:
-                continue  # a cluster with no connections never earns a crossbar
-            s = minimum_satisfiable_size(cluster.size, size_list)
-            if s is None:  # pragma: no cover - GCP caps sizes at max(S)
-                continue
-            scored.append((cluster, m, s, float(preference(m, s))))
-        if not scored:
-            break
-        cps = np.array([item[3] for item in scored])
-        q = float(np.quantile(cps, selection_quantile))
-        selected = [item for item in scored if item[3] >= q]
-        # Algorithm 3 line 6: stop when the quartile-boundary cluster cannot
-        # be served by the library.  With the minimum-satisfiable policy a
-        # GCP cluster always fits some crossbar, so in practice the
-        # utilization rule (line 17, and the one Sec. 4.2 describes as the
-        # experiment's stop condition) governs termination; this break is a
-        # safety check for mis-matched library/GCP size limits.
-        boundary = min(selected, key=lambda item: item[3])
-        if minimum_satisfiable_size(boundary[0].size, size_list) is None:
-            break
-        # Lines 9-14: realize the selected clusters, delete their
-        # connections from the remaining network.  Selected clusters are
-        # disjoint, so extracting all connection groups up front and
-        # removing them in one batch is identical to the sequential
-        # extract-then-remove loop — at a single edge sweep instead of
-        # one matrix rebuild per cluster.
-        connection_groups = _clusters_connections(
-            [cluster.members for cluster, _, _, _ in selected], remaining
-        )
-        placed: List[CrossbarAssignment] = []
-        for (cluster, m, s, cp), connections in zip(selected, connection_groups):
-            placed.append(
-                CrossbarAssignment(
-                    members=cluster.members,
-                    size=s,
-                    connections=connections,
+        with recorder.span("isc.iteration", iteration=iteration, neurons=remaining.size) as span:
+            if recorder.enabled:
+                live = remaining.out_degrees() + remaining.in_degrees()
+                span.annotate(live_neurons=int(np.count_nonzero(live)))
+            # Algorithm 3 line 3: cluster the remaining network, size-capped.
+            clustering = clusterer(remaining, max_s, rng=rng)
+            calls = clustering.metadata.get("kmeans_calls", 0)
+            span.annotate(kmeans_calls=calls)
+            kmeans_calls += calls
+            # Lines 4-5: score clusters by CP at their minimum satisfiable size.
+            # The clusters partition the network, so all within-counts come from
+            # a single O(connections) pass.
+            within_counts = remaining.connections_within_many(
+                [cluster.members for cluster in clustering.clusters]
+            )
+            scored = []
+            for cluster, m in zip(clustering.clusters, within_counts.tolist()):
+                if m == 0:
+                    continue  # a cluster with no connections never earns a crossbar
+                s = minimum_satisfiable_size(cluster.size, size_list)
+                if s is None:  # pragma: no cover - GCP caps sizes at max(S)
+                    continue
+                scored.append((cluster, m, s, float(preference(m, s))))
+            if not scored:
+                break
+            cps = np.array([item[3] for item in scored])
+            q = float(np.quantile(cps, selection_quantile))
+            selected = [item for item in scored if item[3] >= q]
+            # Algorithm 3 line 6: stop when the quartile-boundary cluster cannot
+            # be served by the library.  With the minimum-satisfiable policy a
+            # GCP cluster always fits some crossbar, so in practice the
+            # utilization rule (line 17, and the one Sec. 4.2 describes as the
+            # experiment's stop condition) governs termination; this break is a
+            # safety check for mis-matched library/GCP size limits.
+            boundary = min(selected, key=lambda item: item[3])
+            if minimum_satisfiable_size(boundary[0].size, size_list) is None:
+                break
+            # Lines 9-14: realize the selected clusters, delete their
+            # connections from the remaining network.  Selected clusters are
+            # disjoint, so extracting all connection groups up front and
+            # removing them in one batch is identical to the sequential
+            # extract-then-remove loop — at a single edge sweep instead of
+            # one matrix rebuild per cluster.
+            connection_groups = _clusters_connections(
+                [cluster.members for cluster, _, _, _ in selected], remaining
+            )
+            placed: List[CrossbarAssignment] = []
+            for (cluster, m, s, cp), connections in zip(selected, connection_groups):
+                placed.append(
+                    CrossbarAssignment(
+                        members=cluster.members,
+                        size=s,
+                        connections=connections,
+                        iteration=iteration,
+                    )
+                )
+            remaining = remaining.remove_clusters(
+                [cluster.members for cluster, _, _, _ in selected]
+            )
+            crossbars.extend(placed)
+            # Line 15: average utilization of the crossbars placed this round.
+            avg_u = float(np.mean([x.utilization for x in placed]))
+            avg_cp = float(np.mean([x.preference for x in placed]))
+            records.append(
+                IscIterationRecord(
                     iteration=iteration,
+                    clusters_formed=len(clustering.clusters),
+                    crossbars_placed=len(placed),
+                    connections_clustered=sum(x.utilized_connections for x in placed),
+                    average_utilization=avg_u,
+                    average_preference=avg_cp,
+                    outlier_ratio_after=(
+                        remaining.num_connections / total_connections
+                        if total_connections
+                        else 0.0
+                    ),
+                    quartile_preference=q,
                 )
             )
-        remaining = remaining.remove_clusters(
-            [cluster.members for cluster, _, _, _ in selected]
-        )
-        crossbars.extend(placed)
-        # Line 15: average utilization of the crossbars placed this round.
-        avg_u = float(np.mean([x.utilization for x in placed]))
-        avg_cp = float(np.mean([x.preference for x in placed]))
-        records.append(
-            IscIterationRecord(
-                iteration=iteration,
-                clusters_formed=len(clustering.clusters),
-                crossbars_placed=len(placed),
-                connections_clustered=sum(x.utilized_connections for x in placed),
-                average_utilization=avg_u,
-                average_preference=avg_cp,
-                outlier_ratio_after=(
-                    remaining.num_connections / total_connections
-                    if total_connections
-                    else 0.0
-                ),
-                quartile_preference=q,
-            )
-        )
-        # Line 17: continue while u >= t.
-        if avg_u < utilization_threshold:
-            break
+            # Line 17: continue while u >= t.
+            if avg_u < utilization_threshold:
+                break
 
     # Line 18: whatever is left becomes discrete memristor synapses.
     outliers = remaining.connection_list()
@@ -353,9 +362,9 @@ def iterative_spectral_clustering(
     result.validate()
 
     # One observability flush per ISC run (null-recorder overhead contract).
-    recorder = get_recorder()
     recorder.count("isc.runs")
     recorder.count("isc.iterations", result.iterations)
+    recorder.count("isc.kmeans_calls", kmeans_calls)
     recorder.count("isc.crossbars_placed", len(crossbars))
     recorder.count("isc.clustered_connections", result.clustered_connections)
     recorder.count("isc.outlier_connections", len(outliers))

@@ -89,8 +89,11 @@ def _update_centroids(
     """
     centroids = previous_centroids.copy()
     counts = np.bincount(labels, minlength=k)
-    sums = np.zeros((k, points.shape[1]), dtype=float)
-    np.add.at(sums, labels, points)
+    # One weighted bincount over the flattened (label, dim) index.  It adds
+    # the points in order, which fixes how every sum rounds.
+    d = points.shape[1]
+    flat = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=points.ravel(), minlength=k * d).reshape(k, d)
     nonempty = counts > 0
     centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
     if repair_empty and not np.all(nonempty):

@@ -73,7 +73,7 @@ def initial_placement(
     heights = np.asarray(heights, dtype=float)
     if widths.shape != heights.shape or widths.ndim != 1:
         raise ValueError("widths and heights must be equal-length 1-D arrays")
-    if whitespace_factor < 1.0:
+    if not whitespace_factor >= 1.0:
         raise ValueError(f"whitespace_factor must be >= 1, got {whitespace_factor}")
     if not 0.0 < compression <= 1.0:
         raise ValueError(f"compression must lie in (0, 1], got {compression}")

@@ -28,7 +28,7 @@ class RoutingGrid:
     bin_um:
         Bin width θ.
     capacity:
-        Base edge capacity (wires per bin boundary).
+        Base edge capacity (wires per bin boundary), a whole number ``>= 1``.
     """
 
     def __init__(
@@ -43,8 +43,8 @@ class RoutingGrid:
             raise ValueError(f"bin_um must be > 0, got {bin_um}")
         if width < 0 or height < 0:
             raise ValueError("region extent must be >= 0")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if not (capacity >= 1 and capacity % 1 == 0):
+            raise ValueError(f"capacity must be a whole number >= 1, got {capacity}")
         self.origin = (float(origin[0]), float(origin[1]))
         self.bin_um = float(bin_um)
         self.nx = max(1, int(math.ceil(width / bin_um)))

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.clustering.gcp as gcp_module
 from repro.clustering.isc import CrossbarAssignment, iterative_spectral_clustering
 from repro.mapping import fullcro_utilization
 from repro.networks import ConnectionMatrix, block_diagonal_network, random_sparse_network
+from repro.observability import get_recorder, recording
 
 
 class TestCrossbarAssignment:
@@ -113,6 +115,51 @@ class TestIscControls:
     def test_rejects_bad_max_iterations(self, block_network):
         with pytest.raises(ValueError):
             iterative_spectral_clustering(block_network, max_iterations=0)
+
+
+class TestIscTracing:
+    @pytest.fixture()
+    def network(self):
+        return random_sparse_network(150, 0.04, rng=5)
+
+    @pytest.fixture()
+    def spied(self, network, monkeypatch):
+        """A traced ISC run and the GCP k-means calls a spy counted."""
+        calls = []
+        kmeans = gcp_module.kmeans
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(gcp_module, "kmeans", spy)
+        with recording() as recorder:
+            result = iterative_spectral_clustering(network, utilization_threshold=0.03, rng=3)
+        return recorder, result, len(calls)
+
+    def test_one_span_per_iteration(self, spied, network):
+        recorder, result, _ = spied
+        spans = recorder.tracer.named("isc.iteration")
+        assert len(spans) == len(result.records) > 1
+        assert [s.attributes["iteration"] for s in spans] == [
+            r.iteration for r in result.records
+        ]
+        for span in spans:
+            assert span.attributes["neurons"] == network.size
+            assert 0 < span.attributes["live_neurons"] <= network.size
+        # Realized clusters lose their connections, so fewer neurons stay live.
+        assert spans[-1].attributes["live_neurons"] < spans[0].attributes["live_neurons"]
+
+    def test_kmeans_calls_add_up(self, spied):
+        recorder, _, calls = spied
+        spans = recorder.tracer.named("isc.iteration")
+        assert sum(s.attributes["kmeans_calls"] for s in spans) == calls > 0
+        assert recorder.snapshot().get("isc.kmeans_calls") == calls
+
+    def test_null_recorder_keeps_no_spans(self, network):
+        iterative_spectral_clustering(network, utilization_threshold=0.03, rng=3)
+        assert get_recorder().tracer.spans == []
+        assert get_recorder().snapshot().empty
 
 
 @settings(max_examples=8, deadline=None)

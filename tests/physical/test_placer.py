@@ -50,8 +50,9 @@ class TestInitialPlacement:
         assert true_overlap(x, y, widths, heights) / total < 1.0
 
     def test_rejects_bad_whitespace(self):
-        with pytest.raises(ValueError):
-            initial_placement(np.ones(3), np.ones(3), whitespace_factor=0.5)
+        for factor in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="whitespace_factor"):
+                initial_placement(np.ones(3), np.ones(3), whitespace_factor=factor)
 
     def test_rejects_bad_compression(self):
         with pytest.raises(ValueError):

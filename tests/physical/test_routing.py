@@ -51,6 +51,11 @@ class TestRoutingGrid:
         grid.add_usage(path, amount=-1)
         assert grid.edge_usage(("h", 0, 0)) == 0
 
+    @pytest.mark.parametrize("capacity", [0, 2.5, float("nan")])
+    def test_rejects_fractional_or_nan_capacity(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            RoutingGrid((0, 0), 10, 10, 2.0, capacity)
+
     def test_relax_capacity(self):
         grid = make_grid(capacity=2)
         grid.relax_capacity(3)
