@@ -62,9 +62,10 @@ def test_fig10_layouts_and_congestion(benchmark, cache):
             autoncs_center = center_ratio
         # Emit the publication-style SVG panels next to the numeric data.
         RESULTS_DIR.mkdir(exist_ok=True)
-        kinds = [cell.kind.value for cell in design.mapping.netlist.cells]
         save_svg(
-            layout_to_svg(design.placement, kinds, title=f"{name} layout (Fig. 10)"),
+            layout_to_svg(
+                design.placement, design.mapping.netlist.kinds, title=f"{name} layout (Fig. 10)"
+            ),
             RESULTS_DIR / f"fig10_{name.lower()}_layout.svg",
         )
         save_svg(

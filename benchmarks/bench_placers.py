@@ -16,7 +16,7 @@ def test_placer_comparison(benchmark, cache):
     isc = cache.isc(1)
     mapping = autoncs_mapping(isc)
     netlist = mapping.netlist
-    sources, targets, _ = netlist.wire_endpoints()
+    sources, targets = netlist.sources, netlist.targets
 
     def compute():
         t0 = time.perf_counter()

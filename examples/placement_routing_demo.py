@@ -14,45 +14,12 @@ library is needed.
 Run:  python examples/placement_routing_demo.py
 """
 
-import numpy as np
-
 from repro.clustering import iterative_spectral_clustering
 from repro.mapping import autoncs_mapping, fullcro_utilization
 from repro.networks import block_diagonal_network
 from repro.physical import evaluate_cost, place, route
 from repro.physical.placement.placer import PlacementConfig
-
-
-def ascii_layout(placement, kinds, columns: int = 64, rows: int = 24) -> str:
-    """Render cells as characters on a coarse character grid."""
-    xmin, ymin, xmax, ymax = placement.bounding_box()
-    span_x = max(xmax - xmin, 1e-9)
-    span_y = max(ymax - ymin, 1e-9)
-    canvas = [[" "] * columns for _ in range(rows)]
-    symbol = {"neuron": ".", "crossbar": "#", "synapse": "+"}
-    order = np.argsort([-w * h for w, h in zip(placement.widths, placement.heights)])
-    for i in order:
-        c = int((placement.x[i] - xmin) / span_x * (columns - 1))
-        r = int((placement.y[i] - ymin) / span_y * (rows - 1))
-        canvas[rows - 1 - r][c] = symbol[kinds[i]]
-    return "\n".join("".join(line) for line in canvas)
-
-
-def ascii_heatmap(grid: np.ndarray, columns: int = 64, rows: int = 24) -> str:
-    """Render a congestion map with density characters."""
-    shades = " .:-=+*#%@"
-    nx, ny = grid.shape
-    peak = grid.max() if grid.size else 1.0
-    canvas = []
-    for r in range(rows - 1, -1, -1):
-        line = []
-        for c in range(columns):
-            gx = min(int(c / columns * nx), nx - 1)
-            gy = min(int(r / rows * ny), ny - 1)
-            value = grid[gx, gy] / peak if peak else 0.0
-            line.append(shades[min(int(value * (len(shades) - 1)), len(shades) - 1)])
-        canvas.append("".join(line))
-    return "\n".join(canvas)
+from repro.viz import ascii_heatmap, ascii_layout
 
 
 def main() -> None:
@@ -79,9 +46,8 @@ def main() -> None:
           f"{placement.metadata['hpwl_after_legalization']:,.0f} / "
           f"{placement.metadata['hpwl_after_compaction']:,.0f} um")
 
-    kinds = [cell.kind.value for cell in netlist.cells]
     print("\nplacement ('#' crossbar, '.' neuron, '+' synapse):")
-    print(ascii_layout(placement, kinds))
+    print(ascii_layout(placement, netlist.kinds))
 
     routing = route(netlist, placement)
     print(f"\nrouting: {len(routing.wires)} wires, "

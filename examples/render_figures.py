@@ -61,9 +61,8 @@ def main() -> None:
     )
 
     for name, design in (("autoncs", result.design), ("fullcro", baseline)):
-        kinds = [cell.kind.value for cell in design.mapping.netlist.cells]
         save_svg(
-            layout_to_svg(design.placement, kinds, title=f"{name} layout"),
+            layout_to_svg(design.placement, design.mapping.netlist.kinds, title=f"{name} layout"),
             OUTPUT / f"layout_{name}.svg",
         )
         save_svg(

@@ -59,7 +59,7 @@ from repro.observability import (
     write_metrics_text,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AutoNCS",

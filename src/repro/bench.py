@@ -485,7 +485,7 @@ def _run_clustering_suite(seed: int, dimension: Optional[int] = None) -> "SuiteR
                 qor={
                     "crossbar_instances": float(mapping.num_crossbars),
                     "discrete_synapses": float(mapping.num_synapses),
-                    "netlist_cells": float(len(mapping.netlist.cells)),
+                    "netlist_cells": float(mapping.netlist.num_cells),
                 },
             )
         )

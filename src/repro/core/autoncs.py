@@ -215,7 +215,7 @@ def _route_with_retry(
     it runs, gets its own ``flow.route_retry`` span.
     """
     base = config.routing if config.routing is not None else RoutingConfig()
-    wires = len(mapping.netlist.wires)
+    wires = mapping.netlist.num_wires
     with _stage(diagnostics, "routing", "flow.route", wires=wires):
         try:
             chaos_point("stage.routing")

@@ -277,7 +277,7 @@ class LayoutSnapshot:
     cell_y: np.ndarray
     cell_w: np.ndarray
     cell_h: np.ndarray
-    cell_kinds: List[str]
+    cell_kinds: np.ndarray
     congestion: np.ndarray
     wirelength_um: float
     area_um2: float
@@ -317,14 +317,13 @@ class Figure10Result:
 
 def _snapshot(design, name: str) -> LayoutSnapshot:
     placement = design.placement
-    kinds = [cell.kind.value for cell in design.mapping.netlist.cells]
     return LayoutSnapshot(
         design=name,
         cell_x=placement.x,
         cell_y=placement.y,
         cell_w=placement.widths,
         cell_h=placement.heights,
-        cell_kinds=kinds,
+        cell_kinds=design.mapping.netlist.kinds,
         congestion=design.routing.congestion_map(),
         wirelength_um=design.cost.wirelength_um,
         area_um2=design.cost.area_um2,

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Union
+
+import numpy as np
 
 from repro.utils.validation import check_positive
 
@@ -116,10 +119,11 @@ class Technology:
     # ------------------------------------------------------------------
     # Wires
     # ------------------------------------------------------------------
-    def wire_delay_ns(self, length_um: float) -> float:
-        """Elmore delay of a routed wire: ``½ r c L²`` (in ns)."""
-        if length_um < 0:
-            raise ValueError(f"length_um must be >= 0, got {length_um}")
+    def wire_delay_ns(self, length_um: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        """Elmore delay of a routed wire: ``½ r c L²`` (in ns); elementwise
+        over an array of lengths."""
+        if np.any(np.less(length_um, 0)):
+            raise ValueError(f"length_um must be >= 0, got {np.min(length_um)}")
         r = self.wire_resistance_ohm_per_um
         c = self.wire_capacitance_ff_per_um * 1e-15  # fF → F
         return 0.5 * r * c * length_um * length_um * 1e9  # s → ns

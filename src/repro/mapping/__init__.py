@@ -1,7 +1,8 @@
 """Mapping a clustered network onto hardware cells and wires.
 
-* :mod:`~repro.mapping.netlist` — cells (crossbars, neurons, discrete
-  synapses), weighted 2-pin wires, and the netlist builder shared by both
+* :mod:`~repro.mapping.netlist` — the netlist (per-cell kind codes,
+  footprints and delays; per-wire endpoints and weights, all arrays) of
+  crossbars, neurons and discrete synapses, and its builder shared by both
   designs.
 * :mod:`~repro.mapping.fullcro` — the paper's brute-force baseline: only
   maximum-size crossbars (Sec. 4.2).
@@ -12,25 +13,21 @@
 from repro.mapping.autoncs_mapping import autoncs_mapping
 from repro.mapping.fullcro import fullcro_mapping, fullcro_utilization
 from repro.mapping.netlist import (
-    Cell,
     CellKind,
     CrossbarInstance,
     FaninFanoutBreakdown,
     MappingResult,
     Netlist,
-    Wire,
     build_netlist,
     fanin_fanout_breakdown,
 )
 
 __all__ = [
-    "Cell",
     "CellKind",
     "CrossbarInstance",
     "FaninFanoutBreakdown",
     "MappingResult",
     "Netlist",
-    "Wire",
     "autoncs_mapping",
     "build_netlist",
     "fanin_fanout_breakdown",

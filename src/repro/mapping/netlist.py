@@ -1,4 +1,4 @@
-"""Cells, wires and netlists — the physical-design input (paper Sec. 3.5).
+"""Netlists — the physical-design input (paper Sec. 3.5).
 
 "In the phase of placement and routing, the crossbars and neurons are
 considered as cells" with "mixed-size cells including neurons, memristors,
@@ -13,11 +13,15 @@ We model:
   neuron for each discrete connection.  Wire weights are RC-delay based —
   wires attached to slower (larger) cells are more timing-critical and get
   a larger weight, which the WA wirelength model then shortens first.
+
+A :class:`Netlist` is seven arrays, four indexed by cell and three by
+wire; placement, routing, the cost model and the verifier all read them.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -30,12 +34,12 @@ from repro.networks.connection_matrix import ConnectionMatrix
 _MIN_WIRE_WEIGHT = 0.05
 
 
-class CellKind(str, enum.Enum):
-    """The three mixed-size cell families of the AutoNCS physical design."""
+class CellKind(enum.IntEnum):
+    """The codes of :attr:`Netlist.kinds`: the three mixed-size cell families."""
 
-    NEURON = "neuron"
-    CROSSBAR = "crossbar"
-    SYNAPSE = "synapse"
+    NEURON = 0
+    CROSSBAR = 1
+    SYNAPSE = 2
 
 
 @dataclass(frozen=True)
@@ -79,94 +83,97 @@ class CrossbarInstance:
         return self.utilized_connections / float(self.size * self.size)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One placeable object with its physical footprint and intrinsic delay."""
-
-    name: str
-    kind: CellKind
-    width: float
-    height: float
-    intrinsic_delay_ns: float = 0.0
-    metadata: dict = field(default_factory=dict, compare=False, hash=False)
-
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"cell {self.name}: width/height must be > 0")
-        if self.intrinsic_delay_ns < 0:
-            raise ValueError(f"cell {self.name}: intrinsic_delay_ns must be >= 0")
-
-    @property
-    def area(self) -> float:
-        """Footprint in µm²."""
-        return self.width * self.height
+#: The dtype of each netlist array: the per-cell arrays, then the per-wire ones.
+_ARRAY_GROUPS = (
+    {"kinds": np.int8, "widths": np.float64, "heights": np.float64, "delays_ns": np.float64},
+    {"sources": np.intp, "targets": np.intp, "weights": np.float64},
+)
 
 
-@dataclass(frozen=True)
-class Wire:
-    """A weighted 2-pin wire between two cells (by cell index)."""
-
-    source: int
-    target: int
-    weight: float = 1.0
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.source == self.target:
-            raise ValueError(f"wire {self.name!r} connects a cell to itself")
-        if self.weight <= 0:
-            raise ValueError(f"wire {self.name!r}: weight must be > 0, got {self.weight}")
+def _finite_above(values: np.ndarray, low: float, inclusive: bool = False) -> np.ndarray:
+    """``low < values < inf`` (``low <= values`` when inclusive); False at NaN."""
+    above = values >= low if inclusive else values > low
+    return above & (values < np.inf)
 
 
-@dataclass
+@dataclass(eq=False)
 class Netlist:
-    """Cells plus weighted wires — the input to placement and routing."""
+    """Cells plus weighted 2-pin wires — the input to placement and routing.
 
-    cells: List[Cell]
-    wires: List[Wire]
+    Cell ``i`` is of kind ``kinds[i]`` (a :class:`CellKind` code), measures
+    ``widths[i] × heights[i]`` µm and has intrinsic delay ``delays_ns[i]``.
+    Wire ``k`` joins cell ``sources[k]`` to cell ``targets[k]`` with weight
+    ``weights[k]``.  The constructor copies each array to its dtype
+    (``int8`` kinds, ``intp`` endpoints, ``float64`` otherwise), makes it
+    read-only and rejects a malformed netlist, naming the first bad cell or
+    wire.
+    """
+
+    kinds: np.ndarray
+    widths: np.ndarray
+    heights: np.ndarray
+    delays_ns: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.cells)
-        for wire in self.wires:
-            if not (0 <= wire.source < n and 0 <= wire.target < n):
+        for dtypes in _ARRAY_GROUPS:
+            arrays = {name: np.array(getattr(self, name), dtype=dtypes[name]) for name in dtypes}
+            shapes = [array.shape for array in arrays.values()]
+            if len(shapes[0]) != 1 or len(set(shapes)) != 1:
                 raise ValueError(
-                    f"wire {wire.name!r} references cell indices "
-                    f"({wire.source}, {wire.target}) outside [0, {n})"
+                    f"{', '.join(arrays)} must be 1-D and of one length, got shapes {shapes}"
+                )
+            for name, array in arrays.items():
+                array.flags.writeable = False
+                setattr(self, name, array)
+        n = self.num_cells
+        endpoint = f"a cell index in [0, {n})"
+        rules = (
+            ("cell", "kind", self.kinds, np.isin(self.kinds, list(CellKind)), "a CellKind code"),
+            ("cell", "width", self.widths, _finite_above(self.widths, 0), "finite and > 0"),
+            ("cell", "height", self.heights, _finite_above(self.heights, 0), "finite and > 0"),
+            (
+                "cell", "delay", self.delays_ns,
+                _finite_above(self.delays_ns, 0, inclusive=True), "finite and >= 0",
+            ),
+            ("wire", "source", self.sources, (self.sources >= 0) & (self.sources < n), endpoint),
+            ("wire", "target", self.targets, (self.targets >= 0) & (self.targets < n), endpoint),
+            ("wire", "target", self.targets, self.targets != self.sources, "other than its source"),
+            ("wire", "weight", self.weights, _finite_above(self.weights, 0), "finite and > 0"),
+        )
+        for element, quantity, values, ok, requirement in rules:
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                index = int(bad[0])
+                raise ValueError(
+                    f"{element} {index}: {quantity} {values[index].item()} must be {requirement}"
                 )
 
     @property
     def num_cells(self) -> int:
         """Number of cells."""
-        return len(self.cells)
+        return int(self.kinds.shape[0])
 
     @property
     def num_wires(self) -> int:
         """Number of wires."""
-        return len(self.wires)
+        return int(self.sources.shape[0])
 
     @property
     def total_cell_area(self) -> float:
         """Sum of cell footprints in µm²."""
-        return float(sum(cell.area for cell in self.cells))
+        return float(np.sum(self.widths * self.heights))
 
-    def cells_of_kind(self, kind: CellKind) -> List[int]:
-        """Indices of all cells of one kind."""
-        return [i for i, cell in enumerate(self.cells) if cell.kind == kind]
-
-    def widths(self) -> np.ndarray:
-        """Cell widths as an array (placement consumes vectors)."""
-        return np.array([cell.width for cell in self.cells])
-
-    def heights(self) -> np.ndarray:
-        """Cell heights as an array."""
-        return np.array([cell.height for cell in self.cells])
-
-    def wire_endpoints(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(sources, targets, weights)`` arrays over all wires."""
-        sources = np.array([w.source for w in self.wires], dtype=int)
-        targets = np.array([w.target for w in self.wires], dtype=int)
-        weights = np.array([w.weight for w in self.wires], dtype=float)
-        return sources, targets, weights
+    def incident_wires(self) -> List[np.ndarray]:
+        """Per cell, the indices of the wires touching it, ascending."""
+        if not self.num_cells:
+            return []
+        wire_ids = np.tile(np.arange(self.num_wires), 2)
+        ends = np.concatenate([self.sources, self.targets])
+        bounds = np.cumsum(np.bincount(ends, minlength=self.num_cells))[:-1]
+        return np.split(wire_ids[np.lexsort((wire_ids, ends))], bounds)
 
 
 @dataclass
@@ -222,66 +229,61 @@ def build_netlist(
 
     Cell order: neurons ``0..n-1`` first (cell index == neuron index), then
     one cell per crossbar instance, then one cell per discrete synapse.
+    Wire order: per instance a neuron → crossbar wire for each of its rows,
+    then a crossbar → neuron wire for each of its columns; then per synapse
+    ``i → synapse`` and ``synapse → j``.
     """
     if n_neurons < 1:
         raise ValueError(f"n_neurons must be >= 1, got {n_neurons}")
-    technology = library.technology
-    cells: List[Cell] = []
-    neuron_side = library.neuron.side_um
-    for i in range(n_neurons):
-        cells.append(
-            Cell(
-                name=f"neuron{i}",
-                kind=CellKind.NEURON,
-                width=neuron_side,
-                height=neuron_side,
-                intrinsic_delay_ns=0.0,
-                metadata={"neuron": i},
-            )
+    pairs = np.array(synapse_connections, dtype=np.intp).reshape(-1, 2)
+    outside = np.flatnonzero(~np.all((pairs >= 0) & (pairs < n_neurons), axis=1))
+    if outside.size:
+        i, j = pairs[outside[0]]
+        raise ValueError(
+            f"synapse {outside[0]}: connection ({i}, {j}) outside neuron range [0, {n_neurons})"
         )
-    reference_delay = technology.crossbar_delay_ns(library.max_size)
-    wires: List[Wire] = []
-    for idx, instance in enumerate(instances):
-        spec = library.spec(instance.size)
-        cell_index = len(cells)
-        cells.append(
-            Cell(
-                name=f"xbar{idx}_s{instance.size}",
-                kind=CellKind.CROSSBAR,
-                width=spec.side_um,
-                height=spec.side_um,
-                intrinsic_delay_ns=spec.delay_ns,
-                metadata={"instance": idx, "size": instance.size},
-            )
-        )
-        weight = max(spec.delay_ns / reference_delay, _MIN_WIRE_WEIGHT)
-        for neuron in instance.rows:
-            wires.append(
-                Wire(source=neuron, target=cell_index, weight=weight, name=f"n{neuron}->x{idx}")
-            )
-        for neuron in instance.cols:
-            wires.append(
-                Wire(source=cell_index, target=neuron, weight=weight, name=f"x{idx}->n{neuron}")
-            )
-    synapse_side = library.synapse.side_um
-    synapse_weight = max(library.synapse.delay_ns / reference_delay, _MIN_WIRE_WEIGHT)
-    for idx, (i, j) in enumerate(synapse_connections):
-        if not (0 <= i < n_neurons and 0 <= j < n_neurons):
-            raise ValueError(f"synapse connection ({i}, {j}) outside neuron range")
-        cell_index = len(cells)
-        cells.append(
-            Cell(
-                name=f"syn{idx}_{i}_{j}",
-                kind=CellKind.SYNAPSE,
-                width=synapse_side,
-                height=synapse_side,
-                intrinsic_delay_ns=library.synapse.delay_ns,
-                metadata={"connection": (i, j)},
-            )
-        )
-        wires.append(Wire(source=i, target=cell_index, weight=synapse_weight, name=f"n{i}->s{idx}"))
-        wires.append(Wire(source=cell_index, target=j, weight=synapse_weight, name=f"s{idx}->n{j}"))
-    return Netlist(cells=cells, wires=wires)
+    n, k, m = n_neurons, len(instances), pairs.shape[0]
+    reference_delay = library.technology.crossbar_delay_ns(library.max_size)
+    specs = [library.spec(instance.size) for instance in instances]
+    crossbar_delays = np.array([spec.delay_ns for spec in specs], dtype=np.float64)
+    synapse = library.synapse
+    sides = np.concatenate(
+        [
+            np.full(n, library.neuron.side_um),
+            np.array([spec.side_um for spec in specs], dtype=np.float64),
+            np.full(m, synapse.side_um),
+        ]
+    )
+
+    # Crossbar ports: each instance's rows, then its columns.
+    row_counts = np.array([len(x.rows) for x in instances], dtype=np.intp)
+    col_counts = np.array([len(x.cols) for x in instances], dtype=np.intp)
+    port_counts = row_counts + col_counts
+    port_neurons = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain(x.rows, x.cols) for x in instances),
+        dtype=np.intp,
+        count=int(port_counts.sum()),
+    )
+    is_row = np.repeat(np.tile([True, False], k), np.stack([row_counts, col_counts], 1).ravel())
+    port_crossbars = np.repeat(np.arange(n, n + k), port_counts)
+    port_weights = np.repeat(
+        np.maximum(crossbar_delays / reference_delay, _MIN_WIRE_WEIGHT), port_counts
+    )
+
+    # Synapse wires: i -> synapse, then synapse -> j.
+    synapse_cells = np.arange(n + k, n + k + m)
+    synapse_sources = np.stack([pairs[:, 0], synapse_cells], 1).ravel()
+    synapse_targets = np.stack([synapse_cells, pairs[:, 1]], 1).ravel()
+    synapse_weight = max(synapse.delay_ns / reference_delay, _MIN_WIRE_WEIGHT)
+    return Netlist(
+        kinds=np.repeat(np.array(list(CellKind), dtype=np.int8), [n, k, m]),
+        widths=sides,
+        heights=sides,
+        delays_ns=np.concatenate([np.zeros(n), crossbar_delays, np.full(m, synapse.delay_ns)]),
+        sources=np.concatenate([np.where(is_row, port_neurons, port_crossbars), synapse_sources]),
+        targets=np.concatenate([np.where(is_row, port_crossbars, port_neurons), synapse_targets]),
+        weights=np.concatenate([port_weights, np.full(2 * m, synapse_weight)]),
+    )
 
 
 @dataclass
@@ -375,7 +377,7 @@ class MappingResult:
         return {
             **self.summary(),
             "netlist_cells": self.netlist.num_cells,
-            "netlist_wires": len(self.netlist.wires),
+            "netlist_wires": self.netlist.num_wires,
         }
 
     def format_table(self) -> str:

@@ -32,7 +32,7 @@ class CostWeights:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "delta"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
@@ -66,14 +66,8 @@ def wire_delays_ns(
         raise ValueError(
             f"routing covers {lengths.shape[0]} wires, netlist has {netlist.num_wires}"
         )
-    delays = np.empty(netlist.num_wires)
-    for index, wire in enumerate(netlist.wires):
-        intrinsic = max(
-            netlist.cells[wire.source].intrinsic_delay_ns,
-            netlist.cells[wire.target].intrinsic_delay_ns,
-        )
-        delays[index] = intrinsic + technology.wire_delay_ns(float(lengths[index]))
-    return delays
+    intrinsic = np.maximum(netlist.delays_ns[netlist.sources], netlist.delays_ns[netlist.targets])
+    return intrinsic + technology.wire_delay_ns(lengths)
 
 
 @dataclass(frozen=True)

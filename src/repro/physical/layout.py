@@ -32,8 +32,9 @@ class Placement:
         for name, arr in (("y", self.y), ("widths", self.widths), ("heights", self.heights)):
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-        if np.any(self.widths <= 0) or np.any(self.heights <= 0):
-            raise ValueError("cell dimensions must be positive")
+        for name, arr in (("widths", self.widths), ("heights", self.heights)):
+            if not np.all((arr > 0) & (arr < np.inf)):
+                raise ValueError(f"{name} must be finite and > 0")
 
     @property
     def num_cells(self) -> int:
@@ -59,24 +60,20 @@ class Placement:
         xmin, ymin, xmax, ymax = self.bounding_box()
         return (xmax - xmin) * (ymax - ymin)
 
-    def total_overlap_area(self, scale: float = 1.0) -> float:
-        """Sum of pairwise rectangle-overlap areas (µm²).
-
-        ``scale`` inflates cell dimensions (pass the routing-space factor ω
-        to measure overlap of the virtual footprints the placer legalizes).
-        """
+    def total_overlap_area(self) -> float:
+        """Sum of pairwise rectangle-overlap areas (µm²)."""
         from repro.physical.placement.density import true_overlap
 
         if self.num_cells < 2:
             return 0.0
-        return true_overlap(self.x, self.y, self.widths * scale, self.heights * scale)
+        return true_overlap(self.x, self.y, self.widths, self.heights)
 
-    def overlap_ratio(self, scale: float = 1.0) -> float:
+    def overlap_ratio(self) -> float:
         """Total overlap area relative to total cell area."""
-        total = float(np.sum(self.widths * self.heights)) * scale * scale
+        total = float(np.sum(self.widths * self.heights))
         if total == 0.0:
             return 0.0
-        return self.total_overlap_area(scale) / total
+        return self.total_overlap_area() / total
 
     def hpwl(self, sources: np.ndarray, targets: np.ndarray) -> float:
         """Unweighted half-perimeter wirelength over 2-pin wires (µm)."""

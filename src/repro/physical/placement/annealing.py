@@ -87,8 +87,8 @@ def anneal_place(
     if config is None:
         config = AnnealingConfig()
     rng = ensure_rng(rng)
-    widths = netlist.widths()
-    heights = netlist.heights()
+    widths = netlist.widths
+    heights = netlist.heights
     omega = technology.routing_space_factor
     virtual_w = widths * omega
     virtual_h = heights * omega
@@ -96,14 +96,10 @@ def anneal_place(
     half_h = virtual_h / 2.0
     n = netlist.num_cells
     x, y = initial_placement(virtual_w, virtual_h, rng=rng)
-    sources, targets, wire_weights = netlist.wire_endpoints()
+    sources, targets, wire_weights = netlist.sources, netlist.targets, netlist.weights
 
     # Per-cell wire adjacency for incremental cost evaluation.
-    incident = [[] for _ in range(n)]
-    for w_idx in range(sources.shape[0]):
-        incident[sources[w_idx]].append(w_idx)
-        incident[targets[w_idx]].append(w_idx)
-    incident = [np.asarray(lst, dtype=int) for lst in incident]
+    incident = netlist.incident_wires()
 
     def local_cost(i: int) -> float:
         wires = incident[i]

@@ -88,16 +88,15 @@ def place(
     if config is None:
         config = PlacementConfig()
     rng = ensure_rng(rng)
-    widths = netlist.widths()
-    heights = netlist.heights()
+    widths = netlist.widths
+    heights = netlist.heights
     omega = technology.routing_space_factor
     virtual_w = widths * omega
     virtual_h = heights * omega
     total_virtual_area = float(np.sum(virtual_w * virtual_h))
-    sources, targets, wire_weights = netlist.wire_endpoints()
+    sources, targets, wire_weights = netlist.sources, netlist.targets, netlist.weights
 
-    has_crossbars = any(cell.kind == CellKind.CROSSBAR for cell in netlist.cells)
-    if sources.size and has_crossbars:
+    if sources.size and np.any(netlist.kinds == CellKind.CROSSBAR):
         seed_x, seed_y = connectivity_seed(netlist, virtual_w, virtual_h, rng=rng)
         seed_kind = "connectivity"
     else:
@@ -125,7 +124,7 @@ def place(
         z = objective.pack(seed_x, seed_y)
         lam = objective.initial_lambda(z)  # Algorithm 4 line 1
         with recorder.span(
-            "placement.penalty_loop", cells=netlist.num_cells, wires=len(netlist.wires)
+            "placement.penalty_loop", cells=netlist.num_cells, wires=netlist.num_wires
         ) as loop_span:
             for stage in range(1, config.max_lambda_stages + 1):
                 objective.lam = lam

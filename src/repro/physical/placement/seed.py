@@ -43,9 +43,9 @@ def connectivity_seed(
     n = netlist.num_cells
     if n == 0:
         return np.zeros(0), np.zeros(0)
-    sources, targets, weights = netlist.wire_endpoints()
-    kinds = [cell.kind for cell in netlist.cells]
-    crossbars = [i for i in range(n) if kinds[i] == CellKind.CROSSBAR]
+    sources, targets, weights = netlist.sources, netlist.targets, netlist.weights
+    kinds = netlist.kinds
+    crossbars = np.flatnonzero(kinds == CellKind.CROSSBAR)
     total_area = float(np.sum(virtual_widths * virtual_heights))
     side = float(np.sqrt(max(total_area, 1e-9) * fill_target))
     x = np.zeros(n)
@@ -57,9 +57,8 @@ def connectivity_seed(
         adjacency = np.zeros((n, n))
         adjacency[sources, targets] += weights
         adjacency[targets, sources] += weights
-        affinity = adjacency[np.ix_(crossbars, range(n))] @ adjacency[
-            np.ix_(range(n), crossbars)
-        ]
+        cells = np.arange(n)
+        affinity = adjacency[np.ix_(crossbars, cells)] @ adjacency[np.ix_(cells, crossbars)]
         np.fill_diagonal(affinity, 0.0)
         if k > 3 and affinity.any():
             degree = np.maximum(affinity.sum(axis=1), 1e-9)
@@ -97,43 +96,23 @@ def connectivity_seed(
             e2[:, None] - slots[None, :, 1]
         ) ** 2
         assigned_rows, assigned_slots = scipy.optimize.linear_sum_assignment(cost)
-        for ci, slot in zip(assigned_rows, assigned_slots):
-            x[crossbars[ci]] = slots[slot, 0]
-            y[crossbars[ci]] = slots[slot, 1]
+        x[crossbars[assigned_rows]] = slots[assigned_slots, 0]
+        y[crossbars[assigned_rows]] = slots[assigned_slots, 1]
 
-    # --- neurons: centroid of incident crossbars -------------------------
-    neuron_crossbars: dict = {}
-    for w_idx in range(sources.shape[0]):
-        a, b = int(sources[w_idx]), int(targets[w_idx])
-        for u, v in ((a, b), (b, a)):
-            if kinds[u] == CellKind.NEURON and kinds[v] == CellKind.CROSSBAR:
-                neuron_crossbars.setdefault(u, []).append(v)
+    # --- neurons at the centroid of their crossbars, then synapses at the
+    # midpoint of their two neurons; anchors in wire order -------------------
+    incident = netlist.incident_wires()
     jitter = max(0.01 * side, 0.5)
-    for i in range(n):
-        if kinds[i] != CellKind.NEURON:
-            continue
-        incident = neuron_crossbars.get(i)
-        if incident:
-            x[i] = float(np.mean([x[j] for j in incident])) + rng.uniform(-jitter, jitter)
-            y[i] = float(np.mean([y[j] for j in incident])) + rng.uniform(-jitter, jitter)
-        else:
-            x[i] = rng.uniform(0.0, side)
-            y[i] = rng.uniform(0.0, side)
-
-    # --- synapses: midpoint of their two neurons --------------------------
-    neighbours: dict = {}
-    for w_idx in range(sources.shape[0]):
-        a, b = int(sources[w_idx]), int(targets[w_idx])
-        neighbours.setdefault(a, []).append(b)
-        neighbours.setdefault(b, []).append(a)
-    for i in range(n):
-        if kinds[i] != CellKind.SYNAPSE:
-            continue
-        ends = neighbours.get(i, [])
-        if ends:
-            x[i] = float(np.mean([x[j] for j in ends])) + rng.uniform(-jitter, jitter)
-            y[i] = float(np.mean([y[j] for j in ends])) + rng.uniform(-jitter, jitter)
-        else:  # pragma: no cover - synapses always have two wires
-            x[i] = rng.uniform(0.0, side)
-            y[i] = rng.uniform(0.0, side)
+    for kind in (CellKind.NEURON, CellKind.SYNAPSE):
+        for i in np.flatnonzero(kinds == kind):
+            wires = incident[i]
+            anchors = sources[wires] + targets[wires] - i  # each wire's other end
+            if kind == CellKind.NEURON:
+                anchors = anchors[kinds[anchors] == CellKind.CROSSBAR]
+            if anchors.size:
+                x[i] = float(np.mean(x[anchors])) + rng.uniform(-jitter, jitter)
+                y[i] = float(np.mean(y[anchors])) + rng.uniform(-jitter, jitter)
+            else:
+                x[i] = rng.uniform(0.0, side)
+                y[i] = rng.uniform(0.0, side)
     return x, y

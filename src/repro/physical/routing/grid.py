@@ -9,7 +9,7 @@ and a usage counter that the maze router updates as wires commit.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
@@ -39,10 +39,13 @@ class RoutingGrid:
         bin_um: float,
         capacity: int,
     ) -> None:
-        if bin_um <= 0:
-            raise ValueError(f"bin_um must be > 0, got {bin_um}")
-        if width < 0 or height < 0:
-            raise ValueError("region extent must be >= 0")
+        if not 0 < bin_um < math.inf:
+            raise ValueError(f"bin_um must be finite and > 0, got {bin_um}")
+        for name, value in (("width", width), ("height", height)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not all(math.isfinite(value) for value in origin):
+            raise ValueError(f"origin must be finite, got {tuple(origin)}")
         if not (capacity >= 1 and capacity % 1 == 0):
             raise ValueError(f"capacity must be a whole number >= 1, got {capacity}")
         self.origin = (float(origin[0]), float(origin[1]))
@@ -57,11 +60,14 @@ class RoutingGrid:
         self.vertical_usage = np.zeros_like(self.vertical_capacity)
 
     # ------------------------------------------------------------------
-    def bin_of(self, x: float, y: float) -> BinCoord:
-        """Bin containing point ``(x, y)`` (clamped to the grid)."""
-        bx = int((x - self.origin[0]) / self.bin_um)
-        by = int((y - self.origin[1]) / self.bin_um)
-        return (min(max(bx, 0), self.nx - 1), min(max(by, 0), self.ny - 1))
+    def bin_of(
+        self, x: Union[float, np.ndarray], y: Union[float, np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Column and row of the bin containing point ``(x, y)``, clamped to
+        the grid; elementwise over arrays of points."""
+        bx = np.clip((np.asarray(x) - self.origin[0]) / self.bin_um, 0, self.nx - 1)
+        by = np.clip((np.asarray(y) - self.origin[1]) / self.bin_um, 0, self.ny - 1)
+        return bx.astype(np.intp), by.astype(np.intp)
 
     def bin_center(self, b: BinCoord) -> Tuple[float, float]:
         """Center coordinates of bin ``b`` in µm."""

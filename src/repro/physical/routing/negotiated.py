@@ -31,12 +31,10 @@ Entry point: :func:`negotiate_routes`, called by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.mapping.netlist import Netlist
-from repro.physical.layout import Placement
 from repro.physical.routing.grid import BinCoord, RoutingGrid
 from repro.physical.routing.maze import MazeWorkspace, maze_route
 
@@ -51,6 +49,15 @@ PRESENT_GROWTH = 1.6
 
 #: History cost added per unit of overuse to each overused edge per round.
 HISTORY_INCREMENT = 0.4
+
+
+class WirePins(NamedTuple):
+    """Per wire (by index), the bins of its two pins and, for a wire whose
+    pins share a bin, the pin-to-pin Manhattan length it is given (µm)."""
+
+    starts: List[BinCoord]
+    goals: List[BinCoord]
+    same_bin_lengths: List[float]
 
 
 @dataclass
@@ -71,19 +78,6 @@ class NegotiationOutcome:
     metadata: dict = field(default_factory=dict)
 
 
-def _pin_bins(
-    netlist: Netlist, placement: Placement, grid: RoutingGrid, index: int
-) -> Tuple[BinCoord, BinCoord, float]:
-    """``(start, goal, same_bin_length)`` for one wire's pins."""
-    wire = netlist.wires[index]
-    sx, sy = placement.x[wire.source], placement.y[wire.source]
-    tx, ty = placement.x[wire.target], placement.y[wire.target]
-    start = grid.bin_of(sx, sy)
-    goal = grid.bin_of(tx, ty)
-    length = float(abs(sx - tx) + abs(sy - ty))
-    return start, goal, length
-
-
 def _crosses_overuse(
     path: Sequence[BinCoord],
     over_h: np.ndarray,
@@ -101,8 +95,7 @@ def _crosses_overuse(
 
 
 def negotiate_routes(
-    netlist: Netlist,
-    placement: Placement,
+    pins: WirePins,
     grid: RoutingGrid,
     workspace: MazeWorkspace,
     order: Sequence[int],
@@ -118,12 +111,13 @@ def negotiate_routes(
     present = PRESENT_WEIGHT
     paths: Dict[int, List[BinCoord]] = {}
     lengths: Dict[int, float] = {}
+    starts, goals, same_bin_lengths = pins
 
     def search(index: int) -> None:
-        start, goal, same_bin_length = _pin_bins(netlist, placement, grid, index)
+        start, goal = starts[index], goals[index]
         if start == goal:
             paths[index] = [start]
-            lengths[index] = same_bin_length
+            lengths[index] = same_bin_lengths[index]
             return
         path = maze_route(
             grid,

@@ -39,7 +39,7 @@ from repro.observability import get_recorder
 from repro.physical.layout import Placement
 from repro.physical.routing.grid import BinCoord, RoutingGrid
 from repro.physical.routing.maze import MazeWorkspace, maze_route
-from repro.physical.routing.negotiated import _pin_bins, negotiate_routes
+from repro.physical.routing.negotiated import WirePins, negotiate_routes
 
 #: The routing algorithms ``route`` can dispatch to.
 ROUTING_ALGORITHMS = ("ordered", "negotiated")
@@ -153,9 +153,9 @@ def _routing_order(
     placement's dtype so the order — which golden fixtures depend on —
     is identical on every platform.
     """
-    if not netlist.wires:
+    if not netlist.num_wires:
         return []
-    sources, targets, weights = netlist.wire_endpoints()
+    sources, targets, weights = netlist.sources, netlist.targets, netlist.weights
     x = np.asarray(placement.x, dtype=np.float64)
     y = np.asarray(placement.y, dtype=np.float64)
     cx = x.mean()
@@ -165,10 +165,21 @@ def _routing_order(
     closest = np.minimum(dist_source, dist_target)
     # Ascending distance; ties broken by descending wire weight, then by
     # wire index (lexsort keys run last-to-first).
-    order = np.lexsort(
-        (np.arange(len(netlist.wires)), -weights.astype(np.float64), closest)
-    )
+    order = np.lexsort((np.arange(netlist.num_wires), -weights, closest))
     return [int(index) for index in order]
+
+
+def _wire_pins(netlist: Netlist, placement: Placement, grid: RoutingGrid) -> WirePins:
+    """Every wire's start bin, goal bin and pin-to-pin Manhattan length (µm)."""
+    sx, sy = placement.x[netlist.sources], placement.y[netlist.sources]
+    tx, ty = placement.x[netlist.targets], placement.y[netlist.targets]
+    start_x, start_y = grid.bin_of(sx, sy)
+    goal_x, goal_y = grid.bin_of(tx, ty)
+    return WirePins(
+        starts=list(zip(start_x.tolist(), start_y.tolist())),
+        goals=list(zip(goal_x.tolist(), goal_y.tolist())),
+        same_bin_lengths=(np.abs(sx - tx) + np.abs(sy - ty)).tolist(),
+    )
 
 
 def route(
@@ -210,21 +221,18 @@ def route(
 
     recorder = get_recorder()
     order = _routing_order(netlist, placement)
+    pins = _wire_pins(netlist, placement, grid)
 
     with recorder.span(
         "routing.global",
-        wires=len(netlist.wires),
+        wires=netlist.num_wires,
         bins=[grid.nx, grid.ny],
         algorithm=config.algorithm,
     ) as span:
         if config.algorithm == "negotiated":
-            result = _route_negotiated(
-                netlist, placement, grid, workspace, order, config
-            )
+            result = _route_negotiated(pins, grid, workspace, order, config)
         else:
-            result = _route_ordered(
-                netlist, placement, grid, workspace, order, config, recorder
-            )
+            result = _route_ordered(pins, grid, workspace, order, config, recorder)
         # One reporting flush per route() call — the maze inner loop only
         # touches workspace integers (null-recorder overhead contract).
         recorder.count("routing.wires_routed", len(result.wires))
@@ -254,8 +262,7 @@ def route(
 
 
 def _route_ordered(
-    netlist: Netlist,
-    placement: Placement,
+    pins: WirePins,
     grid: RoutingGrid,
     workspace: MazeWorkspace,
     order: List[int],
@@ -265,12 +272,13 @@ def _route_ordered(
     """The paper's ordered route: relax capacity, then never-fail overflow."""
     routed: Dict[int, RoutedWire] = {}
     failed: List[int] = []
+    starts, goals, same_bin_lengths = pins
 
     def try_route(index: int, allow_overflow: bool) -> Optional[RoutedWire]:
-        start, goal, same_bin_length = _pin_bins(netlist, placement, grid, index)
+        start, goal = starts[index], goals[index]
         if start == goal:
             return RoutedWire(
-                wire_index=index, path=[start], length_um=same_bin_length
+                wire_index=index, path=[start], length_um=same_bin_lengths[index]
             )
         path = maze_route(
             grid,
@@ -338,15 +346,14 @@ def _route_ordered(
 
 
 def _route_negotiated(
-    netlist: Netlist,
-    placement: Placement,
+    pins: WirePins,
     grid: RoutingGrid,
     workspace: MazeWorkspace,
     order: List[int],
     config: RoutingConfig,
 ) -> RoutingResult:
     """PathFinder-style negotiated congestion, wrapped as a RoutingResult."""
-    outcome = negotiate_routes(netlist, placement, grid, workspace, order, config)
+    outcome = negotiate_routes(pins, grid, workspace, order, config)
     wires: List[RoutedWire] = []
     overflow_wires = 0
     for index in sorted(outcome.paths):

@@ -214,19 +214,19 @@ def _check_netlist(mapping: MappingResult, violations: List[Violation]) -> None:
             )
         )
         return  # per-kind checks below assume the cell layout
-    kinds = Counter(cell.kind for cell in netlist.cells)
+    counts = np.bincount(netlist.kinds, minlength=len(CellKind))
     for kind, expected in (
         (CellKind.NEURON, n),
         (CellKind.CROSSBAR, mapping.num_crossbars),
         (CellKind.SYNAPSE, mapping.num_synapses),
     ):
-        if kinds.get(kind, 0) != expected:
+        if counts[kind] != expected:
+            name = kind.name.lower()
             violations.append(
                 Violation(
                     "hardware",
-                    f"netlist has {kinds.get(kind, 0)} {kind.value} cell(s), "
-                    f"mapping implies {expected}",
-                    {"kind": kind.value},
+                    f"netlist has {counts[kind]} {name} cell(s), mapping implies {expected}",
+                    {"kind": name},
                 )
             )
     expected_wires = (
@@ -243,21 +243,19 @@ def _check_netlist(mapping: MappingResult, violations: List[Violation]) -> None:
             )
         )
     # Crossbar cell footprints must come from the library spec of their size.
-    crossbar_cells = [c for c in netlist.cells if c.kind == CellKind.CROSSBAR]
+    crossbar_cells = np.flatnonzero(netlist.kinds == CellKind.CROSSBAR).tolist()
     for index, (cell, instance) in enumerate(zip(crossbar_cells, mapping.instances)):
-        spec = None
-        if instance.size in mapping.library:
-            spec = mapping.library.spec(instance.size)
-        if spec is not None and not (
-            np.isclose(cell.width, spec.side_um) and np.isclose(cell.height, spec.side_um)
-        ):
+        if instance.size not in mapping.library:
+            continue
+        side = mapping.library.spec(instance.size).side_um
+        width, height = netlist.widths[cell], netlist.heights[cell]
+        if not (np.isclose(width, side) and np.isclose(height, side)):
             violations.append(
                 Violation(
                     "hardware",
-                    f"crossbar cell {cell.name!r} measures {cell.width:.3f}×"
-                    f"{cell.height:.3f} µm, library size {instance.size} "
-                    f"specifies {spec.side_um:.3f} µm",
-                    {"instance": index},
+                    f"crossbar cell {cell} (instance {index}) measures {width:.3f}×"
+                    f"{height:.3f} µm, library size {instance.size} specifies {side:.3f} µm",
+                    {"instance": index, "cell": cell},
                 )
             )
 
@@ -349,8 +347,11 @@ def check_hardware(mapping: MappingResult) -> CheckResult:
 def _check_placement(
     mapping: MappingResult,
     placement: Placement,
+    overlap_ratio: float,
     violations: List[Violation],
-) -> None:
+) -> bool:
+    """Record placement violations; True when the cells can be located at all
+    (one finite position per netlist cell), so routing can be checked."""
     netlist = mapping.netlist
     if placement.num_cells != netlist.num_cells:
         violations.append(
@@ -361,7 +362,7 @@ def _check_placement(
                 {},
             )
         )
-        return
+        return False
     if not (np.all(np.isfinite(placement.x)) and np.all(np.isfinite(placement.y))):
         bad = int(
             np.count_nonzero(~np.isfinite(placement.x))
@@ -374,10 +375,10 @@ def _check_placement(
                 {"non_finite": bad},
             )
         )
-        return
+        return False
     if not (
-        np.allclose(placement.widths, netlist.widths())
-        and np.allclose(placement.heights, netlist.heights())
+        np.allclose(placement.widths, netlist.widths)
+        and np.allclose(placement.heights, netlist.heights)
     ):
         violations.append(
             Violation(
@@ -386,16 +387,16 @@ def _check_placement(
                 {},
             )
         )
-    ratio = placement.overlap_ratio()
-    if ratio > OVERLAP_TOLERANCE:
+    if overlap_ratio > OVERLAP_TOLERANCE:
         violations.append(
             Violation(
                 "physical",
-                f"post-legalization cell overlap is {ratio:.3g} of total cell "
+                f"post-legalization cell overlap is {overlap_ratio:.3g} of total cell "
                 f"area (tolerance {OVERLAP_TOLERANCE:g})",
-                {"overlap_ratio": ratio},
+                {"overlap_ratio": overlap_ratio},
             )
         )
+    return True
 
 
 def _recompute_usage(grid, paths) -> Tuple[np.ndarray, np.ndarray]:
@@ -434,7 +435,10 @@ def _check_routing(
     _add_capped(
         violations,
         "physical",
-        (f"wire {i} ({netlist.wires[i].name!r}) has no route" for i in missing),
+        (
+            f"wire {i} (cell {netlist.sources[i]} → {netlist.targets[i]}) has no route"
+            for i in missing
+        ),
         "unrouted wires",
     )
     _add_capped(
@@ -449,25 +453,33 @@ def _check_routing(
     x1 = x0 + grid.nx * grid.bin_um
     y1 = y0 + grid.ny * grid.bin_um
     eps = 1e-6
-    if placement.num_cells == netlist.num_cells:
-        half_w = placement.widths / 2.0
-        half_h = placement.heights / 2.0
-        outside = np.nonzero(
-            (placement.x - half_w < x0 - eps)
-            | (placement.x + half_w > x1 + eps)
-            | (placement.y - half_h < y0 - eps)
-            | (placement.y + half_h > y1 + eps)
-        )[0]
-        _add_capped(
-            violations,
-            "physical",
-            (
-                f"cell {netlist.cells[i].name!r} extends outside the chip "
-                f"region [{x0:.1f}, {x1:.1f}]×[{y0:.1f}, {y1:.1f}] µm"
-                for i in outside
-            ),
-            "off-chip cells",
-        )
+    half_w = placement.widths / 2.0
+    half_h = placement.heights / 2.0
+    outside = np.nonzero(
+        (placement.x - half_w < x0 - eps)
+        | (placement.x + half_w > x1 + eps)
+        | (placement.y - half_h < y0 - eps)
+        | (placement.y + half_h > y1 + eps)
+    )[0]
+    _add_capped(
+        violations,
+        "physical",
+        (
+            f"cell {i} extends outside the chip "
+            f"region [{x0:.1f}, {x1:.1f}]×[{y0:.1f}, {y1:.1f}] µm"
+            for i in outside
+        ),
+        "off-chip cells",
+    )
+
+    # Every wire's pin bins and pin-to-pin Manhattan length.
+    sx, sy = placement.x[netlist.sources], placement.y[netlist.sources]
+    tx, ty = placement.x[netlist.targets], placement.y[netlist.targets]
+    start_x, start_y = grid.bin_of(sx, sy)
+    goal_x, goal_y = grid.bin_of(tx, ty)
+    starts = list(zip(start_x.tolist(), start_y.tolist()))
+    goals = list(zip(goal_x.tolist(), goal_y.tolist()))
+    manhattan = (np.abs(sx - tx) + np.abs(sy - ty)).tolist()
 
     pin_mismatches: List[str] = []
     broken_paths: List[str] = []
@@ -478,24 +490,21 @@ def _check_routing(
             if not routed.path:
                 broken_paths.append(f"wire {routed.wire_index} has an empty path")
             continue
-        wire = netlist.wires[routed.wire_index]
-        sx, sy = placement.x[wire.source], placement.y[wire.source]
-        tx, ty = placement.x[wire.target], placement.y[wire.target]
-        start = grid.bin_of(float(sx), float(sy))
-        goal = grid.bin_of(float(tx), float(ty))
+        index = routed.wire_index
+        start, goal = starts[index], goals[index]
         path = [tuple(b) for b in routed.path]
         if len(path) == 1:
             if start != goal or path[0] != start:
                 pin_mismatches.append(
-                    f"wire {routed.wire_index} ({wire.name!r}) claims a same-bin "
-                    f"route at {path[0]} but its pins sit in {start} and {goal}"
+                    f"wire {index} claims a same-bin route at {path[0]} but its "
+                    f"pins sit in {start} and {goal}"
                 )
-            expected_length = abs(sx - tx) + abs(sy - ty)
+            expected_length = manhattan[index]
         else:
             if path[0] != start or path[-1] != goal:
                 pin_mismatches.append(
-                    f"wire {routed.wire_index} ({wire.name!r}) routes "
-                    f"{path[0]}→{path[-1]} but its pins sit in {start} and {goal}"
+                    f"wire {index} routes {path[0]}→{path[-1]} but its pins sit "
+                    f"in {start} and {goal}"
                 )
             adjacency_ok = True
             for a, b in zip(path, path[1:]):
@@ -507,15 +516,14 @@ def _check_routing(
                     break
             if not adjacency_ok:
                 broken_paths.append(
-                    f"wire {routed.wire_index} ({wire.name!r}) has a "
-                    "non-contiguous or off-grid bin path"
+                    f"wire {index} has a non-contiguous or off-grid bin path"
                 )
                 continue
             multi_bin_paths.append(path)
             expected_length = grid.path_length_um(path)
         if abs(routed.length_um - expected_length) > 1e-6 + 1e-9 * expected_length:
             length_errors.append(
-                f"wire {routed.wire_index} records length {routed.length_um:.3f} µm, "
+                f"wire {index} records length {routed.length_um:.3f} µm, "
                 f"its path measures {expected_length:.3f} µm"
             )
     _add_capped(violations, "physical", pin_mismatches, "pin-set mismatches")
@@ -566,12 +574,13 @@ def check_physical(
     cell area, i.e. by float rounding only.
     """
     violations: List[Violation] = []
-    _check_placement(mapping, placement, violations)
-    if routing is not None and placement.num_cells == mapping.netlist.num_cells:
+    overlap_ratio = placement.overlap_ratio()
+    located = _check_placement(mapping, placement, overlap_ratio, violations)
+    if routing is not None and located:
         _check_routing(mapping, placement, routing, violations)
     stats = {
         "cells": placement.num_cells,
-        "overlap_ratio": round(placement.overlap_ratio(), 6),
+        "overlap_ratio": round(overlap_ratio, 6),
     }
     if routing is not None:
         stats["routed_wires"] = len(routing.wires)

@@ -10,6 +10,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from repro.mapping.netlist import CellKind
 from repro.networks.connection_matrix import ConnectionMatrix
 
 _SHADES = " .:-=+*#%@"
@@ -53,11 +54,15 @@ def ascii_matrix(
 
 def ascii_layout(
     placement,
-    kinds: Sequence[str],
+    kinds: Sequence[int],
     columns: int = 64,
     rows: int = 24,
 ) -> str:
-    """Render cell positions as characters: '#' crossbar, '.' neuron, '+' synapse."""
+    """Render cell positions as characters: '#' crossbar, '.' neuron, '+' synapse.
+
+    ``kinds`` holds each cell's :class:`~repro.mapping.netlist.CellKind`
+    code, as :attr:`Netlist.kinds <repro.mapping.netlist.Netlist.kinds>` does.
+    """
     if len(kinds) != placement.num_cells:
         raise ValueError(
             f"kinds has {len(kinds)} entries for {placement.num_cells} cells"
@@ -68,12 +73,12 @@ def ascii_layout(
     span_x = max(xmax - xmin, 1e-9)
     span_y = max(ymax - ymin, 1e-9)
     canvas = [[" "] * columns for _ in range(rows)]
-    symbol = {"neuron": ".", "crossbar": "#", "synapse": "+"}
+    symbol = {CellKind.NEURON: ".", CellKind.CROSSBAR: "#", CellKind.SYNAPSE: "+"}
     order = np.argsort(-(placement.widths * placement.heights))
     for i in order:
         c = int((placement.x[i] - xmin) / span_x * (columns - 1))
         r = int((placement.y[i] - ymin) / span_y * (rows - 1))
-        canvas[rows - 1 - r][c] = symbol.get(str(kinds[i]), "?")
+        canvas[rows - 1 - r][c] = symbol.get(int(kinds[i]), "?")
     return "\n".join("".join(line) for line in canvas)
 
 

@@ -12,14 +12,15 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.mapping.netlist import CellKind
 from repro.networks.connection_matrix import ConnectionMatrix
 
 PathLike = Union[str, "os.PathLike[str]"]
 
 _KIND_COLORS = {
-    "crossbar": "#1f77b4",
-    "neuron": "#2ca02c",
-    "synapse": "#d62728",
+    CellKind.CROSSBAR: "#1f77b4",
+    CellKind.NEURON: "#2ca02c",
+    CellKind.SYNAPSE: "#d62728",
 }
 
 
@@ -83,13 +84,15 @@ def matrix_to_svg(
 
 def layout_to_svg(
     placement,
-    kinds: Sequence[str],
+    kinds: Sequence[int],
     size_px: int = 480,
     title: str = "",
 ) -> str:
     """Render a placed design (the Fig. 10(a)/(c) style).
 
-    Crossbars draw blue, neurons green, discrete synapses red; cell
+    ``kinds`` holds each cell's :class:`~repro.mapping.netlist.CellKind`
+    code, as :attr:`Netlist.kinds <repro.mapping.netlist.Netlist.kinds>`
+    does.  Crossbars draw blue, neurons green, discrete synapses red; cell
     rectangles are to scale.
     """
     if len(kinds) != placement.num_cells:
@@ -112,7 +115,7 @@ def layout_to_svg(
         x = (placement.x[i] - placement.widths[i] / 2 - xmin) * scale
         # SVG y grows downward; flip so the layout matches the paper's view.
         y = size_px - (placement.y[i] + placement.heights[i] / 2 - ymin) * scale
-        color = _KIND_COLORS.get(str(kinds[i]), "#888888")
+        color = _KIND_COLORS.get(int(kinds[i]), "#888888")
         parts.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{max(w, 0.5):.2f}" '
             f'height="{max(h, 0.5):.2f}" fill="{color}" fill-opacity="0.75" '

@@ -1,15 +1,13 @@
-"""Tests for cells, wires, netlist building and fanin/fanout accounting."""
+"""Tests for netlist arrays, netlist building and fanin/fanout accounting."""
 
 import numpy as np
 import pytest
 
 from repro.hardware.library import CrossbarLibrary
 from repro.mapping.netlist import (
-    Cell,
     CellKind,
     CrossbarInstance,
     Netlist,
-    Wire,
     build_netlist,
     fanin_fanout_breakdown,
 )
@@ -45,27 +43,44 @@ class TestCrossbarInstance:
                              connections=((0, 1), (0, 1)))
 
 
+def two_cells(**arrays):
+    """A two-neuron, one-wire netlist with some arrays replaced."""
+    base = dict(
+        kinds=[CellKind.NEURON] * 2, widths=[1.0, 1.0], heights=[1.0, 1.0],
+        delays_ns=[0.0, 0.0], sources=[0], targets=[1], weights=[1.0],
+    )
+    return Netlist(**{**base, **arrays})
+
+
 class TestCellAndWire:
     def test_cell_area(self):
-        cell = Cell(name="c", kind=CellKind.NEURON, width=2.0, height=3.0)
-        assert cell.area == 6.0
+        assert two_cells(widths=[2.0, 1.0], heights=[3.0, 1.0]).total_cell_area == 7.0
 
     def test_cell_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            Cell(name="c", kind=CellKind.NEURON, width=0.0, height=1.0)
+        with pytest.raises(ValueError, match="cell 1: width 0.0 must be finite and > 0"):
+            two_cells(widths=[1.0, 0.0])
 
     def test_wire_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="itself"):
-            Wire(source=1, target=1)
+        with pytest.raises(ValueError, match="wire 0: target 1 must be other than its source"):
+            two_cells(sources=[1])
 
     def test_wire_rejects_bad_weight(self):
-        with pytest.raises(ValueError):
-            Wire(source=0, target=1, weight=0.0)
+        with pytest.raises(ValueError, match="wire 0: weight 0.0"):
+            two_cells(weights=[0.0])
 
     def test_netlist_rejects_dangling_wire(self):
-        cells = [Cell(name="a", kind=CellKind.NEURON, width=1, height=1)]
-        with pytest.raises(ValueError, match="outside"):
-            Netlist(cells=cells, wires=[Wire(source=0, target=5)])
+        with pytest.raises(ValueError, match=r"wire 0: target 5 must be a cell index in \[0, 2\)"):
+            two_cells(targets=[5])
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="one length"):
+            two_cells(heights=[1.0])
+
+    def test_arrays_are_read_only(self):
+        netlist = two_cells()
+        assert netlist.widths.dtype == np.float64 and netlist.kinds.dtype == np.int8
+        with pytest.raises(ValueError):
+            netlist.widths[0] = 5.0
 
 
 class TestBuildNetlist:
@@ -75,10 +90,10 @@ class TestBuildNetlist:
         netlist = build_netlist(4, [inst], [(2, 3)], library)
         # 4 neurons + 1 crossbar + 1 synapse
         assert netlist.num_cells == 6
-        kinds = [c.kind for c in netlist.cells]
-        assert kinds[:4] == [CellKind.NEURON] * 4
-        assert kinds[4] == CellKind.CROSSBAR
-        assert kinds[5] == CellKind.SYNAPSE
+        assert netlist.kinds.tolist() == [CellKind.NEURON] * 4 + [
+            CellKind.CROSSBAR,
+            CellKind.SYNAPSE,
+        ]
 
     def test_wire_counts(self, library):
         inst = CrossbarInstance(rows=(0, 1), cols=(0, 1), size=16,
@@ -91,15 +106,15 @@ class TestBuildNetlist:
         small = CrossbarInstance(rows=(0,), cols=(0,), size=16, connections=())
         large = CrossbarInstance(rows=(1,), cols=(1,), size=64, connections=())
         netlist = build_netlist(2, [small, large], [], library)
-        weights = {w.name: w.weight for w in netlist.wires}
-        assert weights["n1->x1"] > weights["n0->x0"]
+        # Wires: n0 -> x0, x0 -> n0, n1 -> x1, x1 -> n1.
+        assert netlist.sources.tolist() == [0, 2, 1, 3]
+        assert netlist.weights[2] > netlist.weights[0]
 
     def test_crossbar_cell_dimensions(self, library):
         inst = CrossbarInstance(rows=(0,), cols=(0,), size=32, connections=())
         netlist = build_netlist(1, [inst], [], library)
-        crossbar_cell = netlist.cells[1]
-        assert crossbar_cell.width == pytest.approx(library.spec(32).side_um)
-        assert crossbar_cell.intrinsic_delay_ns == pytest.approx(library.spec(32).delay_ns)
+        assert netlist.widths[1] == pytest.approx(library.spec(32).side_um)
+        assert netlist.delays_ns[1] == pytest.approx(library.spec(32).delay_ns)
 
     def test_rejects_bad_synapse_endpoint(self, library):
         with pytest.raises(ValueError, match="outside"):
@@ -115,8 +130,10 @@ class TestBuildNetlist:
 
     def test_wire_endpoints_arrays(self, library):
         netlist = build_netlist(3, [], [(0, 1), (1, 2)], library)
-        sources, targets, weights = netlist.wire_endpoints()
-        assert sources.shape == targets.shape == weights.shape == (4,)
+        assert netlist.sources.shape == netlist.targets.shape == netlist.weights.shape == (4,)
+        # Per synapse: neuron -> synapse cell, then synapse cell -> neuron.
+        assert netlist.sources.tolist() == [0, 3, 1, 4]
+        assert netlist.targets.tolist() == [3, 1, 4, 2]
 
 
 class TestFaninFanoutBreakdown:

@@ -22,8 +22,8 @@ def routed_design():
     placement = Placement(
         x=rng.random(netlist.num_cells) * 80,
         y=rng.random(netlist.num_cells) * 80,
-        widths=netlist.widths(),
-        heights=netlist.heights(),
+        widths=netlist.widths,
+        heights=netlist.heights,
     )
     routing = route(netlist, placement)
     return netlist, routing
@@ -52,7 +52,9 @@ class TestDelayStatistics:
         from repro.physical.routing.router import RoutingResult
         from repro.physical.routing.grid import RoutingGrid
 
-        netlist = Netlist(cells=[], wires=[])
+        netlist = Netlist(
+            kinds=[], widths=[], heights=[], delays_ns=[], sources=[], targets=[], weights=[]
+        )
         grid = RoutingGrid((0, 0), 10, 10, 2, 4)
         routing = RoutingResult(wires=[], grid=grid, relax_rounds=0, overflow_wires=0)
         stats = delay_statistics(netlist, routing)

@@ -26,16 +26,18 @@ class TestPlacementGeometry:
         )
         assert placement.hpwl(np.array([0]), np.array([1])) == pytest.approx(7.0)
 
-    def test_overlap_ratio_scale(self):
-        placement = Placement(
-            x=np.array([0.0, 10.0]),
-            y=np.array([0.0, 0.0]),
-            widths=np.array([4.0, 4.0]),
-            heights=np.array([4.0, 4.0]),
-        )
-        assert placement.overlap_ratio() == 0.0
-        # inflating the cells 4x makes them 16 wide -> they overlap
-        assert placement.overlap_ratio(scale=4.0) > 0.0
+    def test_overlap_ratio(self):
+        def ratio(second_x):
+            return Placement(
+                x=np.array([0.0, second_x]),
+                y=np.array([0.0, 0.0]),
+                widths=np.array([4.0, 4.0]),
+                heights=np.array([4.0, 4.0]),
+            ).overlap_ratio()
+
+        assert ratio(10.0) == 0.0
+        # Shifted by half a width, the two 4x4 cells share a 2x4 strip.
+        assert ratio(2.0) == pytest.approx(8.0 / 32.0)
 
 
 class TestCongestionMapHelper:

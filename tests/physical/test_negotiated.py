@@ -57,9 +57,9 @@ def assert_routing_invariants(netlist, placement, result: RoutingResult) -> None
     replay_h = np.zeros_like(grid.horizontal_usage)
     replay_v = np.zeros_like(grid.vertical_usage)
     for routed in result.wires:
-        wire = netlist.wires[routed.wire_index]
-        sx, sy = placement.x[wire.source], placement.y[wire.source]
-        tx, ty = placement.x[wire.target], placement.y[wire.target]
+        source, target = netlist.sources[routed.wire_index], netlist.targets[routed.wire_index]
+        sx, sy = placement.x[source], placement.y[source]
+        tx, ty = placement.x[target], placement.y[target]
         start = grid.bin_of(float(sx), float(sy))
         goal = grid.bin_of(float(tx), float(ty))
         path = routed.path
@@ -96,8 +96,8 @@ def _chain_design(n_cells=8, span=70.0, seed=0):
     placement = Placement(
         x=rng.random(netlist.num_cells) * span,
         y=rng.random(netlist.num_cells) * span,
-        widths=netlist.widths(),
-        heights=netlist.heights(),
+        widths=netlist.widths,
+        heights=netlist.heights,
     )
     return netlist, placement
 
@@ -146,7 +146,7 @@ class TestNegotiatedSpecifics:
         x = np.concatenate([np.full(10, 5.0), np.full(10, 95.0), np.full(10, 50.0)])
         y = np.full(netlist.num_cells, 5.0)
         placement = Placement(
-            x=x, y=y, widths=netlist.widths(), heights=netlist.heights()
+            x=x, y=y, widths=netlist.widths, heights=netlist.heights
         )
         technology = Technology(routing_bin_um=10.0, routing_capacity_per_bin=1)
         config = RoutingConfig(algorithm="negotiated")
@@ -233,8 +233,8 @@ def test_invariants_hold_for_random_placements(seed, n_cells, algorithm):
     placement = Placement(
         x=rng.random(netlist.num_cells) * 80,
         y=rng.random(netlist.num_cells) * 80,
-        widths=netlist.widths(),
-        heights=netlist.heights(),
+        widths=netlist.widths,
+        heights=netlist.heights,
     )
     result = route(netlist, placement, config=RoutingConfig(algorithm=algorithm))
     assert_routing_invariants(netlist, placement, result)

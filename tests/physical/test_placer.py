@@ -62,7 +62,7 @@ class TestInitialPlacement:
 class TestPlace:
     def test_output_shape(self, placed, small_netlist):
         assert placed.num_cells == small_netlist.num_cells
-        assert np.all(placed.widths == small_netlist.widths())
+        assert np.all(placed.widths == small_netlist.widths)
 
     def test_low_final_overlap(self, placed):
         # legalization runs on virtual (inflated) dims; physical overlap
@@ -86,7 +86,7 @@ class TestPlace:
         config = PlacementConfig(max_lambda_stages=6, cg_iterations_per_stage=30)
         placement = place(small_netlist, config=config, rng=1)
         # wirelength after placement beats a random shuffle of the same sites
-        sources, targets, _ = small_netlist.wire_endpoints()
+        sources, targets = small_netlist.sources, small_netlist.targets
         optimized = placement.hpwl(sources, targets)
         rng = np.random.default_rng(5)
         perm = rng.permutation(placement.num_cells)
@@ -152,6 +152,11 @@ class TestCostEvaluation:
         with pytest.raises(ValueError):
             CostWeights(alpha=-1)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "delta"])
+    def test_cost_weights_reject_nan(self, name):
+        with pytest.raises(ValueError, match=name):
+            CostWeights(**{name: float("nan")})
+
     def test_physical_cost_immutable(self):
         cost = PhysicalCost(wirelength_um=1.0, area_um2=2.0, average_delay_ns=3.0)
         with pytest.raises(AttributeError):
@@ -171,6 +176,13 @@ class TestPlacementContainer:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError):
             Placement(x=np.zeros(2), y=np.zeros(2), widths=np.zeros(2), heights=np.ones(2))
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["widths", "heights"])
+    def test_rejects_bad_dims_naming_the_array(self, name, bad):
+        dims = {"widths": np.ones(2), "heights": np.ones(2), name: np.array([1.0, bad])}
+        with pytest.raises(ValueError, match=name):
+            Placement(x=[0.0, 1.0], y=[0.0, 0.0], **dims)
 
     def test_copy_independent(self):
         placement = Placement(x=np.zeros(2), y=np.zeros(2),

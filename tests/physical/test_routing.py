@@ -56,6 +56,28 @@ class TestRoutingGrid:
         with pytest.raises(ValueError, match="capacity"):
             RoutingGrid((0, 0), 10, 10, 2.0, capacity)
 
+    @pytest.mark.parametrize("bin_um", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_bin_width(self, bin_um):
+        with pytest.raises(ValueError, match="bin_um"):
+            RoutingGrid((0, 0), 10, 10, bin_um, 2)
+
+    @pytest.mark.parametrize("name", ["width", "height"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_extent(self, name, value):
+        extent = {"width": 10.0, "height": 10.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            RoutingGrid((0, 0), bin_um=2.0, capacity=2, **extent)
+
+    @pytest.mark.parametrize("origin", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_rejects_non_finite_origin(self, origin):
+        with pytest.raises(ValueError, match="origin"):
+            RoutingGrid(origin, 10, 10, 2.0, 2)
+
+    def test_bin_of_is_elementwise(self):
+        grid = make_grid()
+        bx, by = grid.bin_of(np.array([-5.0, 1000.0, 6.0]), np.array([-5.0, 1000.0, 10.0]))
+        assert bx.tolist() == [0, 9, 1] and by.tolist() == [0, 9, 2]
+
     def test_relax_capacity(self):
         grid = make_grid(capacity=2)
         grid.relax_capacity(3)
@@ -133,8 +155,8 @@ class TestRouteDriver:
         placement = Placement(
             x=rng.random(n) * 60,
             y=rng.random(n) * 60,
-            widths=netlist.widths(),
-            heights=netlist.heights(),
+            widths=netlist.widths,
+            heights=netlist.heights,
         )
         return netlist, placement
 
@@ -217,7 +239,7 @@ class TestRouteDriver:
         x = np.concatenate([np.full(6, 2.0), np.full(6, 58.0), np.full(6, 30.0)])
         y = np.full(netlist.num_cells, 2.0)
         placement = Placement(
-            x=x, y=y, widths=netlist.widths(), heights=netlist.heights()
+            x=x, y=y, widths=netlist.widths, heights=netlist.heights
         )
         technology = Technology(routing_bin_um=10.0, routing_capacity_per_bin=1)
         config = RoutingConfig(max_relax_rounds=0)
@@ -244,7 +266,7 @@ class TestRouteDriver:
         netlist = build_netlist(3, [], [], library)
         placement = Placement(
             x=np.zeros(3), y=np.zeros(3),
-            widths=netlist.widths(), heights=netlist.heights(),
+            widths=netlist.widths, heights=netlist.heights,
         )
         assert _routing_order(netlist, placement) == []
 
@@ -257,7 +279,7 @@ class TestRouteDriver:
         x = np.linspace(0.0, 30.0, n)
         placement = Placement(
             x=x, y=np.zeros(n),
-            widths=netlist.widths(), heights=netlist.heights(),
+            widths=netlist.widths, heights=netlist.heights,
         )
         order = _routing_order(netlist, placement)
         assert sorted(order) == list(range(netlist.num_wires))
@@ -267,9 +289,9 @@ class TestRouteDriver:
         result = route(netlist, placement)
         grid = result.grid
         for routed in result.wires:
-            wire = netlist.wires[routed.wire_index]
-            start = grid.bin_of(placement.x[wire.source], placement.y[wire.source])
-            goal = grid.bin_of(placement.x[wire.target], placement.y[wire.target])
+            source, target = netlist.sources[routed.wire_index], netlist.targets[routed.wire_index]
+            start = grid.bin_of(placement.x[source], placement.y[source])
+            goal = grid.bin_of(placement.x[target], placement.y[target])
             manhattan = (abs(start[0] - goal[0]) + abs(start[1] - goal[1])) * grid.bin_um
             if start != goal:
                 assert routed.length_um >= manhattan - 1e-9

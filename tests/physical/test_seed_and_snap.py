@@ -14,11 +14,11 @@ class TestConnectivitySeed:
         netlist = small_mapping.netlist
         tech_omega = 1.25
         x, y = connectivity_seed(
-            netlist, netlist.widths() * tech_omega, netlist.heights() * tech_omega, rng=0
+            netlist, netlist.widths * tech_omega, netlist.heights * tech_omega, rng=0
         )
         assert x.shape == (netlist.num_cells,)
         # seed wirelength must beat a random placement of the same extent
-        sources, targets, _ = netlist.wire_endpoints()
+        sources, targets = netlist.sources, netlist.targets
         seed_wl = hpwl(x, y, sources, targets)
         rng = np.random.default_rng(0)
         rand_wl = hpwl(
@@ -29,7 +29,9 @@ class TestConnectivitySeed:
     def test_empty_netlist(self):
         from repro.mapping.netlist import Netlist
 
-        netlist = Netlist(cells=[], wires=[])
+        netlist = Netlist(
+            kinds=[], widths=[], heights=[], delays_ns=[], sources=[], targets=[], weights=[]
+        )
         x, y = connectivity_seed(netlist, np.zeros(0), np.zeros(0), rng=0)
         assert x.size == 0
 

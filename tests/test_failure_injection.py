@@ -35,8 +35,8 @@ class TestRoutingUnderStress:
         placement = Placement(
             x=rng.random(netlist.num_cells) * 30,  # tiny region -> congestion
             y=rng.random(netlist.num_cells) * 30,
-            widths=netlist.widths(),
-            heights=netlist.heights(),
+            widths=netlist.widths,
+            heights=netlist.heights,
         )
         technology = Technology(routing_capacity_per_bin=1)
         config = RoutingConfig(max_relax_rounds=2)
@@ -52,8 +52,8 @@ class TestRoutingUnderStress:
         placement = Placement(
             x=np.full(netlist.num_cells, 5.0),
             y=np.full(netlist.num_cells, 5.0),
-            widths=netlist.widths(),
-            heights=netlist.heights(),
+            widths=netlist.widths,
+            heights=netlist.heights,
         )
         result = route(netlist, placement, technology=Technology(routing_bin_um=50.0))
         # every wire is intra-bin: zero routed grid length

@@ -6,6 +6,7 @@ import pytest
 from repro.core import AutoNCS
 from repro.core.config import AutoNcsConfig, fast_config
 from repro.hardware.simulation import HybridNcsSimulator, NonIdealityModel
+from repro.mapping import CellKind
 from repro.networks import block_diagonal_network, ldpc_network
 from repro.networks.hopfield import HopfieldNetwork
 from repro.networks.patterns import corrupt_pattern, qr_like_patterns
@@ -77,10 +78,9 @@ class TestFullPipeline:
         flow = AutoNCS(config)
         network = block_diagonal_network([20, 16], rng=3)
         result = flow.run(network, rng=3)
-        neuron_cells = [
-            c for c in result.mapping.netlist.cells if c.kind.value == "neuron"
-        ]
-        assert neuron_cells[0].area == pytest.approx(25.0)
+        netlist = result.mapping.netlist
+        neuron = np.flatnonzero(netlist.kinds == CellKind.NEURON)[0]
+        assert netlist.widths[neuron] * netlist.heights[neuron] == pytest.approx(25.0)
 
     def test_cost_reduction_on_scattered_blocks(self, flow):
         # Needs to span several max-size tiles for the baseline to hurt.

@@ -131,11 +131,11 @@ def test_hpwl_lower_bounds_routed_length(seed):
     placement = Placement(
         x=rng.random(netlist.num_cells) * 60,
         y=rng.random(netlist.num_cells) * 60,
-        widths=netlist.widths(),
-        heights=netlist.heights(),
+        widths=netlist.widths,
+        heights=netlist.heights,
     )
     result = route(netlist, placement)
-    sources, targets, _ = netlist.wire_endpoints()
+    sources, targets = netlist.sources, netlist.targets
     bound = hpwl(placement.x, placement.y, sources, targets)
     slack = 2 * result.grid.bin_um * netlist.num_wires
     assert result.total_wirelength_um >= bound - slack

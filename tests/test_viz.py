@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.mapping import CellKind
 from repro.networks import block_diagonal_network
 from repro.physical.layout import Placement
 from repro.viz import (
@@ -54,14 +55,14 @@ class TestMatrixSvg:
 
 class TestLayoutSvg:
     def test_colors_by_kind(self, placement):
-        svg = layout_to_svg(placement, ["crossbar", "neuron", "synapse"])
+        svg = layout_to_svg(placement, [CellKind.CROSSBAR, CellKind.NEURON, CellKind.SYNAPSE])
         assert "#1f77b4" in svg  # crossbar blue
         assert "#2ca02c" in svg  # neuron green
         assert "#d62728" in svg  # synapse red
 
     def test_kind_length_checked(self, placement):
         with pytest.raises(ValueError):
-            layout_to_svg(placement, ["neuron"])
+            layout_to_svg(placement, [CellKind.NEURON])
 
 
 class TestCongestionSvg:
@@ -97,12 +98,12 @@ class TestAscii:
         assert ascii_matrix(np.zeros((0, 0))) == ""
 
     def test_layout_symbols(self, placement):
-        art = ascii_layout(placement, ["crossbar", "neuron", "synapse"])
+        art = ascii_layout(placement, [CellKind.CROSSBAR, CellKind.NEURON, CellKind.SYNAPSE])
         assert "#" in art and "." in art and "+" in art
 
     def test_layout_validates(self, placement):
         with pytest.raises(ValueError):
-            ascii_layout(placement, ["neuron"])
+            ascii_layout(placement, [CellKind.NEURON])
 
     def test_heatmap(self):
         art = ascii_heatmap(np.eye(4), columns=8, rows=4)

@@ -219,6 +219,17 @@ def test_off_chip_cell_rejected(verified_flow):
     assert any("outside the chip region" in v.message for v in result.violations)
 
 
+def test_non_finite_coordinate_skips_routing_checks(verified_flow):
+    """Pins cannot be binned without coordinates: report only the placement."""
+    design = verified_flow.design
+    placement = design.placement.copy()
+    placement.x[3] = np.nan
+    result = check_physical(verified_flow.mapping, placement, design.routing)
+    assert [v.message for v in result.violations] == [
+        "placement has 1 non-finite coordinate(s)"
+    ]
+
+
 def test_corrupted_path_rejected(verified_flow):
     design = verified_flow.design
     wires = list(design.routing.wires)
