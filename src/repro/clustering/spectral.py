@@ -86,9 +86,15 @@ def _similarity(network) -> Union[np.ndarray, sp.csr_array]:
     return np.maximum(matrix, matrix.T)
 
 
-def _dense_embedding(
+def dense_embedding(
     w: np.ndarray, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``k`` smallest pairs of ``L u = λ D u`` for a dense symmetric ``w``.
+
+    Returns ``(eigenvectors, eigenvalues)`` in ascending order; a zero
+    degree is floored at ``_DEGREE_FLOOR``.  The placement seed orders
+    crossbars with it too.
+    """
     degrees = w.sum(axis=1)
     degrees = np.maximum(degrees, _DEGREE_FLOOR)
     laplacian = np.diag(degrees) - w
@@ -178,7 +184,7 @@ def spectral_embedding(
     if n <= DENSE_EIGENSOLVER_CUTOFF or k >= n - 1:
         if sp.issparse(w):
             w = w.toarray()
-        return _dense_embedding(w, k)
+        return dense_embedding(w, k)
     if not sp.issparse(w):
         w = sp.csr_array(w)
     return _sparse_embedding(w, k)

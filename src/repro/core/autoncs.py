@@ -8,12 +8,11 @@
    netlist;
 4. eq. (3) evaluates the physical cost.
 
-Every stage is wrapped: an unexpected failure surfaces as a
-:class:`StageError` carrying the stage name and whatever partial results
-exist, the analytical placer falls back to the annealing placer when it
-diverges (non-finite objective or coordinates), routing retries once with
-relaxed capacity, and per-stage wall times plus any fallbacks that fired
-are recorded in ``AutoNcsResult.metadata``.
+Every stage runs once, inside its span: an unexpected failure surfaces
+as a :class:`StageError` carrying the stage name and whatever partial
+results exist.  Per-stage wall times, and the placer's report when its
+penalty loop diverged and it kept the last finite λ stage, are recorded
+in ``AutoNcsResult.metadata``.
 
 ``AutoNCS.run_baseline`` runs the same physical flow on the brute-force
 FullCro mapping, and ``AutoNCS.compare`` produces the Table 1 comparison;
@@ -24,27 +23,25 @@ reproducible in isolation.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import Any, Iterator, Optional
 
 from repro.clustering.hierarchical import cluster_hierarchical
 from repro.clustering.isc import IscResult, iterative_spectral_clustering
 from repro.core.config import AutoNcsConfig
 from repro.core.report import ComparisonReport
 from repro.hardware.library import CrossbarLibrary
-from repro.hardware.technology import Technology
 from repro.mapping.autoncs_mapping import autoncs_mapping
 from repro.mapping.fullcro import fullcro_mapping, fullcro_utilization
 from repro.mapping.netlist import MappingResult
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.observability import get_recorder
 from repro.physical.cost import evaluate_cost
-from repro.physical.layout import PhysicalDesign, Placement
-from repro.physical.placement.annealing import AnnealingConfig, anneal_place
+from repro.physical.layout import PhysicalDesign
+# Kept for benchmarks/e2e/layers.py, whose TARGETS time this module global.
+from repro.physical.placement.annealing import anneal_place  # noqa: F401
 from repro.physical.placement.placer import place
-from repro.physical.routing.router import RoutingConfig, route
+from repro.physical.routing.router import route
 from repro.runtime.chaos import chaos_point
 from repro.utils.rng import RngLike, ensure_rng, spawn_rng
 
@@ -67,12 +64,6 @@ class StageError(RuntimeError):
         super().__init__(f"AutoNCS stage '{stage}' failed: {message}")
         self.stage = stage
         self.partial = dict(partial) if partial else {}
-
-
-#: Reduced-effort annealing schedule for the placement fallback path: the
-#: fallback must terminate quickly even on designs that broke the
-#: analytical placer.
-FALLBACK_ANNEALING = AnnealingConfig(moves_per_temperature=150, temperatures=25)
 
 
 def _require_connections(network: ConnectionMatrix, stage: str) -> None:
@@ -119,136 +110,6 @@ def _stage(
     diagnostics["stage_seconds"][key] = record.duration
 
 
-def _placement_divergence(placement: Placement) -> Optional[str]:
-    """Reason string when a placement is unusable, else ``None``."""
-    if not (np.all(np.isfinite(placement.x)) and np.all(np.isfinite(placement.y))):
-        return "non-finite cell coordinates"
-    for stage in placement.metadata.get("stages", []):
-        objective = stage.get("objective", 0.0)
-        if not np.isfinite(objective):
-            return f"non-finite objective at lambda stage {stage.get('stage')}"
-    return None
-
-
-def _place_with_fallback(
-    mapping: MappingResult,
-    config: AutoNcsConfig,
-    rng: np.random.Generator,
-    diagnostics: dict,
-) -> Placement:
-    """Analytical placement, falling back to annealing on divergence.
-
-    ``flow.place`` spans the analytical placer alone; the annealing
-    fallback, when it runs, gets its own ``flow.place_fallback`` span.
-    """
-    placement: Optional[Placement] = None
-    reason: Optional[str] = None
-    cells = mapping.netlist.num_cells
-    with _stage(diagnostics, "placement", "flow.place", cells=cells):
-        try:
-            chaos_point("stage.placement")
-            placement = place(
-                mapping.netlist,
-                technology=config.technology,
-                config=config.placement,
-                rng=rng,
-            )
-            reason = _placement_divergence(placement)
-        except Exception as exc:  # noqa: BLE001 - the fallback handles anything
-            reason = f"analytical placer raised {type(exc).__name__}: {exc}"
-    if reason is None:
-        return placement
-    diagnostics["fallbacks"].append(
-        {"stage": "placement", "action": "annealing_placer", "reason": reason}
-    )
-    with _stage(diagnostics, "placement_fallback", "flow.place_fallback", cells=cells):
-        try:
-            placement = anneal_place(
-                mapping.netlist,
-                technology=config.technology,
-                config=FALLBACK_ANNEALING,
-                rng=rng,
-            )
-        except Exception as exc:
-            raise StageError(
-                "placement",
-                f"analytical placer diverged ({reason}) and the annealing "
-                f"fallback raised {type(exc).__name__}: {exc}",
-                partial={"mapping": mapping},
-            ) from exc
-    fallback_reason = _placement_divergence(placement)
-    if fallback_reason is not None:
-        raise StageError(
-            "placement",
-            f"annealing fallback also diverged: {fallback_reason}",
-            partial={"mapping": mapping, "placement": placement},
-        )
-    return placement
-
-
-def _relaxed_routing(
-    base: RoutingConfig, technology: Technology
-) -> Tuple[RoutingConfig, Technology]:
-    """``base`` and ``technology`` for the retry pass: double the edge
-    capacity, and widen the search window and the relax and rip-up budgets."""
-    config = replace(
-        base,
-        window_margin_bins=base.window_margin_bins + 8,
-        max_relax_rounds=base.max_relax_rounds + 4,
-        max_ripup_iterations=base.max_ripup_iterations + 8,
-    )
-    relaxed = replace(
-        technology, routing_capacity_per_bin=technology.routing_capacity_per_bin * 2
-    )
-    return config, relaxed
-
-
-def _route_with_retry(
-    mapping: MappingResult,
-    placement: Placement,
-    config: AutoNcsConfig,
-    diagnostics: dict,
-):
-    """Global routing, retried once with relaxed capacity on failure.
-
-    ``flow.route`` spans the first attempt alone; the relaxed retry, when
-    it runs, gets its own ``flow.route_retry`` span.
-    """
-    base = config.routing if config.routing is not None else RoutingConfig()
-    wires = mapping.netlist.num_wires
-    with _stage(diagnostics, "routing", "flow.route", wires=wires):
-        try:
-            chaos_point("stage.routing")
-            routing = route(
-                mapping.netlist, placement, technology=config.technology, config=base
-            )
-        except Exception as exc:
-            routing = None
-            reason = f"router raised {type(exc).__name__}: {exc}"
-    if routing is not None:
-        return routing
-    diagnostics["fallbacks"].append(
-        {"stage": "routing", "action": "relaxed_capacity_retry", "reason": reason}
-    )
-    relaxed_config, relaxed_technology = _relaxed_routing(base, config.technology)
-    with _stage(diagnostics, "routing_retry", "flow.route_retry", wires=wires):
-        try:
-            routing = route(
-                mapping.netlist,
-                placement,
-                technology=relaxed_technology,
-                config=relaxed_config,
-            )
-        except Exception as exc:
-            raise StageError(
-                "routing",
-                f"routing failed even with relaxed capacity ({reason}; retry "
-                f"raised {type(exc).__name__}: {exc})",
-                partial={"mapping": mapping, "placement": placement},
-            ) from exc
-    return routing
-
-
 def _verify_design(design: PhysicalDesign, diagnostics: dict) -> None:
     """Run the independent verifier on a finished design (``verify=True``).
 
@@ -271,8 +132,8 @@ class AutoNcsResult:
     """Everything the AutoNCS flow produced for one network.
 
     ``metadata`` carries the hardening diagnostics: ``stage_seconds`` maps
-    each executed stage to its wall time and ``fallbacks`` lists every
-    fallback that fired (placement annealing, routing relaxation).
+    each executed stage to its wall time and ``fallbacks`` lists the
+    placement entry recorded when the penalty loop diverged.
     """
 
     isc: IscResult
@@ -332,21 +193,42 @@ def implement_mapping(
 ) -> PhysicalDesign:
     """Run placement, routing and cost evaluation on a mapped design.
 
-    ``diagnostics`` (optional) is filled with per-stage wall times and any
-    fallbacks that fired; the same information lands in the returned
-    design's ``metadata["diagnostics"]``.
+    ``diagnostics`` (optional) is filled with per-stage wall times and, when
+    the placer's penalty loop diverged, one ``"placement"`` fallback entry;
+    the same information lands in the returned design's
+    ``metadata["diagnostics"]``.
     """
     rng = ensure_rng(rng)
     if diagnostics is None:
         diagnostics = _fresh_diagnostics()
     diagnostics.setdefault("stage_seconds", {})
     diagnostics.setdefault("fallbacks", [])
-    placement = _place_with_fallback(mapping, config, rng, diagnostics)
-    routing = _route_with_retry(mapping, placement, config, diagnostics)
-    partial = {"mapping": mapping, "placement": placement, "routing": routing}
+    netlist = mapping.netlist
+    partial = {"mapping": mapping}
+    with _stage(
+        diagnostics, "placement", "flow.place", partial=partial, cells=netlist.num_cells
+    ):
+        chaos_point("stage.placement")
+        placement = place(
+            netlist, technology=config.technology, config=config.placement, rng=rng
+        )
+    diverged = placement.metadata.get("diverged")
+    if diverged is not None:
+        diagnostics["fallbacks"].append(
+            {"stage": "placement", "action": "last_finite_stage", "reason": diverged}
+        )
+    partial = {**partial, "placement": placement}
+    with _stage(
+        diagnostics, "routing", "flow.route", partial=partial, wires=netlist.num_wires
+    ):
+        chaos_point("stage.routing")
+        routing = route(
+            netlist, placement, technology=config.technology, config=config.routing
+        )
+    partial = {**partial, "routing": routing}
     with _stage(diagnostics, "cost", "flow.evaluate", partial=partial):
         cost = evaluate_cost(
-            mapping.netlist,
+            netlist,
             placement,
             routing,
             technology=config.technology,
@@ -434,7 +316,7 @@ class AutoNCS:
             When the network is empty/all-zero (fails fast, naming the
             stage, instead of crashing inside the spectral solver).
         StageError
-            When a stage fails after its fallbacks are exhausted.
+            When a stage raises.
         repro.verify.VerificationError
             When ``verify=True`` and any check finds a violation.
         """

@@ -11,8 +11,7 @@ Table 1 (tens of thousands of µm²).  Only relative comparisons matter for
 the paper's claims; all parameters are user-overridable.
 
 The placer reads ω and the router reads θ and the edge capacity from here
-only; no placement or routing configuration overrides them.  The flow's
-relaxed routing retry routes with a copy whose capacity is doubled.
+only; no placement or routing configuration overrides them.
 """
 
 from __future__ import annotations

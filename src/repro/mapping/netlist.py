@@ -264,6 +264,13 @@ def build_netlist(
         dtype=np.intp,
         count=int(port_counts.sum()),
     )
+    outside = np.flatnonzero((port_neurons < 0) | (port_neurons >= n))
+    if outside.size:
+        instance = int(np.searchsorted(np.cumsum(port_counts), outside[0], side="right"))
+        raise ValueError(
+            f"crossbar instance {instance}: neuron {port_neurons[outside[0]]} "
+            f"outside neuron range [0, {n})"
+        )
     is_row = np.repeat(np.tile([True, False], k), np.stack([row_counts, col_counts], 1).ravel())
     port_crossbars = np.repeat(np.arange(n, n + k), port_counts)
     port_weights = np.repeat(

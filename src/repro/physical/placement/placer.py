@@ -9,12 +9,15 @@ Pipeline:
    crossbar structure fall back to an area-aware packed grid.
 2. **Penalty loop** (lines 2–6): minimize ``WL(x,y) + λ·D(x,y)`` by
    conjugate gradient, doubling λ while the overlap ratio exceeds
-   :data:`OVERLAP_THRESHOLD`.
+   :data:`OVERLAP_THRESHOLD`.  A stage whose CG value or coordinates are
+   non-finite ends the loop: its layout is dropped, the last finite
+   stage is the refined layout, and the reason lands in
+   ``metadata["diverged"]``.
 3. **Legalization** (line 7): a structure-preserving grid-snap assigns
    every cell the free site nearest its optimized location; the snap of
    the raw seed is kept as a second candidate and the better (by weighted
    HPWL) wins — the analytic refinement is never allowed to end worse
-   than its own starting point.
+   than its own starting point, and a diverged loop still ends legal.
 4. **Compaction**: constraint-graph scanline compaction squeezes out the
    remaining whitespace without reordering cells.
 
@@ -82,8 +85,9 @@ def place(
     """Place a netlist and return a legalized, compacted placement.
 
     The returned :class:`Placement` stores *physical* cell dimensions; its
-    metadata records the λ schedule, the winning snapshot, and HPWL at the
-    pipeline milestones.
+    metadata records the λ schedule, the winning snapshot, HPWL at the
+    pipeline milestones, and ``"diverged"``: ``None``, or why the penalty
+    loop stopped at a non-finite stage.
     """
     if config is None:
         config = PlacementConfig()
@@ -110,6 +114,7 @@ def place(
     recorder = get_recorder()
     stage_log = []
     objective = None
+    diverged = None
     x, y = seed_x, seed_y
     if sources.size:
         objective = PlacementObjective(
@@ -133,6 +138,9 @@ def place(
                     z,
                     max_iterations=config.cg_iterations_per_stage,
                 )
+                diverged = _divergence(result.value, result.z, stage)
+                if diverged is not None:
+                    break
                 z = result.z
                 x, y = objective.unpack(z)
                 overlap = true_overlap(x, y, virtual_w, virtual_h)
@@ -153,6 +161,8 @@ def place(
                 lambda_stages=len(stage_log),
                 final_overlap_ratio=stage_log[-1]["overlap_ratio"] if stage_log else 0.0,
             )
+            if diverged is not None:
+                loop_span.annotate(diverged=diverged)
 
     def weighted_hpwl(px: np.ndarray, py: np.ndarray) -> float:
         if not sources.size:
@@ -160,20 +170,21 @@ def place(
         return hpwl(px, py, sources, targets, weights=wire_weights)
 
     # Two legal candidates: snap of the seed and snap of the refined layout.
+    # min() keeps the first of equal values, so a tie picks the seed.
     with recorder.span("placement.legalize") as legalize_span:
-        candidates = {}
-        snap_seed = grid_snap(seed_x, seed_y, virtual_w, virtual_h)
-        candidates["seed"] = snap_seed
+        candidates = {"seed": grid_snap(seed_x, seed_y, virtual_w, virtual_h)}
         if stage_log:
-            snap_refined = grid_snap(x, y, virtual_w, virtual_h)
-            candidates["refined"] = snap_refined
-        chosen_name, (x, y) = min(
-            candidates.items(), key=lambda item: weighted_hpwl(item[1][0], item[1][1])
-        )
-        hpwl_after_snap = weighted_hpwl(x, y)
+            candidates["refined"] = grid_snap(x, y, virtual_w, virtual_h)
+        snap_hpwl = {name: weighted_hpwl(*xy) for name, xy in candidates.items()}
+        chosen_name = min(snap_hpwl, key=snap_hpwl.__getitem__)
+        x, y = candidates[chosen_name]
+        hpwl_after_snap = snap_hpwl[chosen_name]
         x, y = compact(x, y, virtual_w, virtual_h)
         hpwl_after_compact = weighted_hpwl(x, y)
-        legalize_span.annotate(chosen=chosen_name)
+        legalize_span.annotate(
+            chosen=chosen_name,
+            **{f"hpwl_{name}_snap": value for name, value in snap_hpwl.items()},
+        )
 
     recorder.count("placement.runs")
     recorder.count("placement.lambda_stages", len(stage_log))
@@ -211,5 +222,15 @@ def place(
             "hpwl_seed": weighted_hpwl(seed_x, seed_y),
             "hpwl_after_legalization": hpwl_after_snap,
             "hpwl_after_compaction": hpwl_after_compact,
+            "diverged": diverged,
         },
     )
+
+
+def _divergence(value: float, z: np.ndarray, stage: int) -> Optional[str]:
+    """Why a λ stage's CG result is unusable, or ``None`` when it is finite."""
+    if not np.isfinite(value):
+        return f"non-finite objective at lambda stage {stage}"
+    if not np.all(np.isfinite(z)):
+        return f"non-finite coordinates at lambda stage {stage}"
+    return None

@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
+from repro.clustering.spectral import dense_embedding
 from repro.mapping.netlist import CellKind, Netlist
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -61,13 +61,10 @@ def connectivity_seed(
         affinity = adjacency[np.ix_(crossbars, cells)] @ adjacency[np.ix_(cells, crossbars)]
         np.fill_diagonal(affinity, 0.0)
         if k > 3 and affinity.any():
-            degree = np.maximum(affinity.sum(axis=1), 1e-9)
-            laplacian = np.diag(degree) - affinity
-            _, vectors = scipy.linalg.eigh(
-                laplacian, np.diag(degree), subset_by_index=(0, min(2, k - 1))
-            )
-            v1 = vectors[:, 1] if vectors.shape[1] > 1 else np.arange(k, dtype=float)
-            v2 = vectors[:, 2] if vectors.shape[1] > 2 else np.zeros(k)
+            # MSC's dense solver (with its subset-driver retry): the second
+            # and third generalized eigenvectors give each crossbar a 2-D spot.
+            vectors, _ = dense_embedding(affinity, 3)
+            v1, v2 = vectors[:, 1], vectors[:, 2]
         else:
             v1 = np.arange(k, dtype=float)
             v2 = np.zeros(k)

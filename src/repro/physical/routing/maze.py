@@ -40,6 +40,10 @@ import numpy as np
 
 from repro.physical.routing.grid import BinCoord, RoutingGrid
 
+#: Bins added on each side of the pins' bounding box to form the search
+#: window; both routers search with it.
+WINDOW_MARGIN_BINS = 8
+
 #: Per-target heuristic tables kept on a workspace before FIFO eviction
 #: (bounds memory on grids where nearly every bin is some wire's goal).
 _HEURISTIC_CACHE_LIMIT = 256
@@ -128,7 +132,7 @@ def maze_route(
     grid: RoutingGrid,
     start: BinCoord,
     goal: BinCoord,
-    window_margin: int = 8,
+    window_margin: int = WINDOW_MARGIN_BINS,
     congestion_weight: float = 2.0,
     allow_overflow: bool = False,
     overflow_penalty: float = 10.0,

@@ -31,15 +31,12 @@ Entry point: :func:`negotiate_routes`, called by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.physical.routing.grid import BinCoord, RoutingGrid
 from repro.physical.routing.maze import MazeWorkspace, maze_route
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.physical.routing.router import RoutingConfig
 
 #: Present-congestion weight of the first rip-up round.
 PRESENT_WEIGHT = 0.5
@@ -49,6 +46,9 @@ PRESENT_GROWTH = 1.6
 
 #: History cost added per unit of overuse to each overused edge per round.
 HISTORY_INCREMENT = 0.4
+
+#: Most rip-up rounds after the first routing of every wire.
+MAX_RIPUP_ITERATIONS = 16
 
 
 class WirePins(NamedTuple):
@@ -99,7 +99,6 @@ def negotiate_routes(
     grid: RoutingGrid,
     workspace: MazeWorkspace,
     order: Sequence[int],
-    config: "RoutingConfig",
 ) -> NegotiationOutcome:
     """Route every wire with negotiated congestion; returns the outcome.
 
@@ -119,14 +118,7 @@ def negotiate_routes(
             paths[index] = [start]
             lengths[index] = same_bin_lengths[index]
             return
-        path = maze_route(
-            grid,
-            start,
-            goal,
-            window_margin=config.window_margin_bins,
-            workspace=workspace,
-            present_weight=present,
-        )
+        path = maze_route(grid, start, goal, workspace=workspace, present_weight=present)
         if path is None:  # pragma: no cover - connected grid always routes
             raise RuntimeError(f"wire {index} could not be routed at all")
         grid.add_usage(path)
@@ -138,7 +130,7 @@ def negotiate_routes(
 
     iterations = 0
     ripups = 0
-    for _ in range(config.max_ripup_iterations):
+    for _ in range(MAX_RIPUP_ITERATIONS):
         over_h = grid.horizontal_usage > grid.horizontal_capacity
         over_v = grid.vertical_usage > grid.vertical_capacity
         if not (over_h.any() or over_v.any()):

@@ -56,29 +56,27 @@ MAX_GRID_BINS = 56
 
 @dataclass
 class RoutingConfig:
-    """Which global router runs, and its search and retry budgets.
+    """Which global router runs, and its relaxation budget.
 
     θ and the edge capacity come from the
-    :class:`~repro.hardware.technology.Technology`.
+    :class:`~repro.hardware.technology.Technology`; the search window is
+    :data:`~repro.physical.routing.maze.WINDOW_MARGIN_BINS` and the rip-up
+    budget :data:`~repro.physical.routing.negotiated.MAX_RIPUP_ITERATIONS`.
 
     ``algorithm`` selects the router: ``"ordered"`` is the paper's
     single-pass ordered route with capacity relaxation;
     ``"negotiated"`` is PathFinder-style negotiated-congestion rip-up
     and reroute.  ``max_relax_rounds`` only affects the ordered
-    algorithm and ``max_ripup_iterations`` only the negotiated one.
+    algorithm.
     """
 
     # Read only by benchmarks/e2e/measure.py, which prints it in its run header.
     kernel: ClassVar[str] = "python"
 
-    window_margin_bins: int = 8
     max_relax_rounds: int = 5
     algorithm: str = "ordered"
-    max_ripup_iterations: int = 16
 
     def __post_init__(self) -> None:
-        if self.window_margin_bins < 0:
-            raise ValueError("window_margin_bins must be >= 0")
         if self.max_relax_rounds < 0:
             raise ValueError("max_relax_rounds must be >= 0")
         if self.algorithm not in ROUTING_ALGORITHMS:
@@ -86,8 +84,6 @@ class RoutingConfig:
                 f"algorithm must be one of {ROUTING_ALGORITHMS}, "
                 f"got {self.algorithm!r}"
             )
-        if self.max_ripup_iterations < 0:
-            raise ValueError("max_ripup_iterations must be >= 0")
 
 
 @dataclass
@@ -230,7 +226,7 @@ def route(
         algorithm=config.algorithm,
     ) as span:
         if config.algorithm == "negotiated":
-            result = _route_negotiated(pins, grid, workspace, order, config)
+            result = _route_negotiated(pins, grid, workspace, order)
         else:
             result = _route_ordered(pins, grid, workspace, order, config, recorder)
         # One reporting flush per route() call — the maze inner loop only
@@ -281,12 +277,7 @@ def _route_ordered(
                 wire_index=index, path=[start], length_um=same_bin_lengths[index]
             )
         path = maze_route(
-            grid,
-            start,
-            goal,
-            window_margin=config.window_margin_bins,
-            allow_overflow=allow_overflow,
-            workspace=workspace,
+            grid, start, goal, allow_overflow=allow_overflow, workspace=workspace
         )
         if path is None:
             return None
@@ -350,10 +341,9 @@ def _route_negotiated(
     grid: RoutingGrid,
     workspace: MazeWorkspace,
     order: List[int],
-    config: RoutingConfig,
 ) -> RoutingResult:
     """PathFinder-style negotiated congestion, wrapped as a RoutingResult."""
-    outcome = negotiate_routes(pins, grid, workspace, order, config)
+    outcome = negotiate_routes(pins, grid, workspace, order)
     wires: List[RoutedWire] = []
     overflow_wires = 0
     for index in sorted(outcome.paths):

@@ -56,13 +56,15 @@ from repro.observability import get_recorder
 #: The recognised fault kinds, in documentation order.
 FAULT_KINDS = ("crash", "error", "transient", "hang", "corrupt")
 
-#: Canonical injection sites (patterns in rules may glob over these).
+#: Every :func:`chaos_point` site in the package; a rule parsed from a
+#: spec must match one of them (patterns may glob over them).
 KNOWN_SITES = (
     "job.run",          # _execute_job, before the executor body
     "stage.isc",        # AutoNCS clustering stage
     "stage.mapping",    # AutoNCS mapping stage
+    "stage.placement",  # AutoNCS placement stage
+    "stage.routing",    # AutoNCS routing stage
     "cache.store",      # ArtifactCache.store (corrupt target)
-    "cache.lookup",     # ArtifactCache.lookup
 )
 
 
@@ -181,7 +183,9 @@ class FaultPlan:
         Presets: ``transient``, ``crash``, ``hang``, ``error``,
         ``corrupt``, ``mixed``.  Grammar: ``;``-separated rules of the
         form ``kind@site[:key=value,...]`` with keys ``p`` (probability),
-        ``until`` (attempt bound) and ``hang`` (seconds)::
+        ``until`` (attempt bound) and ``hang`` (seconds); ``site`` must
+        ``fnmatch`` one of :data:`KNOWN_SITES`, so a typo fails here
+        instead of building a plan that never fires::
 
             transient@job.run:p=0.5
             crash@job.run:p=0.3;corrupt@cache.store
@@ -203,6 +207,11 @@ class FaultPlan:
                 raise ValueError(
                     f"unknown fault kind {kind!r} in chaos spec {spec!r} "
                     f"(known: {FAULT_KINDS}; presets: {sorted(_PRESETS)})"
+                )
+            if not any(fnmatch.fnmatchcase(known, site) for known in KNOWN_SITES):
+                raise ValueError(
+                    f"chaos site {site!r} in {chunk!r} matches no injection "
+                    f"site (known: {KNOWN_SITES})"
                 )
             rule = FaultRule(site=site, kind=kind)
             for option in filter(None, (o.strip() for o in options.split(","))):

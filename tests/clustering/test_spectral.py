@@ -122,12 +122,12 @@ class TestEigensolverEquivalence:
         return w
 
     def test_eigsh_matches_eigh_at_cutover(self, cutover_similarity):
-        from repro.clustering.spectral import _dense_embedding, _sparse_embedding
+        from repro.clustering.spectral import dense_embedding, _sparse_embedding
 
         w = cutover_similarity
         k = 12
         sparse_vecs, sparse_vals = _sparse_embedding(w, k)
-        dense_vecs, dense_vals = _dense_embedding(w.toarray(), k)
+        dense_vecs, dense_vals = dense_embedding(w.toarray(), k)
         np.testing.assert_allclose(sparse_vals, dense_vals, atol=1e-9)
         # Eigenvectors are only defined up to rotation within degenerate
         # groups: compare the D-orthogonal projectors instead of columns.
@@ -144,11 +144,11 @@ class TestEigensolverEquivalence:
 
     def test_routing_uses_sparse_solver_past_cutover(self, cutover_similarity):
         # The public entry point must agree with the dense answer too.
-        from repro.clustering.spectral import _dense_embedding
+        from repro.clustering.spectral import dense_embedding
 
         w = cutover_similarity
         basis, values = spectral_embedding(w, k=6)
-        _, dense_values = _dense_embedding(w.toarray(), 6)
+        _, dense_values = dense_embedding(w.toarray(), 6)
         assert basis.shape == (w.shape[0], 6)
         np.testing.assert_allclose(values, dense_values, atol=1e-9)
 

@@ -1,14 +1,16 @@
 """Tests for the hardened AutoNCS pipeline: StageError, fallbacks, diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro.core.autoncs as autoncs_module
 from repro.core import AutoNCS, StageError
 from repro.core.config import fast_config
+from repro.mapping import autoncs_mapping
 from repro.networks import ConnectionMatrix, random_sparse_network
 from repro.physical.placement.placer import place as real_place
-from repro.physical.routing.router import route as real_route
 from repro.utils.rng import spawn_rng
 from repro.verify import verify_flow
 
@@ -21,6 +23,12 @@ def network():
 @pytest.fixture()
 def flow():
     return AutoNCS(fast_config())
+
+
+@pytest.fixture(scope="module")
+def mapping(network):
+    flow = AutoNCS(fast_config())
+    return autoncs_mapping(flow.cluster(network, rng=3), library=flow.library)
 
 
 class TestStageError:
@@ -67,69 +75,61 @@ class TestDiagnostics:
 
 
 class TestPlacementFallback:
-    def test_divergent_placer_falls_back_to_annealing(self, flow, network, monkeypatch):
-        # Acceptance criterion: a pathological analytical placement (all-NaN
-        # coordinates) must not kill the flow — the annealing fallback runs,
-        # the event is recorded in the result metadata, and the fallback's
-        # layout is verified and about as compact as the analytical one.
-        healthy = flow.run(network, rng=3)
+    def test_diverged_lambda_loop_keeps_the_last_finite_stage(
+        self, flow, mapping, diverge_at_stage
+    ):
+        # λ stage 2 goes non-finite: the placer drops it and legalizes
+        # stage 1, exactly as a one-stage schedule would.
+        one_stage = replace(flow.config.placement, max_lambda_stages=1)
+        expected = real_place(mapping.netlist, config=one_stage, rng=4)
+        stages_run = diverge_at_stage(2)
+        placement = real_place(mapping.netlist, config=flow.config.placement, rng=4)
+        assert stages_run == [2]
+        assert placement.metadata["diverged"] == "non-finite objective at lambda stage 2"
+        assert len(placement.metadata["stages"]) == 1
+        assert placement.x.tobytes() == expected.x.tobytes()
+        assert placement.y.tobytes() == expected.y.tobytes()
 
-        def nan_place(netlist, **kwargs):
-            placement = real_place(netlist, **kwargs)
-            placement.x[:] = np.nan
-            return placement
-
-        monkeypatch.setattr(autoncs_module, "place", nan_place)
+    def test_flow_records_one_placement_fallback_and_verifies(
+        self, flow, network, diverge_at_stage
+    ):
+        diverge_at_stage(2)
         result = flow.run(network, rng=3)
+        (fallback,) = result.metadata["fallbacks"]
+        assert fallback["stage"] == "placement"
+        assert fallback["reason"] == "non-finite objective at lambda stage 2"
+        assert list(result.stage_seconds) == ["isc", "mapping", "placement", "routing", "cost"]
         assert np.all(np.isfinite(result.design.placement.x))
-        fallbacks = result.metadata["fallbacks"]
-        assert len(fallbacks) == 1
-        assert fallbacks[0]["stage"] == "placement"
-        assert fallbacks[0]["action"] == "annealing_placer"
-        assert "non-finite" in fallbacks[0]["reason"]
-        assert "placement_fallback" in result.metadata["stage_seconds"]
         assert verify_flow(result).passed
-        assert result.design.placement.area <= 1.5 * healthy.design.placement.area
 
-    def test_raising_placer_falls_back_too(self, flow, network, monkeypatch):
-        def broken_place(netlist, **kwargs):
-            raise RuntimeError("synthetic divergence")
-
-        monkeypatch.setattr(autoncs_module, "place", broken_place)
-        result = flow.run(network, rng=3)
-        fallbacks = result.metadata["fallbacks"]
-        assert fallbacks[0]["stage"] == "placement"
-        assert "synthetic divergence" in fallbacks[0]["reason"]
+    def test_divergence_at_the_first_stage_keeps_the_seed_snap(
+        self, flow, mapping, diverge_at_stage
+    ):
+        diverge_at_stage(1)
+        placement = real_place(mapping.netlist, config=flow.config.placement, rng=4)
+        assert placement.metadata["stages"] == []
+        assert placement.metadata["chosen_snapshot"] == "seed"
+        assert placement.metadata["diverged"] == "non-finite objective at lambda stage 1"
+        assert np.all(np.isfinite(placement.x)) and np.all(np.isfinite(placement.y))
 
 
 class TestRoutingRetry:
-    def test_first_failure_retries_with_relaxed_capacity(self, flow, network, monkeypatch):
-        calls = {"n": 0}
-
-        def flaky_route(netlist, placement, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("synthetic congestion blow-up")
-            return real_route(netlist, placement, **kwargs)
-
-        monkeypatch.setattr(autoncs_module, "route", flaky_route)
-        result = flow.run(network, rng=3)
-        assert calls["n"] == 2
-        fallbacks = result.metadata["fallbacks"]
-        assert len(fallbacks) == 1
-        assert fallbacks[0]["stage"] == "routing"
-        assert fallbacks[0]["action"] == "relaxed_capacity_retry"
-        assert "routing_retry" in result.metadata["stage_seconds"]
+    """The flow routes once: there is no relaxed-capacity retry."""
 
     def test_persistent_failure_raises_stage_error(self, flow, network, monkeypatch):
+        placements = []
+
         def dead_route(netlist, placement, **kwargs):
+            placements.append(placement)
             raise RuntimeError("unroutable")
 
         monkeypatch.setattr(autoncs_module, "route", dead_route)
-        with pytest.raises(StageError) as excinfo:
+        with pytest.raises(StageError, match="RuntimeError: unroutable") as excinfo:
             flow.run(network, rng=3)
+        (placement,) = placements
         assert excinfo.value.stage == "routing"
-        assert "mapping" in excinfo.value.partial
+        assert set(excinfo.value.partial) == {"mapping", "placement"}
+        assert excinfo.value.partial["placement"] is placement
 
 
 class TestCompareRngDecoupling:

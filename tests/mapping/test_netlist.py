@@ -120,6 +120,24 @@ class TestBuildNetlist:
         with pytest.raises(ValueError, match="outside"):
             build_netlist(3, [], [(0, 9)], library)
 
+    @pytest.mark.parametrize(
+        "instances, message",
+        [
+            ([CrossbarInstance(rows=(3,), cols=(), size=16, connections=())],
+             r"^crossbar instance 0: neuron 3 outside neuron range \[0, 2\)"),
+            ([CrossbarInstance(rows=(0,), cols=(1,), size=16, connections=()),
+              CrossbarInstance(rows=(1,), cols=(-1,), size=16, connections=())],
+             r"^crossbar instance 1: neuron -1 outside"),
+            ([CrossbarInstance(rows=(), cols=(), size=16, connections=()),
+              CrossbarInstance(rows=(), cols=(2,), size=16, connections=())],
+             r"^crossbar instance 1: neuron 2 outside"),
+        ],
+        ids=["row-past-range", "negative-column", "column-of-second-instance"],
+    )
+    def test_rejects_crossbar_port_outside_neuron_range(self, library, instances, message):
+        with pytest.raises(ValueError, match=message):
+            build_netlist(2, instances, [(0, 1)], library)
+
     def test_rejects_zero_neurons(self, library):
         with pytest.raises(ValueError):
             build_netlist(0, [], [], library)

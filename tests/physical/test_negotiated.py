@@ -30,6 +30,7 @@ from repro.mapping.autoncs_mapping import autoncs_mapping
 from repro.mapping.netlist import build_netlist
 from repro.physical.layout import Placement
 from repro.physical.placement.placer import place
+from repro.physical.routing import negotiated
 from repro.physical.routing.router import (
     ROUTING_ALGORITHMS,
     RoutingConfig,
@@ -154,9 +155,10 @@ class TestNegotiatedSpecifics:
         assert_routing_invariants(netlist, placement, result)
         assert result.ripup_iterations > 0
 
-    def test_zero_iterations_is_first_pass_only(self):
+    def test_zero_iterations_is_first_pass_only(self, monkeypatch):
+        monkeypatch.setattr(negotiated, "MAX_RIPUP_ITERATIONS", 0)
         netlist, placement = _chain_design(seed=2)
-        config = RoutingConfig(algorithm="negotiated", max_ripup_iterations=0)
+        config = RoutingConfig(algorithm="negotiated")
         result = route(netlist, placement, config=config)
         assert result.ripup_iterations == 0
         assert_routing_invariants(netlist, placement, result)
@@ -164,8 +166,6 @@ class TestNegotiatedSpecifics:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="algorithm"):
             RoutingConfig(algorithm="steiner")
-        with pytest.raises(ValueError):
-            RoutingConfig(max_ripup_iterations=-1)
 
 
 # ----------------------------------------------------------------------
@@ -313,12 +313,13 @@ def test_tampered_path_is_detected(negotiated_design):
         victim.path = original
 
 
-def test_hidden_overflow_is_detected():
+def test_hidden_overflow_is_detected(monkeypatch):
     # Force real overflow, then pretend there was none: the verifier must
     # flag over-capacity edges paired with overflow_wires == 0.
+    monkeypatch.setattr(negotiated, "MAX_RIPUP_ITERATIONS", 2)
     netlist, placement = _chain_design(n_cells=10, span=50.0, seed=3)
     technology = Technology(routing_bin_um=25.0, routing_capacity_per_bin=1)
-    config = RoutingConfig(algorithm="negotiated", max_ripup_iterations=2)
+    config = RoutingConfig(algorithm="negotiated")
     result = route(netlist, placement, technology=technology, config=config)
     over = int(
         np.count_nonzero(result.grid.horizontal_usage > result.grid.horizontal_capacity)

@@ -191,8 +191,6 @@ class TestRouteDriver:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RoutingConfig(window_margin_bins=-1)
-        with pytest.raises(ValueError):
             RoutingConfig(max_relax_rounds=-1)
 
     def test_coarsening_scales_grid_and_capacity(self, placed_design, monkeypatch):

@@ -9,9 +9,13 @@ The load-bearing contracts:
   recovered run is bitwise-identical to a fault-free one.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.config import fast_config
 from repro.runtime import (
     ArtifactCache,
@@ -26,6 +30,7 @@ from repro.runtime import (
     register_executor,
 )
 from repro.runtime.chaos import (
+    KNOWN_SITES,
     ChaosError,
     ChaosHang,
     ChaosTransientError,
@@ -96,6 +101,30 @@ class TestFaultPlanParse:
             FaultPlan.parse("error@job.run:frequency=2")
         with pytest.raises(ValueError, match="empty chaos spec"):
             FaultPlan.parse(" ; ")
+
+    def test_rejects_a_site_that_matches_no_injection_point(self):
+        with pytest.raises(ValueError, match=r"'stage\.placment'.*stage\.placement"):
+            FaultPlan.parse("error@stage.placment")
+        with pytest.raises(ValueError, match="matches no injection site"):
+            FaultPlan.parse("transient@job.run;corrupt@cache.*x")
+
+    @pytest.mark.parametrize("site", [*KNOWN_SITES, "stage.*", "*"])
+    def test_every_known_site_and_glob_parses(self, site):
+        assert FaultPlan.parse(f"error@{site}").rules[0].site == site
+
+    def test_known_sites_are_the_literal_chaos_points_in_src(self):
+        # Every chaos_point("...") call under src/ names its site literally.
+        package = Path(repro.__file__).parent
+        sites = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and "chaos_point" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    site = node.args[0]
+                    assert isinstance(site, ast.Constant), f"{path}: non-literal site"
+                    sites.add(site.value)
+        assert sites == set(KNOWN_SITES)
 
 
 class TestDecide:
@@ -239,6 +268,24 @@ class TestRunnerRecovery:
         assert result.failure is None
         assert result.attempts == 2
         assert verify_flow(result.value.design).passed
+
+    @pytest.mark.parametrize("site", ["stage.placement", "stage.routing"])
+    def test_physical_stage_fault_is_retried_not_absorbed(self, site):
+        # A fault inside placement or routing fails the attempt; the retry
+        # then reproduces the fault-free design bit for bit.
+        from repro.networks import random_sparse_network
+
+        network = random_sparse_network(30, 0.08, rng=3, name="chaos-net")
+        job = Job(kind="autoncs", label="flow",
+                  payload={"network": network, "config": FAST}, seed=9)
+        clean = Runner().run([job])[0].value.design
+        plan = FaultPlan.parse(f"transient@{site}", seed=5)
+        result = Runner(resilience=QUICK, chaos=plan).run([job])[0]
+        assert result.attempts == 2
+        assert result.value.metadata["fallbacks"] == []
+        design = result.value.design
+        assert design.placement.x.tobytes() == clean.placement.x.tobytes()
+        assert design.routing.lengths.tobytes() == clean.routing.lengths.tobytes()
 
     def test_retry_determinism_vs_fault_free_run(self):
         # The acceptance contract: the same seed with and without

@@ -177,15 +177,14 @@ class TestRepairWorstCase:
 
 class TestPipelineStageFailure:
     def test_dead_placers_raise_stage_error_naming_placement(self, monkeypatch):
-        # Both the analytical placer and its annealing fallback blow up: the
-        # flow must surface a StageError carrying the failing stage name.
+        # The placer runs once; when it raises, the flow surfaces a
+        # StageError carrying the failing stage name and the mapping.
         def broken(netlist, **kwargs):
             raise RuntimeError("synthetic placement failure")
 
         monkeypatch.setattr(autoncs_module, "place", broken)
-        monkeypatch.setattr(autoncs_module, "anneal_place", broken)
         net = random_sparse_network(40, 0.1, rng=6)
-        with pytest.raises(StageError) as excinfo:
+        with pytest.raises(StageError, match="synthetic placement failure") as excinfo:
             AutoNCS(fast_config()).run(net, rng=6)
         assert excinfo.value.stage == "placement"
-        assert "mapping" in excinfo.value.partial
+        assert set(excinfo.value.partial) == {"mapping"}

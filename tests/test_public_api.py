@@ -79,7 +79,7 @@ CONFIG_FIELDS = {
         "max_lambda_stages", "cg_iterations_per_stage",
     ),
     "repro.physical.routing.router.RoutingConfig": (
-        "window_margin_bins", "max_relax_rounds", "algorithm", "max_ripup_iterations",
+        "max_relax_rounds", "algorithm",
     ),
     "repro.physical.placement.annealing.AnnealingConfig": (
         "moves_per_temperature", "temperatures",

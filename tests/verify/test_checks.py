@@ -12,7 +12,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.mapping.netlist import CrossbarInstance
 from repro.networks.hopfield import HopfieldNetwork
 from repro.networks.patterns import qr_like_patterns
 from repro.physical.routing.router import RoutingResult
