@@ -50,7 +50,7 @@ def main() -> None:
     print(ascii_layout(placement, netlist.kinds))
 
     routing = route(netlist, placement)
-    print(f"\nrouting: {len(routing.wires)} wires, "
+    print(f"\nrouting: {len(routing.paths)} wires, "
           f"{routing.relax_rounds} capacity-relax rounds, "
           f"{routing.overflow_wires} overflowed wires")
     print("congestion map (darker = more wires):")

@@ -52,7 +52,7 @@ class DesignSummary:
             f"composite cost    : {cost.total:,.1f}",
             f"delay distribution: median {self.delays.median_ns:.3f}, "
             f"p95 {self.delays.p95_ns:.3f}, max {self.delays.max_ns:.3f} ns",
-            f"routing           : {len(routing.wires)} wires, "
+            f"routing           : {len(routing.paths)} wires, "
             f"{routing.relax_rounds} relax rounds, "
             f"{routing.overflow_wires} overflowed, "
             f"peak congestion {routing.grid.max_congestion():.2f}",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -126,19 +126,3 @@ class PhysicalDesign:
             "cost": self.cost.total,
         }
 
-
-def congestion_map(routing: object) -> Optional[np.ndarray]:
-    """Per-bin wire count map from a routing result (Fig. 10(b)/(d)).
-
-    Returns ``None`` when the routing result carries no usage data.
-    """
-    horizontal = getattr(routing, "horizontal_usage", None)
-    vertical = getattr(routing, "vertical_usage", None)
-    if horizontal is None or vertical is None:
-        return None
-    nx = max(horizontal.shape[0], vertical.shape[0])
-    ny = max(horizontal.shape[1], vertical.shape[1])
-    total = np.zeros((nx, ny))
-    total[: horizontal.shape[0], : horizontal.shape[1]] += horizontal
-    total[: vertical.shape[0], : vertical.shape[1]] += vertical
-    return total

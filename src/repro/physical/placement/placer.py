@@ -72,8 +72,11 @@ class PlacementConfig:
     cg_iterations_per_stage: int = 30
 
     def __post_init__(self) -> None:
-        if self.max_lambda_stages < 1 or self.cg_iterations_per_stage < 1:
-            raise ValueError("stage/iteration budgets must be >= 1")
+        for name in ("max_lambda_stages", "cg_iterations_per_stage"):
+            value = getattr(self, name)
+            if not (value >= 1 and value % 1 == 0):
+                raise ValueError(f"{name} must be a whole number >= 1, got {value}")
+            setattr(self, name, int(value))
 
 
 def place(

@@ -8,7 +8,7 @@ same windowed A* maze search (:mod:`repro.physical.routing.maze`).
 
 from repro.physical.routing.grid import RoutingGrid
 from repro.physical.routing.maze import MazeWorkspace, maze_route
-from repro.physical.routing.negotiated import NegotiationOutcome, negotiate_routes
+from repro.physical.routing.negotiated import negotiate_routes
 from repro.physical.routing.router import (
     ROUTING_ALGORITHMS,
     RoutingConfig,
@@ -18,7 +18,6 @@ from repro.physical.routing.router import (
 
 __all__ = [
     "MazeWorkspace",
-    "NegotiationOutcome",
     "ROUTING_ALGORITHMS",
     "RoutingConfig",
     "RoutingGrid",

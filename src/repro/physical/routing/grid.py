@@ -3,13 +3,16 @@
 The chip region is tessellated into square bins of user-defined width θ;
 routing-graph nodes are bins and edges connect 4-neighbours.  Each edge has
 a (virtual) capacity — the estimated number of wires it accommodates [17] —
-and a usage counter that the maze router updates as wires commit.
+and a usage counter that the routers update as wires commit.  Usage and
+capacity live in one array per direction, indexed by edge arithmetic (see
+:meth:`RoutingGrid.add_usage`); :meth:`RoutingGrid.overflows` is the one
+rule for a path crossing an edge past the base capacity.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,49 +72,37 @@ class RoutingGrid:
         by = np.clip((np.asarray(y) - self.origin[1]) / self.bin_um, 0, self.ny - 1)
         return bx.astype(np.intp), by.astype(np.intp)
 
-    def bin_center(self, b: BinCoord) -> Tuple[float, float]:
-        """Center coordinates of bin ``b`` in µm."""
-        return (
-            self.origin[0] + (b[0] + 0.5) * self.bin_um,
-            self.origin[1] + (b[1] + 0.5) * self.bin_um,
-        )
-
     # ------------------------------------------------------------------
-    # Edge bookkeeping — edges are identified by (kind, ex, ey) with kind
-    # 'h' (between (ex, ey) and (ex+1, ey)) or 'v' ((ex, ey) to (ex, ey+1)).
+    # Edge bookkeeping.  A step between bins (ax, ay) and (bx, by) crosses
+    # horizontal edge (min(ax, bx), ay) when ay == by, else vertical edge
+    # (ax, min(ay, by)).
     # ------------------------------------------------------------------
-    def edge_between(self, a: BinCoord, b: BinCoord) -> Tuple[str, int, int]:
-        """Identify the edge joining two adjacent bins."""
-        (ax, ay), (bx, by) = a, b
-        if ax == bx and abs(ay - by) == 1:
-            return ("v", ax, min(ay, by))
-        if ay == by and abs(ax - bx) == 1:
-            return ("h", min(ax, bx), ay)
-        raise ValueError(f"bins {a} and {b} are not adjacent")
-
-    def edge_usage(self, edge: Tuple[str, int, int]) -> int:
-        """Current usage of an edge."""
-        kind, ex, ey = edge
-        if kind == "h":
-            return int(self.horizontal_usage[ex, ey])
-        return int(self.vertical_usage[ex, ey])
-
-    def edge_capacity(self, edge: Tuple[str, int, int]) -> int:
-        """Current (virtual) capacity of an edge."""
-        kind, ex, ey = edge
-        if kind == "h":
-            return int(self.horizontal_capacity[ex, ey])
-        return int(self.vertical_capacity[ex, ey])
-
     def add_usage(self, path: Iterable[BinCoord], amount: int = 1) -> None:
-        """Commit (or with negative ``amount``, rip up) a path's edge usage."""
+        """Commit (or with negative ``amount``, rip up) a path's edge usage.
+
+        Raises ``ValueError`` at the first step between non-adjacent bins.
+        """
         path = list(path)
-        for a, b in zip(path, path[1:]):
-            kind, ex, ey = self.edge_between(a, b)
-            if kind == "h":
-                self.horizontal_usage[ex, ey] += amount
+        for (ax, ay), (bx, by) in zip(path, path[1:]):
+            if ay == by and abs(ax - bx) == 1:
+                self.horizontal_usage[min(ax, bx), ay] += amount
+            elif ax == bx and abs(ay - by) == 1:
+                self.vertical_usage[ax, min(ay, by)] += amount
             else:
-                self.vertical_usage[ex, ey] += amount
+                raise ValueError(f"bins {(ax, ay)} and {(bx, by)} are not adjacent")
+
+    def overflows(self, path: Sequence[BinCoord]) -> bool:
+        """True when an edge on ``path`` carries more wires than the base
+        capacity — the one over-capacity rule of both routers."""
+        limit = self.base_capacity
+        for (ax, ay), (bx, by) in zip(path, path[1:]):
+            if ay == by:
+                usage = self.horizontal_usage[min(ax, bx), ay]
+            else:
+                usage = self.vertical_usage[ax, min(ay, by)]
+            if usage > limit:
+                return True
+        return False
 
     def relax_capacity(self, increment: int) -> None:
         """Raise every edge's virtual capacity (the rerouting relaxation of [17])."""
@@ -124,12 +115,6 @@ class RoutingGrid:
     def path_length_um(self, path: List[BinCoord]) -> float:
         """Length of a bin path: edges × θ."""
         return max(len(path) - 1, 0) * self.bin_um
-
-    def overflowed_edges(self) -> int:
-        """Number of edges whose usage exceeds the *base* capacity."""
-        h_over = int(np.count_nonzero(self.horizontal_usage > self.base_capacity))
-        v_over = int(np.count_nonzero(self.vertical_usage > self.base_capacity))
-        return h_over + v_over
 
     def max_congestion(self) -> float:
         """Peak usage/base-capacity ratio over all edges."""

@@ -30,13 +30,15 @@ Entry point: :func:`negotiate_routes`, called by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.physical.routing.grid import BinCoord, RoutingGrid
+from repro.physical.routing.grid import BinCoord
 from repro.physical.routing.maze import MazeWorkspace, maze_route
+
+if TYPE_CHECKING:
+    from repro.physical.routing.router import RoutingResult
 
 #: Present-congestion weight of the first rip-up round.
 PRESENT_WEIGHT = 0.5
@@ -60,56 +62,26 @@ class WirePins(NamedTuple):
     same_bin_lengths: List[float]
 
 
-@dataclass
-class NegotiationOutcome:
-    """Everything one negotiated-congestion run produced.
-
-    ``paths``/``lengths`` are keyed by wire index; ``iterations`` counts
-    the rip-up rounds that actually ran and ``ripups`` the individual
-    wire rip-ups across all of them.  ``converged`` is True when the
-    final usage respects every edge capacity.
-    """
-
-    paths: Dict[int, List[BinCoord]]
-    lengths: Dict[int, float]
-    iterations: int = 0
-    ripups: int = 0
-    converged: bool = True
-    metadata: dict = field(default_factory=dict)
-
-
-def _crosses_overuse(
-    path: Sequence[BinCoord],
-    over_h: np.ndarray,
-    over_v: np.ndarray,
-) -> bool:
-    """True when ``path`` uses any edge flagged in the overuse masks."""
-    for a, b in zip(path, path[1:]):
-        (ax, ay), (bx, by) = a, b
-        if ay == by:
-            if over_h[min(ax, bx), ay]:
-                return True
-        elif over_v[ax, min(ay, by)]:
-            return True
-    return False
-
-
 def negotiate_routes(
     pins: WirePins,
-    grid: RoutingGrid,
     workspace: MazeWorkspace,
     order: Sequence[int],
-) -> NegotiationOutcome:
-    """Route every wire with negotiated congestion; returns the outcome.
+    result: RoutingResult,
+) -> None:
+    """Route every wire with negotiated congestion into ``result``.
 
-    The caller owns the grid: usage counters are committed on it exactly
-    as the ordered router does, so downstream consumers (cost model,
-    verifier, congestion maps) see the same bookkeeping.
+    Fills ``result.paths``, ``lengths`` and ``overflowed`` and counts
+    ``ripup_iterations`` and ``ripups``.  Usage is committed on
+    ``result.grid`` exactly as the ordered router does, so downstream
+    consumers (cost model, verifier, congestion maps) see the same
+    bookkeeping.  The grid's capacity must be its base capacity (this
+    router never relaxes it), so the grid's one over-capacity rule picks
+    the wires to rip up and, at the end, the wires to flag.
     """
+    grid = result.grid
     h_history, v_history = workspace.ensure_history()
     present = PRESENT_WEIGHT
-    paths: Dict[int, List[BinCoord]] = {}
-    lengths: Dict[int, float] = {}
+    paths, lengths = result.paths, result.lengths
     starts, goals, same_bin_lengths = pins
 
     def search(index: int) -> None:
@@ -128,14 +100,12 @@ def negotiate_routes(
     for index in order:
         search(index)
 
-    iterations = 0
-    ripups = 0
     for _ in range(MAX_RIPUP_ITERATIONS):
         over_h = grid.horizontal_usage > grid.horizontal_capacity
         over_v = grid.vertical_usage > grid.vertical_capacity
         if not (over_h.any() or over_v.any()):
             break
-        iterations += 1
+        result.ripup_iterations += 1
         # Chronic congestion leaves a permanent trace: every overused
         # edge gets history proportional to how far over it went.
         h_history += HISTORY_INCREMENT * np.maximum(
@@ -144,25 +114,12 @@ def negotiate_routes(
         v_history += HISTORY_INCREMENT * np.maximum(
             grid.vertical_usage - grid.vertical_capacity, 0
         )
-        victims = [
-            index
-            for index in order
-            if len(paths[index]) > 1 and _crosses_overuse(paths[index], over_h, over_v)
-        ]
+        victims = [index for index in order if grid.overflows(paths[index])]
         for index in victims:
             grid.add_usage(paths[index], amount=-1)
-        ripups += len(victims)
+        result.ripups += len(victims)
         present *= PRESENT_GROWTH
         for index in victims:
             search(index)
 
-    over_h = grid.horizontal_usage > grid.horizontal_capacity
-    over_v = grid.vertical_usage > grid.vertical_capacity
-    return NegotiationOutcome(
-        paths=paths,
-        lengths=lengths,
-        iterations=iterations,
-        ripups=ripups,
-        converged=not (over_h.any() or over_v.any()),
-        metadata={"final_present_weight": present},
-    )
+    result.overflowed[:] = [grid.overflows(path) for path in paths]

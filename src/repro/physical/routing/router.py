@@ -24,12 +24,17 @@ Two algorithms share this driver, selected by
   reroute (:mod:`repro.physical.routing.negotiated`): congestion is
   priced instead of blocked, and only the wires crossing overused edges
   are iteratively ripped up under rising present + history costs.
+
+Both fill one :class:`RoutingResult` that ``route`` allocates: per-wire
+arrays indexed by wire, written in place as each wire commits.  Both
+flag a wire with the grid's one over-capacity rule,
+:meth:`~repro.physical.routing.grid.RoutingGrid.overflows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Sequence
+from typing import ClassVar, List, Optional, Sequence
 
 import numpy as np
 
@@ -77,8 +82,10 @@ class RoutingConfig:
     algorithm: str = "ordered"
 
     def __post_init__(self) -> None:
-        if self.max_relax_rounds < 0:
-            raise ValueError("max_relax_rounds must be >= 0")
+        if not (self.max_relax_rounds >= 0 and self.max_relax_rounds % 1 == 0):
+            raise ValueError(
+                f"max_relax_rounds must be a whole number >= 0, got {self.max_relax_rounds}"
+            )
         if self.algorithm not in ROUTING_ALGORITHMS:
             raise ValueError(
                 f"algorithm must be one of {ROUTING_ALGORITHMS}, "
@@ -87,53 +94,43 @@ class RoutingConfig:
 
 
 @dataclass
-class RoutedWire:
-    """One wire's routing outcome."""
-
-    wire_index: int
-    path: List[BinCoord]
-    length_um: float
-    overflowed: bool = False
-
-
-@dataclass
 class RoutingResult:
-    """Complete routing outcome: per-wire paths, lengths and congestion.
+    """Complete routing outcome: per-wire arrays indexed by wire, and the grid.
 
+    ``paths[i]`` is wire *i*'s bin path from its source pin's bin to its
+    target pin's bin (one bin when both pins share it), ``lengths[i]`` its
+    routed length in µm (float64) and ``overflowed[i]`` (bool) whether it
+    crossed an edge past the base capacity: the ordered router tests the
+    wires of its overflow pass as each commits, the negotiated router
+    every wire once it is done.
     ``relax_rounds`` counts capacity relaxations (ordered algorithm);
     ``ripup_iterations``/``ripups`` count negotiation rounds and
-    individual wire rip-ups (negotiated algorithm).  Each is zero for
-    the other algorithm.
+    individual wire rip-ups (negotiated algorithm), and ``ripups`` the
+    re-routed failures of the ordered one.
     """
 
-    wires: List[RoutedWire]
+    paths: List[List[BinCoord]]
+    lengths: np.ndarray
+    overflowed: np.ndarray
     grid: RoutingGrid
-    relax_rounds: int
-    overflow_wires: int
     algorithm: str = "ordered"
+    relax_rounds: int = 0
     ripup_iterations: int = 0
     ripups: int = 0
 
     @property
+    def overflow_wires(self) -> int:
+        """Number of wires flagged in ``overflowed``."""
+        return int(np.count_nonzero(self.overflowed))
+
+    @property
     def total_wirelength_um(self) -> float:
-        """Total routed wirelength L (µm) — the Table 1 metric."""
-        return float(sum(w.length_um for w in self.wires))
+        """Total routed wirelength L (µm) — the Table 1 metric.
 
-    @property
-    def lengths(self) -> np.ndarray:
-        """Per-wire routed lengths in wire-index order."""
-        ordered = sorted(self.wires, key=lambda w: w.wire_index)
-        return np.array([w.length_um for w in ordered])
-
-    @property
-    def horizontal_usage(self) -> np.ndarray:
-        """Horizontal routing-edge usage (for congestion maps)."""
-        return self.grid.horizontal_usage
-
-    @property
-    def vertical_usage(self) -> np.ndarray:
-        """Vertical routing-edge usage (for congestion maps)."""
-        return self.grid.vertical_usage
+        Summed left to right in wire order as Python floats, so its repr
+        is the one the golden fixtures record.
+        """
+        return float(sum(self.lengths.tolist()))
 
     def congestion_map(self) -> np.ndarray:
         """Per-bin wire counts (Fig. 10(b)/(d))."""
@@ -218,20 +215,28 @@ def route(
     recorder = get_recorder()
     order = _routing_order(netlist, placement)
     pins = _wire_pins(netlist, placement, grid)
+    num_wires = netlist.num_wires
+    result = RoutingResult(
+        paths=[[] for _ in range(num_wires)],
+        lengths=np.zeros(num_wires),
+        overflowed=np.zeros(num_wires, dtype=bool),
+        grid=grid,
+        algorithm=config.algorithm,
+    )
 
     with recorder.span(
         "routing.global",
-        wires=netlist.num_wires,
+        wires=num_wires,
         bins=[grid.nx, grid.ny],
         algorithm=config.algorithm,
     ) as span:
         if config.algorithm == "negotiated":
-            result = _route_negotiated(pins, grid, workspace, order)
+            negotiate_routes(pins, workspace, order, result)
         else:
-            result = _route_ordered(pins, grid, workspace, order, config, recorder)
+            _route_ordered(pins, workspace, order, config, recorder, result)
         # One reporting flush per route() call — the maze inner loop only
         # touches workspace integers (null-recorder overhead contract).
-        recorder.count("routing.wires_routed", len(result.wires))
+        recorder.count("routing.wires_routed", num_wires)
         recorder.count("routing.ripup_retries", result.ripups)
         recorder.count("routing.ripup_iterations", result.ripup_iterations)
         recorder.count("routing.relax_rounds", result.relax_rounds)
@@ -243,9 +248,7 @@ def route(
         recorder.count("routing.heuristic_builds", workspace.heuristic_builds)
         recorder.count("routing.heuristic_hits", workspace.heuristic_hits)
         if recorder.enabled:
-            recorder.observe_many(
-                "routing.path_bins", [len(wire.path) for wire in result.wires]
-            )
+            recorder.observe_many("routing.path_bins", [len(path) for path in result.paths])
             recorder.gauge("routing.total_wirelength_um", result.total_wirelength_um)
         span.annotate(
             ripup_retries=result.ripups,
@@ -259,121 +262,59 @@ def route(
 
 def _route_ordered(
     pins: WirePins,
-    grid: RoutingGrid,
     workspace: MazeWorkspace,
     order: List[int],
     config: RoutingConfig,
     recorder,
-) -> RoutingResult:
-    """The paper's ordered route: relax capacity, then never-fail overflow."""
-    routed: Dict[int, RoutedWire] = {}
-    failed: List[int] = []
+    result: RoutingResult,
+) -> None:
+    """The paper's ordered route into ``result``: relax capacity, then
+    never-fail overflow.  Only wires of the overflow pass are flagged,
+    each by the grid's usage when it commits."""
+    grid = result.grid
+    paths, lengths, overflowed = result.paths, result.lengths, result.overflowed
     starts, goals, same_bin_lengths = pins
-
-    def try_route(index: int, allow_overflow: bool) -> Optional[RoutedWire]:
-        start, goal = starts[index], goals[index]
-        if start == goal:
-            return RoutedWire(
-                wire_index=index, path=[start], length_um=same_bin_lengths[index]
-            )
-        path = maze_route(
-            grid, start, goal, allow_overflow=allow_overflow, workspace=workspace
-        )
-        if path is None:
-            return None
-        grid.add_usage(path)
-        overflowed = allow_overflow and _path_overflows(grid, path)
-        return RoutedWire(
-            wire_index=index,
-            path=path,
-            length_um=grid.path_length_um(path),
-            overflowed=overflowed,
-        )
 
     def route_pass(indices: Sequence[int], allow_overflow: bool) -> List[int]:
         """Route ``indices`` in order; returns the failures."""
         still_failed: List[int] = []
         for index in indices:
-            outcome = try_route(index, allow_overflow)
-            if outcome is None:
+            start, goal = starts[index], goals[index]
+            if start == goal:
+                paths[index] = [start]
+                lengths[index] = same_bin_lengths[index]
+                continue
+            path = maze_route(
+                grid, start, goal, allow_overflow=allow_overflow, workspace=workspace
+            )
+            if path is None:
                 still_failed.append(index)
-            else:
-                routed[index] = outcome
+                continue
+            grid.add_usage(path)
+            paths[index] = path
+            lengths[index] = grid.path_length_um(path)
+            if allow_overflow:
+                overflowed[index] = grid.overflows(path)
         return still_failed
 
     failed = route_pass(order, allow_overflow=False)
     first_pass_failures = len(failed)
 
-    relax_rounds = 0
-    ripup_retries = 0
-    while failed and relax_rounds < config.max_relax_rounds:
-        relax_rounds += 1
+    while failed and result.relax_rounds < config.max_relax_rounds:
+        result.relax_rounds += 1
         grid.relax_capacity(RELAX_INCREMENT)
-        recorder.event("routing.relax_round", round=relax_rounds, failed=len(failed))
-        ripup_retries += len(failed)
+        recorder.event("routing.relax_round", round=result.relax_rounds, failed=len(failed))
+        result.ripups += len(failed)
         failed = route_pass(failed, allow_overflow=False)
 
     # Never-fail final pass: overflow allowed, heavily penalized.
-    overflow_wires = 0
     if failed:
-        ripup_retries += len(failed)
+        result.ripups += len(failed)
         remaining = route_pass(failed, allow_overflow=True)
         if remaining:  # pragma: no cover - connected grid always routes
             raise RuntimeError(f"wire {remaining[0]} could not be routed at all")
         for index in failed:
-            if routed[index].overflowed:
-                overflow_wires += 1
+            if overflowed[index]:
                 recorder.event("routing.overflow", wire=index)
 
     recorder.count("routing.first_pass_failures", first_pass_failures)
-    return RoutingResult(
-        wires=[routed[i] for i in sorted(routed)],
-        grid=grid,
-        relax_rounds=relax_rounds,
-        overflow_wires=overflow_wires,
-        algorithm="ordered",
-        ripups=ripup_retries,
-    )
-
-
-def _route_negotiated(
-    pins: WirePins,
-    grid: RoutingGrid,
-    workspace: MazeWorkspace,
-    order: List[int],
-) -> RoutingResult:
-    """PathFinder-style negotiated congestion, wrapped as a RoutingResult."""
-    outcome = negotiate_routes(pins, grid, workspace, order)
-    wires: List[RoutedWire] = []
-    overflow_wires = 0
-    for index in sorted(outcome.paths):
-        path = outcome.paths[index]
-        overflowed = len(path) > 1 and _path_overflows(grid, path)
-        if overflowed:
-            overflow_wires += 1
-        wires.append(
-            RoutedWire(
-                wire_index=index,
-                path=path,
-                length_um=outcome.lengths[index],
-                overflowed=overflowed,
-            )
-        )
-    return RoutingResult(
-        wires=wires,
-        grid=grid,
-        relax_rounds=0,
-        overflow_wires=overflow_wires,
-        algorithm="negotiated",
-        ripup_iterations=outcome.iterations,
-        ripups=outcome.ripups,
-    )
-
-
-def _path_overflows(grid: RoutingGrid, path: List[BinCoord]) -> bool:
-    """True when any edge on ``path`` exceeds its base capacity."""
-    for a, b in zip(path, path[1:]):
-        edge = grid.edge_between(a, b)
-        if grid.edge_usage(edge) > grid.base_capacity:
-            return True
-    return False

@@ -400,16 +400,19 @@ def _check_placement(
 
 
 def _recompute_usage(grid, paths) -> Tuple[np.ndarray, np.ndarray]:
-    """Independent edge-usage tally from the committed paths."""
+    """Independent edge-usage tally from the committed (contiguous) paths.
+
+    A step along a row crosses horizontal edge ``(min x, y)``, a step
+    along a column vertical edge ``(x, min y)``.
+    """
     horizontal = np.zeros_like(grid.horizontal_usage)
     vertical = np.zeros_like(grid.vertical_usage)
     for path in paths:
-        for a, b in zip(path, path[1:]):
-            kind, ex, ey = grid.edge_between(a, b)
-            if kind == "h":
-                horizontal[ex, ey] += 1
+        for (ax, ay), (bx, by) in zip(path, path[1:]):
+            if ay == by:
+                horizontal[min(ax, bx), ay] += 1
             else:
-                vertical[ex, ey] += 1
+                vertical[ax, min(ay, by)] += 1
     return horizontal, vertical
 
 
@@ -421,32 +424,18 @@ def _check_routing(
 ) -> None:
     netlist = mapping.netlist
     grid = routing.grid
-    indices = [w.wire_index for w in routing.wires]
-    index_counts = Counter(indices)
-    duplicates = sorted(i for i, c in index_counts.items() if c > 1)
-    missing = sorted(set(range(netlist.num_wires)) - set(indices))
-    unknown = sorted(i for i in index_counts if not 0 <= i < netlist.num_wires)
-    _add_capped(
-        violations,
-        "physical",
-        (f"wire {i} is routed {index_counts[i]} times" for i in duplicates),
-        "multiply-routed wires",
-    )
-    _add_capped(
-        violations,
-        "physical",
-        (
-            f"wire {i} (cell {netlist.sources[i]} → {netlist.targets[i]}) has no route"
-            for i in missing
-        ),
-        "unrouted wires",
-    )
-    _add_capped(
-        violations,
-        "physical",
-        (f"routed wire index {i} does not exist in the netlist" for i in unknown),
-        "unknown wire indices",
-    )
+    paths, lengths = routing.paths, routing.lengths
+    counts = (len(paths), len(lengths), len(routing.overflowed))
+    one_per_wire = counts == (netlist.num_wires,) * 3
+    if not one_per_wire:
+        violations.append(
+            Violation(
+                "physical",
+                f"routing holds {counts[0]} paths, {counts[1]} lengths and "
+                f"{counts[2]} overflow flags for {netlist.num_wires} netlist wires",
+                {"paths": counts[0], "lengths": counts[1], "overflow_flags": counts[2]},
+            )
+        )
 
     # On-chip containment: every cell extent inside the routed region.
     x0, y0 = grid.origin
@@ -485,14 +474,13 @@ def _check_routing(
     broken_paths: List[str] = []
     length_errors: List[str] = []
     multi_bin_paths = []
-    for routed in routing.wires:
-        if not 0 <= routed.wire_index < netlist.num_wires or not routed.path:
-            if not routed.path:
-                broken_paths.append(f"wire {routed.wire_index} has an empty path")
+    for index in range(min(netlist.num_wires, counts[0], counts[1])):
+        path = [tuple(b) for b in paths[index]]
+        if not path:
+            broken_paths.append(f"wire {index} has an empty path")
             continue
-        index = routed.wire_index
         start, goal = starts[index], goals[index]
-        path = [tuple(b) for b in routed.path]
+        length = float(lengths[index])
         if len(path) == 1:
             if start != goal or path[0] != start:
                 pin_mismatches.append(
@@ -521,9 +509,9 @@ def _check_routing(
                 continue
             multi_bin_paths.append(path)
             expected_length = grid.path_length_um(path)
-        if abs(routed.length_um - expected_length) > 1e-6 + 1e-9 * expected_length:
+        if abs(length - expected_length) > 1e-6 + 1e-9 * expected_length:
             length_errors.append(
-                f"wire {index} records length {routed.length_um:.3f} µm, "
+                f"wire {index} records length {length:.3f} µm, "
                 f"its path measures {expected_length:.3f} µm"
             )
     _add_capped(violations, "physical", pin_mismatches, "pin-set mismatches")
@@ -535,7 +523,7 @@ def _check_routing(
     # (virtual, possibly relaxed) capacity unless the router explicitly
     # reported overflow wires.
     horizontal, vertical = _recompute_usage(grid, multi_bin_paths)
-    if not duplicates and not missing and not unknown and not broken_paths:
+    if one_per_wire and not broken_paths:
         if not (
             np.array_equal(horizontal, grid.horizontal_usage)
             and np.array_equal(vertical, grid.vertical_usage)
@@ -583,7 +571,7 @@ def check_physical(
         "overlap_ratio": round(overlap_ratio, 6),
     }
     if routing is not None:
-        stats["routed_wires"] = len(routing.wires)
+        stats["routed_wires"] = len(routing.paths)
         stats["overflow_wires"] = routing.overflow_wires
     return CheckResult(name="physical", violations=violations, stats=stats)
 

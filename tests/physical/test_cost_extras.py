@@ -56,7 +56,9 @@ class TestDelayStatistics:
             kinds=[], widths=[], heights=[], delays_ns=[], sources=[], targets=[], weights=[]
         )
         grid = RoutingGrid((0, 0), 10, 10, 2, 4)
-        routing = RoutingResult(wires=[], grid=grid, relax_rounds=0, overflow_wires=0)
+        routing = RoutingResult(
+            paths=[], lengths=np.zeros(0), overflowed=np.zeros(0, dtype=bool), grid=grid
+        )
         stats = delay_statistics(netlist, routing)
         assert stats.max_ns == 0.0
 

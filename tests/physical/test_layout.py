@@ -1,9 +1,9 @@
-"""Tests for layout containers and congestion-map helpers."""
+"""Tests for layout containers."""
 
 import numpy as np
 import pytest
 
-from repro.physical.layout import Placement, PhysicalDesign, congestion_map
+from repro.physical.layout import Placement, PhysicalDesign
 
 
 class TestPlacementGeometry:
@@ -38,20 +38,6 @@ class TestPlacementGeometry:
         assert ratio(10.0) == 0.0
         # Shifted by half a width, the two 4x4 cells share a 2x4 strip.
         assert ratio(2.0) == pytest.approx(8.0 / 32.0)
-
-
-class TestCongestionMapHelper:
-    def test_combines_usages(self):
-        class FakeRouting:
-            horizontal_usage = np.ones((2, 3))
-            vertical_usage = np.ones((3, 2))
-
-        combined = congestion_map(FakeRouting())
-        assert combined.shape == (3, 3)
-        assert combined[0, 0] == 2.0
-
-    def test_none_without_usage(self):
-        assert congestion_map(object()) is None
 
 
 class TestPhysicalDesign:

@@ -53,17 +53,16 @@ def assert_routing_invariants(netlist, placement, result: RoutingResult) -> None
     """Every property a sound routing result must have, any algorithm."""
     grid = result.grid
     # Exactly one route per wire.
-    indices = sorted(w.wire_index for w in result.wires)
-    assert indices == list(range(netlist.num_wires))
+    assert len(result.paths) == len(result.lengths) == netlist.num_wires
+    assert result.overflowed.shape == (netlist.num_wires,)
     replay_h = np.zeros_like(grid.horizontal_usage)
     replay_v = np.zeros_like(grid.vertical_usage)
-    for routed in result.wires:
-        source, target = netlist.sources[routed.wire_index], netlist.targets[routed.wire_index]
+    for index, (path, length) in enumerate(zip(result.paths, result.lengths)):
+        source, target = netlist.sources[index], netlist.targets[index]
         sx, sy = placement.x[source], placement.y[source]
         tx, ty = placement.x[target], placement.y[target]
         start = grid.bin_of(float(sx), float(sy))
         goal = grid.bin_of(float(tx), float(ty))
-        path = routed.path
         assert path, "empty path"
         if len(path) == 1:
             assert path[0] == start == goal
@@ -81,8 +80,8 @@ def assert_routing_invariants(netlist, placement, result: RoutingResult) -> None
             expected = grid.path_length_um(path)
             # Wirelength lower bound: Manhattan distance between pin bins.
             manhattan = (abs(start[0] - goal[0]) + abs(start[1] - goal[1])) * grid.bin_um
-            assert routed.length_um >= manhattan - 1e-9
-        assert routed.length_um == pytest.approx(expected)
+            assert length >= manhattan - 1e-9
+        assert length == pytest.approx(expected)
     # The grid's usage counters must equal the independent replay — any
     # rip-up that forgot to reroute (or vice versa) breaks this.
     np.testing.assert_array_equal(replay_h, grid.horizontal_usage)
@@ -273,7 +272,7 @@ def negotiated_design():
 
 
 def _multi_bin_wire(routing):
-    return next(w for w in routing.wires if len(w.path) > 1)
+    return next(index for index, path in enumerate(routing.paths) if len(path) > 1)
 
 
 def test_untampered_design_passes(negotiated_design):
@@ -287,22 +286,22 @@ def test_ripup_without_reroute_is_detected(negotiated_design):
     # relative to the committed paths — the replay check must fire.
     design = negotiated_design
     routing = design.routing
-    victim = _multi_bin_wire(routing)
-    routing.grid.add_usage(victim.path, amount=-1)
+    victim = routing.paths[_multi_bin_wire(routing)]
+    routing.grid.add_usage(victim, amount=-1)
     try:
         report = check_physical(design.mapping, design.placement, routing)
         assert not report.passed
         assert any("usage counters" in v.message for v in report.violations)
     finally:
-        routing.grid.add_usage(victim.path)
+        routing.grid.add_usage(victim)
 
 
 def test_tampered_path_is_detected(negotiated_design):
     design = negotiated_design
     routing = design.routing
     victim = _multi_bin_wire(routing)
-    original = list(victim.path)
-    victim.path = [original[0], original[-1]] if len(original) > 2 else [
+    original = routing.paths[victim]
+    routing.paths[victim] = [original[0], original[-1]] if len(original) > 2 else [
         original[0],
         (original[0][0] + 2, original[0][1]),
     ]
@@ -310,7 +309,7 @@ def test_tampered_path_is_detected(negotiated_design):
         report = check_physical(design.mapping, design.placement, routing)
         assert not report.passed
     finally:
-        victim.path = original
+        routing.paths[victim] = original
 
 
 def test_hidden_overflow_is_detected(monkeypatch):
@@ -328,7 +327,7 @@ def test_hidden_overflow_is_detected(monkeypatch):
     if over == 0:
         pytest.skip("design did not overflow — nothing to hide")
     assert result.overflow_wires > 0
-    result.overflow_wires = 0
+    result.overflowed[:] = False
     # check_physical needs a mapping; reuse the raw check via a stand-in.
     from repro.verify.checks import _check_routing
 

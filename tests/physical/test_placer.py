@@ -101,6 +101,20 @@ class TestPlace:
             PlacementConfig(max_lambda_stages=0)
         with pytest.raises(ValueError):
             PlacementConfig(cg_iterations_per_stage=0)
+        # Whole floats and numpy integers are stored as the ints range() needs.
+        config = PlacementConfig(max_lambda_stages=3.0, cg_iterations_per_stage=np.int64(5))
+        assert type(config.max_lambda_stages) is int and config.max_lambda_stages == 3
+        assert type(config.cg_iterations_per_stage) is int and config.cg_iterations_per_stage == 5
+
+    @pytest.mark.parametrize("stages", [float("nan"), 2.5, float("inf")])
+    def test_rejects_nan_or_fractional_max_lambda_stages(self, stages):
+        with pytest.raises(ValueError, match="max_lambda_stages"):
+            PlacementConfig(max_lambda_stages=stages)
+
+    @pytest.mark.parametrize("iterations", [float("nan"), 2.5, float("inf")])
+    def test_rejects_nan_or_fractional_cg_iterations_per_stage(self, iterations):
+        with pytest.raises(ValueError, match="cg_iterations_per_stage"):
+            PlacementConfig(cg_iterations_per_stage=iterations)
 
     def test_counters_explain_the_run(self, small_netlist):
         config = PlacementConfig(max_lambda_stages=3, cg_iterations_per_stage=10)

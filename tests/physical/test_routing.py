@@ -31,25 +31,21 @@ class TestRoutingGrid:
         assert grid.bin_of(1000.0, 1000.0) == (9, 9)
         assert grid.bin_of(6.0, 10.0) == (1, 2)
 
-    def test_bin_center(self):
-        grid = make_grid()
-        assert grid.bin_center((0, 0)) == (2.0, 2.0)
-
-    def test_edge_between(self):
-        grid = make_grid()
-        assert grid.edge_between((0, 0), (1, 0)) == ("h", 0, 0)
-        assert grid.edge_between((3, 4), (3, 3)) == ("v", 3, 3)
-        with pytest.raises(ValueError):
-            grid.edge_between((0, 0), (2, 0))
-
     def test_usage_bookkeeping(self):
         grid = make_grid()
-        path = [(0, 0), (1, 0), (1, 1)]
+        path = [(0, 0), (1, 0), (1, 1), (1, 0)]
         grid.add_usage(path)
-        assert grid.edge_usage(("h", 0, 0)) == 1
-        assert grid.edge_usage(("v", 1, 0)) == 1
+        assert grid.horizontal_usage[0, 0] == 1
+        assert grid.vertical_usage[1, 0] == 2  # up, then back down
+        assert grid.horizontal_usage.sum() + grid.vertical_usage.sum() == 3
         grid.add_usage(path, amount=-1)
-        assert grid.edge_usage(("h", 0, 0)) == 0
+        assert not grid.horizontal_usage.any() and not grid.vertical_usage.any()
+
+    def test_add_usage_rejects_non_adjacent_bins(self):
+        grid = make_grid()
+        for step in ([(0, 0), (2, 0)], [(3, 4), (4, 5)], [(2, 2), (2, 2)]):
+            with pytest.raises(ValueError, match="not adjacent"):
+                grid.add_usage(step)
 
     @pytest.mark.parametrize("capacity", [0, 2.5, float("nan")])
     def test_rejects_fractional_or_nan_capacity(self, capacity):
@@ -81,7 +77,7 @@ class TestRoutingGrid:
     def test_relax_capacity(self):
         grid = make_grid(capacity=2)
         grid.relax_capacity(3)
-        assert grid.edge_capacity(("h", 0, 0)) == 5
+        assert (grid.horizontal_capacity == 5).all() and (grid.vertical_capacity == 5).all()
         assert grid.base_capacity == 2
 
     def test_path_length(self):
@@ -99,7 +95,13 @@ class TestRoutingGrid:
         grid = make_grid(capacity=1)
         grid.add_usage([(0, 0), (1, 0)])
         grid.add_usage([(0, 0), (1, 0)])
-        assert grid.overflowed_edges() == 1
+        grid.add_usage([(3, 3), (3, 4)])
+        paths = [[(2, 0), (1, 0), (0, 0)], [(1, 0), (2, 0)], [(3, 4), (3, 3)], [(5, 5)]]
+        assert [grid.overflows(path) for path in paths] == [True, False, False, False]
+        grid.relax_capacity(4)  # the rule reads the base capacity, not the relaxed one
+        assert grid.overflows(paths[0])
+        grid.add_usage([(3, 3), (3, 4)])
+        assert grid.overflows(paths[2])
         assert grid.max_congestion() == pytest.approx(2.0)
 
 
@@ -163,13 +165,20 @@ class TestRouteDriver:
     def test_all_wires_routed(self, placed_design):
         netlist, placement = placed_design
         result = route(netlist, placement)
-        assert len(result.wires) == netlist.num_wires
+        assert len(result.paths) == netlist.num_wires
         assert result.total_wirelength_um >= 0.0
 
     def test_lengths_ordered_by_wire_index(self, placed_design):
         netlist, placement = placed_design
         result = route(netlist, placement)
-        assert result.lengths.shape == (netlist.num_wires,)
+        assert result.lengths.shape == result.overflowed.shape == (netlist.num_wires,)
+        assert result.lengths.dtype == np.float64 and result.overflowed.dtype == bool
+        grid = result.grid
+        for index, path in enumerate(result.paths):
+            source = netlist.sources[index]
+            assert path[0] == grid.bin_of(placement.x[source], placement.y[source])
+            if len(path) > 1:
+                assert result.lengths[index] == grid.path_length_um(path)
 
     def test_congestion_map_available(self, placed_design):
         netlist, placement = placed_design
@@ -181,7 +190,7 @@ class TestRouteDriver:
         technology = Technology(routing_bin_um=30.0, routing_capacity_per_bin=1)
         config = RoutingConfig(max_relax_rounds=4)
         result = route(netlist, placement, technology=technology, config=config)
-        assert len(result.wires) == netlist.num_wires
+        assert len(result.paths) == netlist.num_wires
 
     def test_mismatched_placement_rejected(self, placed_design):
         netlist, _ = placed_design
@@ -190,8 +199,9 @@ class TestRouteDriver:
             route(netlist, bad)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RoutingConfig(max_relax_rounds=-1)
+        for rounds in (-1, float("nan"), 2.5, float("inf")):
+            with pytest.raises(ValueError, match="max_relax_rounds"):
+                RoutingConfig(max_relax_rounds=rounds)
 
     def test_coarsening_scales_grid_and_capacity(self, placed_design, monkeypatch):
         # A die wider than MAX_GRID_BINS bins triggers the coarsening
@@ -207,7 +217,7 @@ class TestRouteDriver:
         assert grid.ny <= 8 + 2
         # span ≈ 60 µm over 8 bins of 2 µm → scale ≈ 3.75, capacity 2 → 8ish
         assert grid.base_capacity > technology.routing_capacity_per_bin
-        assert len(result.wires) == netlist.num_wires
+        assert len(result.paths) == netlist.num_wires
 
     def test_coarsening_capacity_rounds_to_at_least_one(self, placed_design, monkeypatch):
         # int(round(capacity * scale)) at scale ≈ 1: capacity 1 must
@@ -225,7 +235,7 @@ class TestRouteDriver:
         )
         result = route(netlist, placement, technology=technology)
         assert result.grid.base_capacity == 1
-        assert len(result.wires) == netlist.num_wires
+        assert len(result.paths) == netlist.num_wires
 
     def test_never_fail_overflow_pass(self):
         # Zero relax rounds + capacity 1 on a single shared corridor: the
@@ -242,10 +252,10 @@ class TestRouteDriver:
         technology = Technology(routing_bin_um=10.0, routing_capacity_per_bin=1)
         config = RoutingConfig(max_relax_rounds=0)
         result = route(netlist, placement, technology=technology, config=config)
-        assert len(result.wires) == netlist.num_wires
+        assert len(result.paths) == netlist.num_wires
         assert result.relax_rounds == 0
         assert result.overflow_wires > 0
-        assert sum(1 for w in result.wires if w.overflowed) == result.overflow_wires
+        assert result.overflow_wires == int(result.overflowed.sum())
 
     def test_routing_order_dtype_invariant(self, placed_design):
         # The order golden fixtures depend on must not change with the
@@ -286,10 +296,10 @@ class TestRouteDriver:
         netlist, placement = placed_design
         result = route(netlist, placement)
         grid = result.grid
-        for routed in result.wires:
-            source, target = netlist.sources[routed.wire_index], netlist.targets[routed.wire_index]
+        for index, length in enumerate(result.lengths):
+            source, target = netlist.sources[index], netlist.targets[index]
             start = grid.bin_of(placement.x[source], placement.y[source])
             goal = grid.bin_of(placement.x[target], placement.y[target])
             manhattan = (abs(start[0] - goal[0]) + abs(start[1] - goal[1])) * grid.bin_um
             if start != goal:
-                assert routed.length_um >= manhattan - 1e-9
+                assert length >= manhattan - 1e-9

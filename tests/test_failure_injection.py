@@ -41,7 +41,7 @@ class TestRoutingUnderStress:
         technology = Technology(routing_capacity_per_bin=1)
         config = RoutingConfig(max_relax_rounds=2)
         result = route(netlist, placement, technology=technology, config=config)
-        assert len(result.wires) == netlist.num_wires  # never-fail guarantee
+        assert len(result.paths) == netlist.num_wires  # never-fail guarantee
         # congestion is reported, not hidden
         assert result.grid.max_congestion() >= 1.0
 

@@ -7,6 +7,7 @@ that names the offending object (the acceptance bar for `repro.verify`).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -14,7 +15,6 @@ import pytest
 
 from repro.networks.hopfield import HopfieldNetwork
 from repro.networks.patterns import qr_like_patterns
-from repro.physical.routing.router import RoutingResult
 from repro.reliability.defects import DefectRates, sample_defect_map
 from repro.verify import (
     VerificationError,
@@ -30,13 +30,14 @@ def _clone_mapping(mapping, **overrides):
     return dataclasses.replace(mapping, **overrides)
 
 
-def _clone_routing(routing, wires=None):
-    return RoutingResult(
-        wires=list(routing.wires) if wires is None else wires,
-        grid=routing.grid,
-        relax_rounds=routing.relax_rounds,
-        overflow_wires=routing.overflow_wires,
+def _clone_routing(routing, **overrides):
+    """``routing`` with its own per-wire arrays (the grid is shared)."""
+    fresh = dict(
+        paths=list(routing.paths),
+        lengths=routing.lengths.copy(),
+        overflowed=routing.overflowed.copy(),
     )
+    return dataclasses.replace(routing, **{**fresh, **overrides})
 
 
 def _flip_cell(mapping):
@@ -176,14 +177,23 @@ def test_clean_design_passes_physical(verified_flow):
 
 def test_dropped_net_rejected(verified_flow):
     design = verified_flow.design
-    broken = _clone_routing(design.routing, wires=list(design.routing.wires)[:-1])
+    wires = verified_flow.mapping.netlist.num_wires
+    broken = _clone_routing(design.routing, paths=design.routing.paths[:-1])
     result = check_physical(verified_flow.mapping, design.placement, broken)
     assert not result.passed
-    dropped = design.routing.wires[-1].wire_index
     assert any(
-        f"wire {dropped}" in v.message and "has no route" in v.message
+        f"routing holds {wires - 1} paths, {wires} lengths" in v.message
+        and f"for {wires} netlist wires" in v.message
         for v in result.violations
     )
+
+
+def test_empty_path_rejected(verified_flow):
+    design = verified_flow.design
+    broken = _clone_routing(design.routing)
+    broken.paths[3] = []
+    result = check_physical(verified_flow.mapping, design.placement, broken)
+    assert any("wire 3 has an empty path" in v.message for v in result.violations)
 
 
 @pytest.mark.parametrize("overlap", ["stacked", "sliver"])
@@ -231,28 +241,26 @@ def test_non_finite_coordinate_skips_routing_checks(verified_flow):
 
 def test_corrupted_path_rejected(verified_flow):
     design = verified_flow.design
-    wires = list(design.routing.wires)
-    victim_index, victim = next(
-        (k, w) for k, w in enumerate(wires) if len(w.path) > 2
-    )
+    broken = _clone_routing(design.routing)
+    victim = next(k for k, path in enumerate(broken.paths) if len(path) > 2)
     # Dropping an interior bin leaves a 2-bin jump: never grid-adjacent.
-    broken_path = [victim.path[0]] + list(victim.path[2:])
-    wires[victim_index] = dataclasses.replace(victim, path=broken_path)
-    result = check_physical(
-        verified_flow.mapping, design.placement, _clone_routing(design.routing, wires)
-    )
+    broken.paths[victim] = [broken.paths[victim][0]] + broken.paths[victim][2:]
+    result = check_physical(verified_flow.mapping, design.placement, broken)
     assert not result.passed
-    assert any("non-contiguous" in v.message for v in result.violations)
+    assert any(
+        f"wire {victim} has a non-contiguous" in v.message for v in result.violations
+    )
 
 
 def test_wirelength_mismatch_rejected(verified_flow):
     design = verified_flow.design
-    wires = list(design.routing.wires)
-    wires[0] = dataclasses.replace(wires[0], length_um=wires[0].length_um + 7.5)
-    result = check_physical(
-        verified_flow.mapping, design.placement, _clone_routing(design.routing, wires)
+    broken = _clone_routing(design.routing)
+    broken.lengths[0] += 7.5
+    result = check_physical(verified_flow.mapping, design.placement, broken)
+    assert any(
+        "wire 0 records length" in v.message and "its path measures" in v.message
+        for v in result.violations
     )
-    assert any("its path measures" in v.message for v in result.violations)
 
 
 def test_stale_usage_counters_rejected(verified_flow):
@@ -268,6 +276,22 @@ def test_stale_usage_counters_rejected(verified_flow):
         grid.horizontal_usage[:] = original
     assert any(
         "disagree with the committed paths" in v.message for v in result.violations
+    )
+
+
+def test_hidden_overflow_rejected(verified_flow):
+    # Shrink one used edge's capacity below its usage on a copy of the
+    # grid: an edge is now over capacity, yet no wire is flagged.
+    design = verified_flow.design
+    grid = copy.deepcopy(design.routing.grid)
+    ex, ey = np.argwhere(grid.horizontal_usage > 0)[0]
+    grid.horizontal_capacity[ex, ey] = grid.horizontal_usage[ex, ey] - 1
+    broken = _clone_routing(design.routing, grid=grid)
+    assert broken.overflow_wires == 0
+    result = check_physical(verified_flow.mapping, design.placement, broken)
+    assert any(
+        "1 routing edge(s) exceed their virtual capacity" in v.message
+        for v in result.violations
     )
 
 
