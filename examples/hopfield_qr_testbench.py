@@ -54,7 +54,7 @@ def main() -> None:
         stuck_off_probability=0.001,
         ir_drop_coefficient=0.002,  # grows with crossbar size
     )
-    simulator = HybridNcsSimulator(isc, signed_weights=instance.hopfield.weights,
+    simulator = HybridNcsSimulator(mapping, signed_weights=instance.hopfield.weights,
                                    model=model, rng=7)
     rng = np.random.default_rng(3)
     hits = 0

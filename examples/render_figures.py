@@ -43,7 +43,7 @@ def main() -> None:
     )
     # Neurons can appear in several crossbars (one per ISC iteration);
     # keep each neuron at its first cluster for the matrix permutation.
-    clusters = [assignment.members for assignment in result.isc.crossbars]
+    clusters = [crossbar.rows for crossbar in result.isc.crossbars]
     order = []
     seen = set()
     boxes = []

@@ -406,7 +406,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         isc = iterative_spectral_clustering(
             network, utilization_threshold=threshold, rng=args.seed
         )
-        clusters = [assignment.members for assignment in isc.crossbars]
+        clusters = [crossbar.rows for crossbar in isc.crossbars]
     svg = matrix_to_svg(network, clusters=clusters, title=network.name)
     save_svg(svg, args.output)
     print(f"wrote {args.output}")

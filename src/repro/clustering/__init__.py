@@ -21,7 +21,6 @@ from repro.clustering.hierarchical import (
     coarse_partition,
 )
 from repro.clustering.isc import (
-    CrossbarAssignment,
     IscIterationRecord,
     IscResult,
     iterative_spectral_clustering,
@@ -39,7 +38,6 @@ from repro.clustering.traversing import traversing_clustering
 __all__ = [
     "Cluster",
     "ClusteringResult",
-    "CrossbarAssignment",
     "DEFAULT_TIER_SIZE",
     "IscIterationRecord",
     "IscResult",

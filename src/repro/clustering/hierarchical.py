@@ -22,6 +22,7 @@ tractable end-to-end (see DESIGN.md and BENCH_clustering.json).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +31,6 @@ from repro.clustering.gcp import _enforce_size_limit, greedy_cluster_size_predic
 from repro.clustering.isc import (
     DEFAULT_CROSSBAR_SIZES,
     DEFAULT_SELECTION_QUANTILE,
-    CrossbarAssignment,
     IscIterationRecord,
     IscResult,
     iterative_spectral_clustering,
@@ -39,6 +39,7 @@ from repro.clustering.kmeans import kmeans
 from repro.clustering.preference import crossbar_preference
 from repro.clustering.result import ClusteringResult, clusters_from_labels
 from repro.clustering.spectral import spectral_embedding
+from repro.hardware.crossbar import CrossbarInstance
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.observability import get_recorder
 from repro.utils.rng import RngLike, ensure_rng, spawn_rng
@@ -73,8 +74,8 @@ def coarse_partition(
     by k-means, then deterministic bisection of any oversized tier.  This
     is MSC at tier granularity — the "scissor" step.
     """
-    if tier_size < 1:
-        raise ValueError(f"tier_size must be >= 1, got {tier_size}")
+    if not (tier_size >= 1 and tier_size % 1 == 0):
+        raise ValueError(f"tier_size must be a whole number >= 1, got {tier_size}")
     rng = ensure_rng(rng)
     n = network.size
     k = max(1, -(-n // tier_size))
@@ -89,22 +90,6 @@ def coarse_partition(
         n=n,
         method="coarse",
         metadata={"tier_size": tier_size, "tiers": int(len(set(labels.tolist())))},
-    )
-
-
-def _remap_assignment(
-    assignment: CrossbarAssignment,
-    members: np.ndarray,
-    iteration_offset: int,
-) -> CrossbarAssignment:
-    """Translate a tier-local crossbar assignment to global neuron indices."""
-    return CrossbarAssignment(
-        members=tuple(int(members[local]) for local in assignment.members),
-        size=assignment.size,
-        connections=tuple(
-            (int(members[i]), int(members[j])) for i, j in assignment.connections
-        ),
-        iteration=assignment.iteration + iteration_offset,
     )
 
 
@@ -130,8 +115,8 @@ def cluster_hierarchical(
     Returns an :class:`IscResult` over the **original** network whose
     crossbars are the union of the per-tier crossbars (re-indexed to global
     neuron ids) and whose outliers are the per-tier leftovers plus every
-    cross-tier connection.  ``result.validate()`` holds by construction and
-    is re-checked before returning.
+    cross-tier connection.  Each tier's ISC run checks its own exact
+    cover; the stitched result is checked once more before returning.
 
     ``clusterer=None`` (default) resolves per path: the small-network
     delegation to flat ISC uses the verbatim Algorithm 2 GCP, while the
@@ -162,7 +147,7 @@ def cluster_hierarchical(
     tiers = partition.clusters
     tier_rngs = spawn_rng(tier_parent_rng, len(tiers))
 
-    crossbars: List[CrossbarAssignment] = []
+    crossbars: List[CrossbarInstance] = []
     records: List[IscIterationRecord] = []
     outlier_parts: List[Tuple[np.ndarray, np.ndarray]] = []
     iteration_offset = 0
@@ -187,21 +172,22 @@ def cluster_hierarchical(
                 preference=preference,
                 clusterer=clusterer,
             )
-        for assignment in tier_result.crossbars:
-            crossbars.append(_remap_assignment(assignment, members, iteration_offset))
-        for record in tier_result.records:
-            records.append(
-                IscIterationRecord(
-                    iteration=record.iteration + iteration_offset,
-                    clusters_formed=record.clusters_formed,
-                    crossbars_placed=record.crossbars_placed,
-                    connections_clustered=record.connections_clustered,
-                    average_utilization=record.average_utilization,
-                    average_preference=record.average_preference,
-                    outlier_ratio_after=record.outlier_ratio_after,
-                    quartile_preference=record.quartile_preference,
+        # Tier-local neuron ids → global ids, through ``members``.
+        for crossbar in tier_result.crossbars:
+            rows = tuple(members[list(crossbar.rows)].tolist())
+            pairs = members[np.asarray(crossbar.connections, dtype=np.int64).reshape(-1, 2)]
+            crossbars.append(
+                CrossbarInstance(
+                    rows=rows,
+                    cols=rows,
+                    size=crossbar.size,
+                    connections=tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())),
                 )
             )
+        records.extend(
+            dataclasses.replace(record, iteration=record.iteration + iteration_offset)
+            for record in tier_result.records
+        )
         iteration_offset += tier_result.iterations
         if tier_result.outliers:
             local = np.asarray(tier_result.outliers, dtype=np.int64)

@@ -19,7 +19,7 @@ crossbar.  Whatever remains is realized with discrete synapses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,64 +29,20 @@ from repro.clustering.preference import (
     crossbar_utilization,
     minimum_satisfiable_size,
 )
+from repro.hardware.crossbar import (
+    CrossbarInstance,
+    check_exact_cover,
+    clustered_connections,
+    mean_utilization,
+    size_histogram,
+)
+from repro.hardware.library import DEFAULT_CROSSBAR_SIZES
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.observability import get_recorder
 from repro.utils.rng import RngLike, ensure_rng
 
-#: The paper's crossbar library: sizes 16..64 at a step of 4 (Sec. 4.2).
-DEFAULT_CROSSBAR_SIZES: Tuple[int, ...] = tuple(range(16, 65, 4))
-
 #: "we empirically remove only the top 25% clusters with the high CPs".
 DEFAULT_SELECTION_QUANTILE = 0.75
-
-
-@dataclass(frozen=True)
-class CrossbarAssignment:
-    """A cluster realized on a physical crossbar.
-
-    Attributes
-    ----------
-    members:
-        Neuron indices whose mutual connections the crossbar implements
-        (rows = these neurons as inputs, columns = same neurons as outputs).
-    size:
-        Library crossbar dimension ``s`` (the minimum satisfiable size).
-    connections:
-        The global ``(i, j)`` connection pairs the crossbar absorbs.
-    iteration:
-        1-based ISC iteration in which the crossbar was placed.
-    """
-
-    members: Tuple[int, ...]
-    size: int
-    connections: Tuple[Tuple[int, int], ...]
-    iteration: int
-
-    def __post_init__(self) -> None:
-        if len(self.members) > self.size:
-            raise ValueError(
-                f"cluster of {len(self.members)} neurons cannot fit a "
-                f"{self.size}x{self.size} crossbar"
-            )
-        member_set = set(self.members)
-        for i, j in self.connections:
-            if i not in member_set or j not in member_set:
-                raise ValueError(f"connection ({i}, {j}) has an endpoint outside the cluster")
-
-    @property
-    def utilized_connections(self) -> int:
-        """The paper's ``m`` — connections implemented by this crossbar."""
-        return len(self.connections)
-
-    @property
-    def utilization(self) -> float:
-        """``u = m / s²`` (Sec. 3.1)."""
-        return crossbar_utilization(self.utilized_connections, self.size)
-
-    @property
-    def preference(self) -> float:
-        """``CP = m²/s³`` (Sec. 3.1)."""
-        return crossbar_preference(self.utilized_connections, self.size)
 
 
 @dataclass
@@ -105,10 +61,16 @@ class IscIterationRecord:
 
 @dataclass
 class IscResult:
-    """Full output of an ISC run: the hybrid implementation topology."""
+    """Full output of an ISC run: the hybrid implementation topology.
+
+    Each crossbar is a :class:`~repro.hardware.crossbar.CrossbarInstance`
+    whose rows and columns are one cluster's neurons (``rows == cols``)
+    and whose size is the cluster's minimum satisfiable library size;
+    the mapping places these very instances.
+    """
 
     network: ConnectionMatrix
-    crossbars: List[CrossbarAssignment]
+    crossbars: List[CrossbarInstance]
     outliers: List[Tuple[int, int]]
     records: List[IscIterationRecord]
     utilization_threshold: float
@@ -123,7 +85,7 @@ class IscResult:
     @property
     def clustered_connections(self) -> int:
         """Connections absorbed into crossbars."""
-        return sum(x.utilized_connections for x in self.crossbars)
+        return clustered_connections(self.crossbars)
 
     @property
     def outlier_ratio(self) -> float:
@@ -136,36 +98,20 @@ class IscResult:
     @property
     def average_utilization(self) -> float:
         """Mean utilization over all placed crossbars (0 when none)."""
-        if not self.crossbars:
-            return 0.0
-        return float(np.mean([x.utilization for x in self.crossbars]))
+        return mean_utilization(self.crossbars)
 
-    def crossbar_size_histogram(self) -> dict:
+    def crossbar_size_histogram(self) -> Dict[int, int]:
         """Size → count over placed crossbars (the Fig. 7–9(c) panel)."""
-        histogram: dict = {}
-        for assignment in self.crossbars:
-            histogram[assignment.size] = histogram.get(assignment.size, 0) + 1
-        return dict(sorted(histogram.items()))
+        return size_histogram(self.crossbars)
 
     def validate(self) -> None:
         """Check the invariant: crossbars + outliers = exactly the network.
 
         Raises ``AssertionError`` when any connection is dropped, duplicated
-        or invented — the core correctness property of the flow.
+        or invented — the core correctness property of the flow (see
+        :func:`~repro.hardware.crossbar.check_exact_cover`).
         """
-        implemented: set = set()
-        for assignment in self.crossbars:
-            for pair in assignment.connections:
-                assert pair not in implemented, f"connection {pair} implemented twice"
-                implemented.add(pair)
-        for pair in self.outliers:
-            assert pair not in implemented, f"outlier {pair} also on a crossbar"
-            implemented.add(pair)
-        expected = set(self.network.connection_list())
-        assert implemented == expected, (
-            f"implementation covers {len(implemented)} connections, "
-            f"network has {len(expected)}"
-        )
+        check_exact_cover(self.crossbars, self.outliers, self.network)
 
 
 def _clusters_connections(
@@ -240,7 +186,7 @@ def iterative_spectral_clustering(
     Returns
     -------
     IscResult
-        Crossbar assignments, residual outlier connections, and the
+        Crossbar instances, residual outlier connections, and the
         per-iteration records used by the Fig. 7–9 analyses.
     """
     if not isinstance(network, ConnectionMatrix):
@@ -250,14 +196,14 @@ def iterative_spectral_clustering(
         raise ValueError(f"sizes must be positive, got {sizes}")
     if not 0.0 < selection_quantile < 1.0:
         raise ValueError(f"selection_quantile must lie in (0, 1), got {selection_quantile}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    if not (max_iterations >= 1 and max_iterations % 1 == 0):
+        raise ValueError(f"max_iterations must be a whole number >= 1, got {max_iterations}")
     rng = ensure_rng(rng)
     max_s = size_list[-1]
     total_connections = network.num_connections
 
     remaining = network.copy(name=f"{network.name}-remaining")
-    crossbars: List[CrossbarAssignment] = []
+    crossbars: List[CrossbarInstance] = []
     records: List[IscIterationRecord] = []
     recorder = get_recorder()
     kmeans_calls = 0  # plain int, flushed once per run
@@ -311,29 +257,26 @@ def iterative_spectral_clustering(
             connection_groups = _clusters_connections(
                 [cluster.members for cluster, _, _, _ in selected], remaining
             )
-            placed: List[CrossbarAssignment] = []
-            for (cluster, m, s, cp), connections in zip(selected, connection_groups):
-                placed.append(
-                    CrossbarAssignment(
-                        members=cluster.members,
-                        size=s,
-                        connections=connections,
-                        iteration=iteration,
-                    )
+            placed = [
+                CrossbarInstance(
+                    rows=cluster.members, cols=cluster.members, size=s, connections=connections
                 )
+                for (cluster, _, s, _), connections in zip(selected, connection_groups)
+            ]
             remaining = remaining.remove_clusters(
                 [cluster.members for cluster, _, _, _ in selected]
             )
             crossbars.extend(placed)
             # Line 15: average utilization of the crossbars placed this round.
-            avg_u = float(np.mean([x.utilization for x in placed]))
-            avg_cp = float(np.mean([x.preference for x in placed]))
+            ms = [(x.utilized_connections, x.size) for x in placed]
+            avg_u = float(np.mean([crossbar_utilization(m, s) for m, s in ms]))
+            avg_cp = float(np.mean([crossbar_preference(m, s) for m, s in ms]))
             records.append(
                 IscIterationRecord(
                     iteration=iteration,
                     clusters_formed=len(clustering.clusters),
                     crossbars_placed=len(placed),
-                    connections_clustered=sum(x.utilized_connections for x in placed),
+                    connections_clustered=clustered_connections(placed),
                     average_utilization=avg_u,
                     average_preference=avg_cp,
                     outlier_ratio_after=(

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.clustering.isc import DEFAULT_CROSSBAR_SIZES, DEFAULT_SELECTION_QUANTILE
+from repro.clustering.isc import DEFAULT_SELECTION_QUANTILE
+from repro.hardware.library import DEFAULT_CROSSBAR_SIZES
 from repro.hardware.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.physical.cost import CostWeights
 from repro.physical.placement.placer import PlacementConfig
@@ -70,15 +71,16 @@ class AutoNcsConfig:
             )
         if not 0.0 < self.selection_quantile < 1.0:
             raise ValueError("selection_quantile must lie in (0, 1)")
-        if self.max_isc_iterations < 1:
-            raise ValueError("max_isc_iterations must be >= 1")
+        for name in ("max_isc_iterations", "tier_size"):
+            value = getattr(self, name)
+            if not (value >= 1 and value % 1 == 0):
+                raise ValueError(f"{name} must be a whole number >= 1, got {value}")
+            setattr(self, name, int(value))
         if self.clustering not in ("auto", "isc", "hierarchical"):
             raise ValueError(
                 "clustering must be 'auto', 'isc' or 'hierarchical', "
                 f"got {self.clustering!r}"
             )
-        if self.tier_size < 1:
-            raise ValueError(f"tier_size must be >= 1, got {self.tier_size}")
 
     def clustering_for(self, n: int) -> str:
         """Resolve the clustering driver for a network of ``n`` neurons."""

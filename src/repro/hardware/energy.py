@@ -21,10 +21,13 @@ area argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.hardware.technology import DEFAULT_TECHNOLOGY, Technology
-from repro.mapping.netlist import MappingResult
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:
+    from repro.mapping.netlist import MappingResult
 
 
 @dataclass(frozen=True)

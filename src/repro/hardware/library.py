@@ -1,19 +1,22 @@
 """The crossbar library: the predefined fixed-size crossbars of AutoNCS.
 
 The experiments use "allowable crossbar sizes rang[ing] from 16 to 64 at a
-step of 4" (Sec. 4.2); the library resolves each cluster to its *minimum
-satisfiable* crossbar (Algorithm 3 line 11) and supplies area/delay specs.
+step of 4" (Sec. 4.2); ISC puts each cluster on its *minimum satisfiable*
+size (Algorithm 3 line 11) and the library supplies that size's
+area/delay spec.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.clustering.isc import DEFAULT_CROSSBAR_SIZES
 from repro.hardware.crossbar import CrossbarSpec
 from repro.hardware.neuron import IntegrateFireNeuron
 from repro.hardware.synapse import DiscreteSynapse
 from repro.hardware.technology import DEFAULT_TECHNOLOGY, Technology
+
+#: The paper's crossbar library: sizes 16..64 at a step of 4 (Sec. 4.2).
+DEFAULT_CROSSBAR_SIZES: Tuple[int, ...] = tuple(range(16, 65, 4))
 
 
 class CrossbarLibrary:
@@ -55,11 +58,6 @@ class CrossbarLibrary:
         """Largest crossbar available (the paper's reliability limit, 64)."""
         return self.sizes[-1]
 
-    @property
-    def min_size(self) -> int:
-        """Smallest crossbar available."""
-        return self.sizes[0]
-
     def spec(self, size: int) -> CrossbarSpec:
         """Spec of an exact library size; raises ``KeyError`` if absent."""
         try:
@@ -68,15 +66,6 @@ class CrossbarLibrary:
             raise KeyError(
                 f"crossbar size {size} is not in the library {self.sizes}"
             ) from None
-
-    def minimum_satisfiable(self, cluster_size: int) -> Optional[CrossbarSpec]:
-        """Smallest library crossbar fitting ``cluster_size`` neurons, or None."""
-        if cluster_size < 0:
-            raise ValueError(f"cluster_size must be >= 0, got {cluster_size}")
-        for s in self.sizes:
-            if s >= cluster_size:
-                return self._specs[s]
-        return None
 
     def __contains__(self, size: int) -> bool:
         return int(size) in self._specs

@@ -13,23 +13,25 @@ functionally validated, not just costed:
 * :class:`HybridNcsSimulator` — the full hybrid implementation: every
   crossbar block plus the discrete-synapse outliers jointly evaluate
   ``y = W x``, so Hopfield recall can be replayed *on the mapped hardware*.
-  It accepts either an :class:`~repro.clustering.isc.IscResult` or a
-  :class:`~repro.mapping.netlist.MappingResult` (e.g. a repaired mapping
-  from :mod:`repro.reliability`), and an optional structural defect map
-  whose stuck cells / dead lines are applied to the programmed arrays.
+  It takes a :class:`~repro.mapping.netlist.MappingResult` (e.g. a
+  repaired mapping from :mod:`repro.reliability`) and an optional
+  structural defect map whose stuck cells / dead lines are applied to the
+  programmed arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from repro.clustering.isc import IscResult
 from repro.hardware.memristor import weights_to_conductances
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_probability
+
+if TYPE_CHECKING:
+    from repro.mapping.netlist import MappingResult
 
 
 @dataclass
@@ -176,33 +178,6 @@ class CrossbarSimulator:
         return float(np.sqrt(np.mean((actual - reference) ** 2)) / scale)
 
 
-def _normalize_topology(
-    source,
-) -> Tuple[int, List[Tuple[Sequence[int], Sequence[int], int, Sequence[Tuple[int, int]]]], List[Tuple[int, int]]]:
-    """Normalize an IscResult or MappingResult into simulator blocks.
-
-    Returns ``(n_neurons, blocks, synapse_connections)`` where each block is
-    ``(rows, cols, size, connections)``.  ISC clusters have ``rows == cols``
-    (the member neurons); mapping instances may have distinct row/column
-    groups (e.g. FullCro block tiles).
-    """
-    if isinstance(source, IscResult):
-        blocks = [
-            (a.members, a.members, a.size, a.connections) for a in source.crossbars
-        ]
-        return source.network.size, blocks, list(source.outliers)
-    instances = getattr(source, "instances", None)
-    synapses = getattr(source, "synapse_connections", None)
-    network = getattr(source, "network", None)
-    if instances is None or synapses is None or network is None:
-        raise TypeError(
-            "topology must be an IscResult or a MappingResult, "
-            f"got {type(source).__name__}"
-        )
-    blocks = [(x.rows, x.cols, x.size, x.connections) for x in instances]
-    return network.size, blocks, list(synapses)
-
-
 @dataclass
 class HybridProgram:
     """The defect-independent programming of a hybrid topology.
@@ -229,11 +204,22 @@ class HybridProgram:
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def compile(cls, topology, signed_weights: Optional[np.ndarray] = None) -> "HybridProgram":
-        """Assemble the weight planes for ``topology`` (no RNG draws)."""
-        n, blocks, synapse_connections = _normalize_topology(topology)
+    def compile(
+        cls, topology: "MappingResult", signed_weights: Optional[np.ndarray] = None
+    ) -> "HybridProgram":
+        """Assemble the weight planes for ``topology`` (no RNG draws).
+
+        Raises ``TypeError`` unless ``topology`` has a mapping's
+        ``instances``, ``synapse_connections`` and ``network``.
+        """
+        instances = getattr(topology, "instances", None)
+        synapse_connections = getattr(topology, "synapse_connections", None)
+        network = getattr(topology, "network", None)
+        if instances is None or synapse_connections is None or network is None:
+            raise TypeError(f"topology must be a MappingResult, got {type(topology).__name__}")
+        n = network.size
         if signed_weights is None:
-            signed_weights = topology.network.matrix.astype(float)
+            signed_weights = network.matrix.astype(float)
         signed_weights = np.asarray(signed_weights, dtype=float)
         if signed_weights.shape != (n, n):
             raise ValueError(
@@ -244,14 +230,15 @@ class HybridProgram:
         normalized = signed_weights / scale
 
         compiled = []
-        for rows, cols, s, connections in blocks:
-            rows = np.asarray(rows, dtype=int)
-            cols = np.asarray(cols, dtype=int)
+        for instance in instances:
+            s = instance.size
+            rows = np.asarray(instance.rows, dtype=int)
+            cols = np.asarray(instance.cols, dtype=int)
             pos = np.zeros((s, s))
             neg = np.zeros((s, s))
             row_of = {int(g): local for local, g in enumerate(rows)}
             col_of = {int(g): local for local, g in enumerate(cols)}
-            for gi, gj in connections:
+            for gi, gj in instance.connections:
                 value = normalized[gi, gj]
                 if value >= 0:
                     pos[row_of[gi], col_of[gj]] = value
@@ -290,8 +277,8 @@ class HybridNcsSimulator:
     Parameters
     ----------
     topology:
-        The hybrid topology: an :class:`~repro.clustering.isc.IscResult` or
-        a :class:`~repro.mapping.netlist.MappingResult`.
+        The hybrid topology: a :class:`~repro.mapping.netlist.MappingResult`
+        (any other input raises ``TypeError``).
     signed_weights:
         Optional real weight matrix (e.g. the Hopfield weights); defaults to
         the binary connection matrix of the topology.
@@ -313,7 +300,7 @@ class HybridNcsSimulator:
 
     def __init__(
         self,
-        topology,
+        topology: "MappingResult",
         signed_weights: Optional[np.ndarray] = None,
         model: NonIdealityModel = IDEAL,
         defect_map=None,

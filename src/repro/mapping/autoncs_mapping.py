@@ -6,7 +6,7 @@ from typing import Optional
 
 from repro.clustering.isc import IscResult
 from repro.hardware.library import CrossbarLibrary
-from repro.mapping.netlist import CrossbarInstance, MappingResult, build_netlist
+from repro.mapping.netlist import MappingResult, build_netlist
 
 
 def autoncs_mapping(
@@ -16,27 +16,19 @@ def autoncs_mapping(
 ) -> MappingResult:
     """Turn an :class:`IscResult` into a :class:`MappingResult` with a netlist.
 
-    Each ISC crossbar assignment becomes a crossbar instance whose rows and
-    columns are the cluster's neurons; each outlier connection becomes a
-    discrete-synapse cell wired between its two neurons.
+    ISC's crossbar instances (rows = columns = the cluster's neurons) are
+    placed as they are; each outlier connection becomes a discrete-synapse
+    cell wired between its two neurons.
     """
     if library is None:
         library = CrossbarLibrary(sizes=isc_result.sizes)
-    for size in {assignment.size for assignment in isc_result.crossbars}:
+    for size in {instance.size for instance in isc_result.crossbars}:
         if size not in library:
             raise ValueError(
                 f"ISC placed a {size}x{size} crossbar but the library only "
                 f"offers {library.sizes}"
             )
-    instances = [
-        CrossbarInstance(
-            rows=assignment.members,
-            cols=assignment.members,
-            size=assignment.size,
-            connections=assignment.connections,
-        )
-        for assignment in isc_result.crossbars
-    ]
+    instances = list(isc_result.crossbars)
     synapses = list(isc_result.outliers)
     netlist = build_netlist(isc_result.network.size, instances, synapses, library)
     result = MappingResult(

@@ -15,8 +15,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.hardware.crossbar import CrossbarInstance
 from repro.hardware.library import CrossbarLibrary
-from repro.mapping.netlist import CrossbarInstance, MappingResult, build_netlist
+from repro.mapping.netlist import MappingResult, build_netlist
 from repro.networks.connection_matrix import ConnectionMatrix
 
 

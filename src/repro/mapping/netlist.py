@@ -27,6 +27,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.hardware.crossbar import (
+    CrossbarInstance,
+    check_exact_cover,
+    clustered_connections,
+    mean_utilization,
+    size_histogram,
+)
 from repro.hardware.library import CrossbarLibrary
 from repro.networks.connection_matrix import ConnectionMatrix
 
@@ -40,47 +47,6 @@ class CellKind(enum.IntEnum):
     NEURON = 0
     CROSSBAR = 1
     SYNAPSE = 2
-
-
-@dataclass(frozen=True)
-class CrossbarInstance:
-    """A placed crossbar connecting row neurons to column neurons.
-
-    AutoNCS clusters yield ``rows == cols`` (a neuron set's mutual
-    connections); FullCro block tiles have distinct row/column groups.
-    """
-
-    rows: Tuple[int, ...]
-    cols: Tuple[int, ...]
-    size: int
-    connections: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if len(self.rows) > self.size or len(self.cols) > self.size:
-            raise ValueError(
-                f"{len(self.rows)} rows / {len(self.cols)} cols exceed "
-                f"crossbar size {self.size}"
-            )
-        if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
-            raise ValueError("row/column neuron lists must be unique")
-        row_set, col_set = set(self.rows), set(self.cols)
-        for i, j in self.connections:
-            if i not in row_set or j not in col_set:
-                raise ValueError(f"connection ({i}, {j}) outside the crossbar's rows/cols")
-        if len(set(self.connections)) != len(self.connections):
-            raise ValueError("duplicate connections in a crossbar instance")
-
-    @property
-    def utilized_connections(self) -> int:
-        """The paper's ``m`` for this crossbar."""
-        return len(self.connections)
-
-    @property
-    def utilization(self) -> float:
-        """``u = m / s²``."""
-        return self.utilized_connections / float(self.size * self.size)
 
 
 #: The dtype of each netlist array: the per-cell arrays, then the per-wire ones.
@@ -319,9 +285,7 @@ class MappingResult:
     @property
     def average_utilization(self) -> float:
         """Mean crossbar utilization ``u`` over all instances."""
-        if not self.instances:
-            return 0.0
-        return float(np.mean([x.utilization for x in self.instances]))
+        return mean_utilization(self.instances)
 
     @property
     def clustered_connection_ratio(self) -> float:
@@ -329,15 +293,11 @@ class MappingResult:
         total = self.network.num_connections
         if total == 0:
             return 0.0
-        clustered = sum(x.utilized_connections for x in self.instances)
-        return clustered / total
+        return clustered_connections(self.instances) / total
 
     def crossbar_size_histogram(self) -> Dict[int, int]:
         """Size → count over placed crossbars."""
-        histogram: Dict[int, int] = {}
-        for instance in self.instances:
-            histogram[instance.size] = histogram.get(instance.size, 0) + 1
-        return dict(sorted(histogram.items()))
+        return size_histogram(self.instances)
 
     def fanin_fanout(self) -> FaninFanoutBreakdown:
         """Per-neuron wire-count breakdown (Fig. 7–9(d))."""
@@ -346,20 +306,9 @@ class MappingResult:
         )
 
     def validate(self) -> None:
-        """Assert every network connection is implemented exactly once."""
-        implemented: set = set()
-        for instance in self.instances:
-            for pair in instance.connections:
-                assert pair not in implemented, f"connection {pair} implemented twice"
-                implemented.add(pair)
-        for pair in self.synapse_connections:
-            assert pair not in implemented, f"synapse {pair} duplicates a crossbar connection"
-            implemented.add(pair)
-        expected = set(self.network.connection_list())
-        assert implemented == expected, (
-            f"mapping implements {len(implemented)} connections, "
-            f"network has {len(expected)}"
-        )
+        """Assert every network connection is implemented exactly once
+        (see :func:`~repro.hardware.crossbar.check_exact_cover`)."""
+        check_exact_cover(self.instances, self.synapse_connections, self.network)
 
     def summary(self) -> Dict[str, float]:
         """Scalar summary used by reports and benchmark printouts."""

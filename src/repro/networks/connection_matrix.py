@@ -349,8 +349,9 @@ class ConnectionMatrix:
     def remove_cluster(self, cluster: Sequence[int]) -> "ConnectionMatrix":
         """Return a new network with within-``cluster`` connections deleted.
 
-        Used by ISC (Algorithm 3, line 12) to build the remaining network
-        after a cluster has been realized on a crossbar.
+        The one-cluster form of :meth:`remove_clusters`, which ISC
+        (Algorithm 3, line 12) calls once per iteration on all the clusters
+        it realized.
         """
         return self.remove_clusters([cluster])
 

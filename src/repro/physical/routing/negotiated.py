@@ -70,13 +70,13 @@ def negotiate_routes(
 ) -> None:
     """Route every wire with negotiated congestion into ``result``.
 
-    Fills ``result.paths``, ``lengths`` and ``overflowed`` and counts
-    ``ripup_iterations`` and ``ripups``.  Usage is committed on
-    ``result.grid`` exactly as the ordered router does, so downstream
-    consumers (cost model, verifier, congestion maps) see the same
-    bookkeeping.  The grid's capacity must be its base capacity (this
+    Fills ``result.paths`` and ``lengths`` and counts ``ripup_iterations``
+    and ``ripups``; ``route`` flags the overflowed wires afterwards.  Usage
+    is committed on ``result.grid`` exactly as the ordered router does, so
+    downstream consumers (cost model, verifier, congestion maps) see the
+    same bookkeeping.  The grid's capacity must be its base capacity (this
     router never relaxes it), so the grid's one over-capacity rule picks
-    the wires to rip up and, at the end, the wires to flag.
+    the wires to rip up.
     """
     grid = result.grid
     h_history, v_history = workspace.ensure_history()
@@ -121,5 +121,3 @@ def negotiate_routes(
         present *= PRESENT_GROWTH
         for index in victims:
             search(index)
-
-    result.overflowed[:] = [grid.overflows(path) for path in paths]

@@ -26,9 +26,10 @@ Two algorithms share this driver, selected by
   are iteratively ripped up under rising present + history costs.
 
 Both fill one :class:`RoutingResult` that ``route`` allocates: per-wire
-arrays indexed by wire, written in place as each wire commits.  Both
-flag a wire with the grid's one over-capacity rule,
-:meth:`~repro.physical.routing.grid.RoutingGrid.overflows`.
+arrays indexed by wire, written in place as each wire commits.  Once
+either returns, ``route`` flags every wire with the grid's one
+over-capacity rule, :meth:`~repro.physical.routing.grid.RoutingGrid.
+overflows`, so ``overflow_wires`` means the same for both.
 """
 
 from __future__ import annotations
@@ -99,10 +100,10 @@ class RoutingResult:
 
     ``paths[i]`` is wire *i*'s bin path from its source pin's bin to its
     target pin's bin (one bin when both pins share it), ``lengths[i]`` its
-    routed length in µm (float64) and ``overflowed[i]`` (bool) whether it
-    crossed an edge past the base capacity: the ordered router tests the
-    wires of its overflow pass as each commits, the negotiated router
-    every wire once it is done.
+    routed length in µm (float64) and ``overflowed[i]`` (bool) whether its
+    final path crosses an edge whose final usage exceeds the base
+    capacity, for either algorithm and whatever capacity relaxation the
+    ordered one applied.
     ``relax_rounds`` counts capacity relaxations (ordered algorithm);
     ``ripup_iterations``/``ripups`` count negotiation rounds and
     individual wire rip-ups (negotiated algorithm), and ``ripups`` the
@@ -234,6 +235,9 @@ def route(
             negotiate_routes(pins, workspace, order, result)
         else:
             _route_ordered(pins, workspace, order, config, recorder, result)
+        result.overflowed[:] = [grid.overflows(path) for path in result.paths]
+        for index in np.flatnonzero(result.overflowed).tolist():
+            recorder.event("routing.overflow", wire=index)
         # One reporting flush per route() call — the maze inner loop only
         # touches workspace integers (null-recorder overhead contract).
         recorder.count("routing.wires_routed", num_wires)
@@ -269,10 +273,9 @@ def _route_ordered(
     result: RoutingResult,
 ) -> None:
     """The paper's ordered route into ``result``: relax capacity, then
-    never-fail overflow.  Only wires of the overflow pass are flagged,
-    each by the grid's usage when it commits."""
+    never-fail overflow."""
     grid = result.grid
-    paths, lengths, overflowed = result.paths, result.lengths, result.overflowed
+    paths, lengths = result.paths, result.lengths
     starts, goals, same_bin_lengths = pins
 
     def route_pass(indices: Sequence[int], allow_overflow: bool) -> List[int]:
@@ -293,8 +296,6 @@ def _route_ordered(
             grid.add_usage(path)
             paths[index] = path
             lengths[index] = grid.path_length_um(path)
-            if allow_overflow:
-                overflowed[index] = grid.overflows(path)
         return still_failed
 
     failed = route_pass(order, allow_overflow=False)
@@ -313,8 +314,5 @@ def _route_ordered(
         remaining = route_pass(failed, allow_overflow=True)
         if remaining:  # pragma: no cover - connected grid always routes
             raise RuntimeError(f"wire {remaining[0]} could not be routed at all")
-        for index in failed:
-            if overflowed[index]:
-                recorder.event("routing.overflow", wire=index)
 
     recorder.count("routing.first_pass_failures", first_pass_failures)

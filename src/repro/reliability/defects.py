@@ -11,7 +11,7 @@ lines are dead.  A defect map is the input to the fault-aware repair pass
 
 Conventions
 -----------
-A connection ``(i, j)`` of a :class:`~repro.mapping.netlist.
+A connection ``(i, j)`` of a :class:`~repro.hardware.crossbar.
 CrossbarInstance` occupies the local cell ``(rows.index(i), cols.index(j))``
 of its physical crossbar; a cell is *dead* when it is stuck (either way) or
 lies on a dead row/column line.  A connection landing on a dead cell is
@@ -25,7 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mapping.netlist import CrossbarInstance, MappingResult
+from repro.hardware.crossbar import CrossbarInstance
+from repro.mapping.netlist import MappingResult
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_probability
 

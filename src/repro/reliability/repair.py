@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.mapping.netlist import CrossbarInstance, MappingResult, build_netlist
+from repro.hardware.crossbar import CrossbarInstance
+from repro.mapping.netlist import MappingResult, build_netlist
 from repro.reliability.defects import (
     DefectMap,
     DefectRates,
@@ -191,7 +192,8 @@ def repair_mapping(
         physical = defect_map.instances[binding[k]]
         lost = lost_connections(instance, physical)
         lost_after += len(lost)
-        remaining = [pair for pair in instance.connections if pair not in set(lost)]
+        lost_set = set(lost)
+        remaining = [pair for pair in instance.connections if pair not in lost_set]
         demoted.extend(lost)
         if not remaining:
             clusters_demoted += 1

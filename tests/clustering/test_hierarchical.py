@@ -42,8 +42,12 @@ class TestCoarsePartition:
         assert len(result.clusters) == 1
 
     def test_rejects_bad_tier_size(self, tiered_network):
-        with pytest.raises(ValueError, match="tier_size"):
-            coarse_partition(tiered_network, tier_size=0)
+        # NaN used to return one tier of every neuron; 2.5 failed in k-means.
+        for tier_size in (0, float("nan"), 2.5):
+            with pytest.raises(ValueError, match="tier_size"):
+                coarse_partition(tiered_network, tier_size=tier_size)
+            with pytest.raises(ValueError, match="tier_size"):
+                cluster_hierarchical(tiered_network, tier_size=tier_size)
 
     def test_deterministic(self, tiered_network):
         a = coarse_partition(tiered_network, tier_size=32, rng=3)
@@ -56,8 +60,8 @@ class TestClusterHierarchical:
         tiered = cluster_hierarchical(tiered_network, rng=0)  # size < tier_size
         flat = iterative_spectral_clustering(tiered_network, rng=0)
         assert [
-            (a.members, a.size) for a in tiered.crossbars
-        ] == [(a.members, a.size) for a in flat.crossbars]
+            (a.rows, a.size) for a in tiered.crossbars
+        ] == [(a.rows, a.size) for a in flat.crossbars]
         assert tiered.outliers == flat.outliers
 
     def test_tiered_result_validates(self, tiered_network):
@@ -74,8 +78,8 @@ class TestClusterHierarchical:
     def test_deterministic(self, tiered_network):
         a = cluster_hierarchical(tiered_network, tier_size=32, rng=7)
         b = cluster_hierarchical(tiered_network, tier_size=32, rng=7)
-        assert [(x.members, x.size) for x in a.crossbars] == [
-            (x.members, x.size) for x in b.crossbars
+        assert [(x.rows, x.size) for x in a.crossbars] == [
+            (x.rows, x.size) for x in b.crossbars
         ]
         assert a.outliers == b.outliers
 

@@ -6,28 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.clustering.gcp as gcp_module
-from repro.clustering.isc import CrossbarAssignment, iterative_spectral_clustering
+from repro.clustering.isc import iterative_spectral_clustering
+from repro.hardware.crossbar import CrossbarInstance
 from repro.mapping import fullcro_utilization
 from repro.networks import ConnectionMatrix, block_diagonal_network, random_sparse_network
 from repro.observability import get_recorder, recording
-
-
-class TestCrossbarAssignment:
-    def test_properties(self):
-        a = CrossbarAssignment(
-            members=(0, 1, 2), size=16, connections=((0, 1), (1, 2)), iteration=1
-        )
-        assert a.utilized_connections == 2
-        assert a.utilization == pytest.approx(2 / 256)
-        assert a.preference == pytest.approx(4 / 16**3)
-
-    def test_rejects_oversized_cluster(self):
-        with pytest.raises(ValueError, match="cannot fit"):
-            CrossbarAssignment(members=tuple(range(20)), size=16, connections=(), iteration=1)
-
-    def test_rejects_foreign_connection(self):
-        with pytest.raises(ValueError, match="outside"):
-            CrossbarAssignment(members=(0, 1), size=16, connections=((0, 5),), iteration=1)
 
 
 class TestIscOnStructuredNetwork:
@@ -50,9 +33,15 @@ class TestIscOnStructuredNetwork:
         assert all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
 
     def test_crossbars_within_library(self, small_isc):
-        for assignment in small_isc.crossbars:
-            assert assignment.size in small_isc.sizes
-            assert len(assignment.members) <= assignment.size
+        for crossbar in small_isc.crossbars:
+            assert crossbar.size in small_isc.sizes
+            assert len(crossbar.rows) <= crossbar.size
+
+    def test_crossbars_are_cluster_instances(self, small_isc):
+        # Each crossbar is a mapping instance over one cluster: rows == cols.
+        for crossbar in small_isc.crossbars:
+            assert type(crossbar) is CrossbarInstance
+            assert crossbar.rows == crossbar.cols == tuple(sorted(crossbar.rows))
 
     def test_histogram_counts(self, small_isc):
         histogram = small_isc.crossbar_size_histogram()
@@ -113,8 +102,10 @@ class TestIscControls:
             iterative_spectral_clustering(np.zeros((5, 5)))
 
     def test_rejects_bad_max_iterations(self, block_network):
-        with pytest.raises(ValueError):
-            iterative_spectral_clustering(block_network, max_iterations=0)
+        # Under NaN the loop never ran and every connection became an outlier.
+        for max_iterations in (0, float("nan"), 2.5):
+            with pytest.raises(ValueError, match="max_iterations"):
+                iterative_spectral_clustering(block_network, max_iterations=max_iterations)
 
 
 class TestIscTracing:

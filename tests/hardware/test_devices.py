@@ -1,14 +1,17 @@
 """Tests for memristor, crossbar spec, synapse, neuron and library models."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.hardware.crossbar import CrossbarSpec
+from repro.hardware.crossbar import CrossbarInstance, CrossbarSpec, check_exact_cover
 from repro.hardware.library import CrossbarLibrary
 from repro.hardware.memristor import Memristor, weights_to_conductances
 from repro.hardware.neuron import IntegrateFireNeuron
 from repro.hardware.synapse import DiscreteSynapse
 from repro.hardware.technology import DEFAULT_TECHNOLOGY
+from repro.networks import ConnectionMatrix
 
 
 class TestMemristor:
@@ -78,6 +81,43 @@ class TestCrossbarSpec:
             CrossbarSpec(size=4, side_um=0, area_um2=1, delay_ns=1)
 
 
+class TestCheckExactCover:
+    """Crossbar connections plus synapses must be the network's edges, once each."""
+
+    NETWORK = ConnectionMatrix.from_edges(5, [(0, 1), (1, 0), (1, 2), (3, 4), (4, 3)])
+
+    @staticmethod
+    def crossbar(*connections):
+        return CrossbarInstance(rows=(0, 1, 2), cols=(0, 1, 2), size=4, connections=connections)
+
+    def check(self, instances, synapses):
+        check_exact_cover(instances, synapses, self.NETWORK)
+
+    def test_accepts_exact_cover(self):
+        self.check([self.crossbar((0, 1), (1, 0), (1, 2))], [(3, 4), (4, 3)])
+        self.check([], [(4, 3), (3, 4), (1, 2), (1, 0), (0, 1)])
+
+    def test_names_pair_implemented_twice(self):
+        doubled = self.crossbar((0, 1), (1, 0), (1, 2))
+        object.__setattr__(doubled, "connections", doubled.connections + ((1, 0),))
+        with pytest.raises(AssertionError, match=r"connection \(1, 0\) implemented twice"):
+            self.check([doubled], [(3, 4), (4, 3)])
+        with pytest.raises(AssertionError, match=r"connection \(1, 2\) implemented twice"):
+            self.check([self.crossbar((1, 2)), self.crossbar((0, 1), (1, 0), (1, 2))],
+                       [(3, 4), (4, 3)])
+        with pytest.raises(AssertionError, match=r"connection \(0, 1\) implemented twice"):
+            self.check([self.crossbar((0, 1), (1, 0), (1, 2))], [(3, 4), (4, 3), (0, 1)])
+
+    def test_names_missing_pair(self):
+        with pytest.raises(AssertionError, match=r"connection \(3, 4\) is not implemented"):
+            self.check([self.crossbar((0, 1), (1, 0), (1, 2))], [(4, 3)])
+
+    def test_names_phantom_pair(self):
+        for phantom in [(2, 1), (3, 5), (-1, 0)]:
+            with pytest.raises(AssertionError, match=re.escape(f"connection {phantom} is not in")):
+                self.check([self.crossbar((0, 1), (1, 0), (1, 2))], [(3, 4), (4, 3), phantom])
+
+
 class TestSynapseAndNeuron:
     def test_synapse_from_technology(self):
         synapse = DiscreteSynapse.from_technology(DEFAULT_TECHNOLOGY)
@@ -110,14 +150,6 @@ class TestCrossbarLibrary:
         library = CrossbarLibrary()
         assert library.sizes == tuple(range(16, 65, 4))
         assert library.max_size == 64
-        assert library.min_size == 16
-
-    def test_minimum_satisfiable(self):
-        library = CrossbarLibrary()
-        assert library.minimum_satisfiable(10).size == 16
-        assert library.minimum_satisfiable(33).size == 36
-        assert library.minimum_satisfiable(64).size == 64
-        assert library.minimum_satisfiable(65) is None
 
     def test_spec_lookup(self):
         library = CrossbarLibrary()

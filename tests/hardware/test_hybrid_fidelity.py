@@ -3,8 +3,8 @@
 The differential (two-polarity) crossbar read cancels the G_off leak, so
 with the default (ideal) NonIdealityModel the mapped hardware computes the
 same product as the software network to floating-point precision — for all
-three paper testbench topologies (small-N variants) and for every topology
-source (ISC result, AutoNCS mapping, FullCro mapping).
+three paper testbench topologies (small-N variants) and for every mapping
+(AutoNCS, whose crossbars are ISC's own instances, and FullCro).
 """
 
 import numpy as np
@@ -38,9 +38,14 @@ def _probe_inputs(n, rng):
 
 @pytest.mark.parametrize("index,dimension", CASES)
 def test_isc_topology_is_exact(index, dimension):
+    # The mapping hands the simulator ISC's crossbar objects themselves.
     instance, isc = _instance_and_isc(index, dimension)
     weights = instance.hopfield.weights
-    simulator = HybridNcsSimulator(isc, signed_weights=weights)
+    mapping = autoncs_mapping(isc)
+    assert len(mapping.instances) == len(isc.crossbars)
+    assert all(a is b for a, b in zip(mapping.instances, isc.crossbars))
+    assert mapping.synapse_connections == isc.outliers
+    simulator = HybridNcsSimulator(mapping, signed_weights=weights)
     rng = np.random.default_rng(index)
     for x in _probe_inputs(instance.network.size, rng):
         np.testing.assert_allclose(simulator.compute(x), x @ weights,
@@ -75,7 +80,7 @@ def test_fullcro_mapping_is_exact(index, dimension):
 def test_binary_topology_default_weights():
     # With no signed_weights the simulator implements the 0/1 topology itself.
     instance, isc = _instance_and_isc(1, 60)
-    simulator = HybridNcsSimulator(isc)
+    simulator = HybridNcsSimulator(autoncs_mapping(isc))
     rng = np.random.default_rng(0)
     x = rng.random(instance.network.size)
     np.testing.assert_allclose(

@@ -9,7 +9,7 @@ from repro.hardware.simulation import (
     HybridNcsSimulator,
     NonIdealityModel,
 )
-from repro.mapping import fullcro_utilization
+from repro.mapping import autoncs_mapping, fullcro_utilization
 from repro.networks import block_diagonal_network
 
 
@@ -78,11 +78,15 @@ class TestCrossbarSimulator:
 
 class TestHybridNcsSimulator:
     @pytest.fixture(scope="class")
-    def topology(self):
+    def isc(self):
         net = block_diagonal_network([20, 16, 12], within_density=0.7,
                                      between_density=0.03, rng=5)
         threshold = fullcro_utilization(net, 64)
         return iterative_spectral_clustering(net, utilization_threshold=threshold, rng=0)
+
+    @pytest.fixture(scope="class")
+    def topology(self, isc):
+        return autoncs_mapping(isc)
 
     def test_ideal_matches_binary_product(self, topology):
         sim = HybridNcsSimulator(topology, rng=0)
@@ -107,6 +111,12 @@ class TestHybridNcsSimulator:
     def test_rejects_wrong_weight_shape(self, topology):
         with pytest.raises(ValueError):
             HybridNcsSimulator(topology, signed_weights=np.zeros((3, 3)))
+
+    def test_rejects_non_mapping_topology(self, isc):
+        # An ISC result is mapped first: the simulator reads one topology type.
+        for topology in (isc, isc.crossbars, None):
+            with pytest.raises(TypeError, match="MappingResult"):
+                HybridNcsSimulator(topology)
 
     def test_rejects_wrong_input_shape(self, topology):
         sim = HybridNcsSimulator(topology, rng=0)

@@ -245,8 +245,8 @@ def test_clustering_and_mapping_backend_independent(seed):
         net, utilization_threshold=0.02, max_iterations=5, rng=seed, clusterer=_dense_gcp
     )
     assert [
-        (a.members, a.size, a.connections) for a in isc_csr.crossbars
-    ] == [(a.members, a.size, a.connections) for a in isc_dense.crossbars]
+        (a.rows, a.size, a.connections) for a in isc_csr.crossbars
+    ] == [(a.rows, a.size, a.connections) for a in isc_dense.crossbars]
     assert isc_csr.outliers == isc_dense.outliers
     map_csr = autoncs_mapping(isc_csr)
     map_dense = autoncs_mapping(isc_dense)

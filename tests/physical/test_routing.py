@@ -1,12 +1,16 @@
 """Tests for the routing grid, maze router and routing driver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import repro.physical.routing.router as router_module
 from repro.hardware.library import CrossbarLibrary
 from repro.hardware.technology import Technology
+from repro.mapping import fullcro_mapping
 from repro.mapping.netlist import build_netlist
+from repro.networks import random_sparse_network
 from repro.physical.layout import Placement
 from repro.physical.routing.grid import RoutingGrid
 from repro.physical.routing.maze import maze_route
@@ -256,6 +260,31 @@ class TestRouteDriver:
         assert result.relax_rounds == 0
         assert result.overflow_wires > 0
         assert result.overflow_wires == int(result.overflowed.sum())
+
+    @pytest.mark.parametrize("algorithm, relax_rounds", [("ordered", 4), ("negotiated", 0)])
+    def test_overflow_flags_follow_one_rule(self, algorithm, relax_rounds):
+        # A FullCro netlist in a 30 µm square at capacity 1.  After four
+        # relaxations the ordered router used to flag none of the wires
+        # that cross an edge past the base capacity; both must flag them all.
+        netlist = fullcro_mapping(random_sparse_network(30, 0.15, rng=0)).netlist
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0, 30, netlist.num_cells)
+        y = rng.uniform(0, 30, netlist.num_cells)
+        placement = Placement(x=x, y=y, widths=netlist.widths, heights=netlist.heights)
+        technology = Technology(routing_capacity_per_bin=1)
+        config = RoutingConfig(max_relax_rounds=5, algorithm=algorithm)
+        result = route(netlist, placement, technology=technology, config=config)
+        assert result.relax_rounds == relax_rounds
+        # Recount edge usage from the paths, without the grid's bookkeeping.
+        usage = {}
+        edges = [
+            [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])] for path in result.paths
+        ]
+        for edge in itertools.chain.from_iterable(edges):
+            usage[edge] = usage.get(edge, 0) + 1
+        over = [any(usage[edge] > 1 for edge in path_edges) for path_edges in edges]
+        assert result.overflowed.tolist() == over
+        assert result.overflow_wires == sum(over) == 58
 
     def test_routing_order_dtype_invariant(self, placed_design):
         # The order golden fixtures depend on must not change with the

@@ -6,7 +6,10 @@ that ``route`` re-wrapped wire by wire; two rules decided "this path
 crosses an over-capacity edge", one through the grid's ``("h", ex, ey)``
 edge tuples, one through boolean overuse masks.  The references below are
 that code: the old ``route`` body with its counter flush, both result
-paths, both rules and the grid's tuple-keyed ``add_usage``.  Every check
+paths, both rules and the grid's tuple-keyed ``add_usage``.  Its flags
+follow today's one rule: once either router returns, every wire whose
+path crosses an edge past the base capacity is flagged and reported by a
+``routing.overflow`` event, in wire order.  Every check
 routes one placed netlist through the reference and through ``route`` on
 separate grids and asserts equal paths, byte-equal lengths, equal overflow
 flags, counts, total-wirelength reprs, metrics and trace spans, and
@@ -138,8 +141,7 @@ def _old_route_ordered(pins, grid, workspace, order, config, recorder):
         if path is None:
             return None
         _old_add_usage(grid, path)
-        overflowed = allow_overflow and _old_path_overflows(grid, path)
-        return _OldRoutedWire(index, path, grid.path_length_um(path), overflowed)
+        return _OldRoutedWire(index, path, grid.path_length_um(path))
 
     def route_pass(indices: Sequence[int], allow_overflow: bool) -> List[int]:
         still_failed = []
@@ -161,21 +163,16 @@ def _old_route_ordered(pins, grid, workspace, order, config, recorder):
         recorder.event("routing.relax_round", round=relax_rounds, failed=len(failed))
         ripup_retries += len(failed)
         failed = route_pass(failed, allow_overflow=False)
-    overflow_wires = 0
     if failed:
         ripup_retries += len(failed)
         remaining = route_pass(failed, allow_overflow=True)
         assert not remaining
-        for index in failed:
-            if routed[index].overflowed:
-                overflow_wires += 1
-                recorder.event("routing.overflow", wire=index)
     recorder.count("routing.first_pass_failures", first_pass_failures)
     return _OldRoutingResult(
         wires=[routed[i] for i in sorted(routed)],
         grid=grid,
         relax_rounds=relax_rounds,
-        overflow_wires=overflow_wires,
+        overflow_wires=0,
         algorithm="ordered",
         ripups=ripup_retries,
     )
@@ -232,19 +229,11 @@ def _old_negotiate_routes(pins, grid, workspace, order):
 
 def _old_route_negotiated(pins, grid, workspace, order):
     paths, lengths, iterations, ripups = _old_negotiate_routes(pins, grid, workspace, order)
-    wires = []
-    overflow_wires = 0
-    for index in sorted(paths):
-        path = paths[index]
-        overflowed = len(path) > 1 and _old_path_overflows(grid, path)
-        if overflowed:
-            overflow_wires += 1
-        wires.append(_OldRoutedWire(index, path, lengths[index], overflowed))
     return _OldRoutingResult(
-        wires=wires,
+        wires=[_OldRoutedWire(index, paths[index], lengths[index]) for index in sorted(paths)],
         grid=grid,
         relax_rounds=0,
-        overflow_wires=overflow_wires,
+        overflow_wires=0,
         algorithm="negotiated",
         ripup_iterations=iterations,
         ripups=ripups,
@@ -282,6 +271,12 @@ def _old_route(netlist, placement, technology, config):
             result = _old_route_negotiated(pins, grid, workspace, order)
         else:
             result = _old_route_ordered(pins, grid, workspace, order, config, recorder)
+        # The one flag rule, applied once to every wire after either router.
+        for wire in result.wires:
+            wire.overflowed = _old_path_overflows(grid, wire.path)
+            if wire.overflowed:
+                result.overflow_wires += 1
+                recorder.event("routing.overflow", wire=wire.wire_index)
         recorder.count("routing.wires_routed", len(result.wires))
         recorder.count("routing.ripup_retries", result.ripups)
         recorder.count("routing.ripup_iterations", result.ripup_iterations)

@@ -6,7 +6,7 @@ import pytest
 from repro.core import AutoNCS
 from repro.core.config import AutoNcsConfig, fast_config
 from repro.hardware.simulation import HybridNcsSimulator, NonIdealityModel
-from repro.mapping import CellKind
+from repro.mapping import CellKind, autoncs_mapping
 from repro.networks import block_diagonal_network, ldpc_network
 from repro.networks.hopfield import HopfieldNetwork
 from repro.networks.patterns import corrupt_pattern, qr_like_patterns
@@ -40,9 +40,9 @@ class TestFullPipeline:
         patterns = qr_like_patterns(3, 100, rng=1)
         hopfield = HopfieldNetwork.train(patterns).sparsify(0.88).stabilize(max_epochs=20)
         network = hopfield.connection_matrix()
-        isc = flow.cluster(network, rng=1)
+        mapping = autoncs_mapping(flow.cluster(network, rng=1), library=flow.library)
         simulator = HybridNcsSimulator(
-            isc,
+            mapping,
             signed_weights=hopfield.weights,
             model=NonIdealityModel(variation_sigma=0.03),
             rng=1,
