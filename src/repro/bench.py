@@ -29,9 +29,8 @@ Suites
     throughput (machine-dependent, ungated by default) alongside the
     deterministic serving invariants the gate pins: the miss ratio
     (dedup must execute each unique flow exactly once), errors, and
-    the flow/failure counters.  The profile is fixed — independent of
-    ``--fast`` — so one committed baseline serves every CI lane
-    (``mode="load"`` in the JSON).
+    the flow/failure counters.  The profile is fixed, so one committed
+    baseline serves every CI lane (``mode="load"`` in the JSON).
 ``clustering``
     The large-scale clustering pipeline on a 50k-neuron scale-free
     network: sparse generation, the tiered
@@ -41,9 +40,9 @@ Suites
     (outlier ratio, crossbar count, coarse-cut ratio, verification
     failures pinned at zero); wall time is recorded per stage and only
     gated under ``--time-threshold``.  Like ``service`` the profile is
-    fixed — ``--fast`` is ignored and one committed baseline
-    (``mode="scale"``) serves every lane; ``--dimension`` still
-    overrides for local iteration (the gate rejects mismatched runs).
+    fixed and one committed baseline (``mode="scale"``) serves every
+    lane; ``--dimension`` still overrides for local iteration (the gate
+    rejects mismatched runs).
 
 Regression policy
 -----------------
@@ -85,8 +84,8 @@ BASELINE_FILES = {suite: f"BENCH_{suite}.json" for suite in SUITES}
 #: Default regression threshold (percent) for QoR metrics and counters.
 DEFAULT_THRESHOLD_PCT = 20.0
 
-#: Suite-default testbench dimensions: CI smoke vs full trajectory.
-FAST_DIMENSION = 64
+#: The routing and flow suites' scaled-testbench dimension, large enough
+#: that the three testbenches map to different designs.
 FULL_DIMENSION = 120
 
 #: Absolute slack per metric name — integer-ish metrics that legitimately
@@ -100,10 +99,9 @@ _ATOL = {
     "routing.maze_searches": 16.0,
 }
 
-#: The ``service`` suite's fixed load profile.  Deliberately independent
-#: of ``--fast``: latency percentiles need enough samples to be
-#: meaningful, and one profile means one committed baseline for every
-#: lane (the suite's JSON carries ``mode="load"``).
+#: The ``service`` suite's fixed load profile: latency percentiles need
+#: enough samples to be meaningful, and one profile means one committed
+#: baseline for every lane (the suite's JSON carries ``mode="load"``).
 SERVICE_MODE = "load"
 SERVICE_REQUESTS = 1200
 SERVICE_CLIENTS = 16
@@ -113,10 +111,10 @@ SERVICE_WORKERS = 4
 #: Largest network in the service mix (doubles as the suite dimension).
 SERVICE_DIMENSION = 16 + 2 * (SERVICE_UNIQUE_JOBS - 1)
 
-#: The ``clustering`` suite's fixed scale profile.  Also independent of
-#: ``--fast``: the suite exists to prove the sparse-first network core
-#: holds at a scale the dense path cannot reach, and one profile means
-#: one committed baseline (``mode="scale"`` in the JSON).
+#: The ``clustering`` suite's fixed scale profile: the suite exists to
+#: prove the sparse-first network core holds at a scale the dense path
+#: cannot reach, and one profile means one committed baseline
+#: (``mode="scale"`` in the JSON).
 CLUSTERING_MODE = "scale"
 CLUSTERING_DIMENSION = 50_000
 CLUSTERING_ATTACHMENT = 2  # Barabási–Albert edges-per-new-neuron
@@ -162,7 +160,7 @@ class SuiteResult:
     """One suite's full run, ready to serialize as ``BENCH_<suite>.json``."""
 
     suite: str
-    mode: str  # "fast" | "full"
+    mode: str  # "full" | "load" | "scale"
     seed: int
     dimension: int
     package_version: str
@@ -543,7 +541,6 @@ def _placed_testbench(index: int, dimension: int, seed: int):
 def run_suite(
     suite: str,
     *,
-    fast: bool = False,
     seed: int = 42,
     jobs: int = 1,
     dimension: Optional[int] = None,
@@ -562,19 +559,18 @@ def run_suite(
     if suite not in SUITES:
         raise ValueError(f"unknown bench suite {suite!r} (known: {SUITES})")
     if suite == "service":
-        # Fixed load profile, deliberately ignoring fast/dimension/
-        # testbenches — see the module docs.
+        # Fixed load profile, deliberately ignoring dimension/testbenches
+        # — see the module docs.
         return _run_service_suite(seed)
     if suite == "clustering":
-        # Fixed scale profile (ignores --fast); --dimension still
-        # overrides for local iteration and the harness tests.
+        # Fixed scale profile; --dimension still overrides for local
+        # iteration and the harness tests.
         return _run_clustering_suite(seed, dimension=dimension)
     _register_executors()
-    mode = "fast" if fast else "full"
-    dim = dimension if dimension else (FAST_DIMENSION if fast else FULL_DIMENSION)
+    dim = dimension if dimension else FULL_DIMENSION
     result = SuiteResult(
         suite=suite,
-        mode=mode,
+        mode="full",
         seed=seed,
         dimension=dim,
         package_version=repro.__version__,
@@ -736,8 +732,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     """The ``bench`` argument surface of the CLI."""
     parser.add_argument("--suites", nargs="+", choices=SUITES, default=list(SUITES),
                         help="benchmark suites to run (default: all)")
-    parser.add_argument("--fast", action="store_true",
-                        help="reduced-scale CI smoke mode (smaller testbenches)")
     parser.add_argument("--seed", type=int, default=42,
                         help="benchmark seed (default 42)")
     parser.add_argument("--jobs", type=int, default=1,
@@ -793,7 +787,6 @@ def run_bench_command(args: argparse.Namespace) -> int:
     for suite in args.suites:
         result = run_suite(
             suite,
-            fast=args.fast,
             seed=args.seed,
             jobs=args.jobs,
             dimension=args.dimension or None,

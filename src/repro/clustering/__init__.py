@@ -28,7 +28,7 @@ from repro.clustering.isc import (
 from repro.clustering.kmeans import KMeansResult, kmeans, kmeans_plus_plus_centroids
 from repro.clustering.modularity import modularity_clustering
 from repro.clustering.preference import crossbar_preference, minimum_satisfiable_size
-from repro.clustering.result import Cluster, ClusteringResult
+from repro.clustering.result import ClusteringResult
 from repro.clustering.spectral import (
     modified_spectral_clustering,
     spectral_embedding,
@@ -36,7 +36,6 @@ from repro.clustering.spectral import (
 from repro.clustering.traversing import traversing_clustering
 
 __all__ = [
-    "Cluster",
     "ClusteringResult",
     "DEFAULT_TIER_SIZE",
     "IscIterationRecord",

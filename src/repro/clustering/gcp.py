@@ -27,10 +27,11 @@ import numpy as np
 from scipy import sparse
 
 from repro.clustering.kmeans import _update_centroids, kmeans, kmeans_plus_plus_centroids
-from repro.clustering.result import ClusteringResult, clusters_from_labels
+from repro.clustering.result import ClusteringResult
 from repro.clustering.spectral import spectral_embedding
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import check_whole_number
 
 #: Most passes of Algorithm 2's outer loop (re-embed, k-means, split).
 MAX_OUTER_ITERATIONS = 50
@@ -143,8 +144,7 @@ def greedy_cluster_size_prediction(
     rng = ensure_rng(rng)
     similarity = _similarity(network)
     n = similarity.shape[0]
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    max_size = check_whole_number("max_size", max_size)
     if n == 0:
         raise ValueError("cannot cluster an empty network")
     if split_mode not in ("lloyd", "bisect"):
@@ -200,14 +200,12 @@ def greedy_cluster_size_prediction(
     points = basis[:, : min(k, basis.shape[1])]
     labels, splits = _enforce_size_limit(points, labels, max_size, rng)
     labels = _merge_undersized(points, labels, max_size, similarity)
-    clusters = clusters_from_labels(labels)
     return ClusteringResult(
-        clusters=clusters,
-        n=n,
+        labels=labels,
         method="gcp",
         metadata={
             "max_size": max_size,
-            "final_k": len(clusters),
+            "final_k": int(np.unique(labels).size),
             "outer_iterations": outer_iterations,
             "split_mode": split_mode,
             "kmeans_calls": kmeans_calls + splits,

@@ -37,12 +37,14 @@ from repro.clustering.isc import (
 )
 from repro.clustering.kmeans import kmeans
 from repro.clustering.preference import crossbar_preference
-from repro.clustering.result import ClusteringResult, clusters_from_labels
+from repro.clustering.result import ClusteringResult
 from repro.clustering.spectral import spectral_embedding
 from repro.hardware.crossbar import CrossbarInstance
+from repro.hardware.library import check_crossbar_sizes
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.observability import get_recorder
 from repro.utils.rng import RngLike, ensure_rng, spawn_rng
+from repro.utils.validation import check_whole_number
 
 #: Default tier capacity: large enough that tiers retain real cluster
 #: structure, small enough that the per-tier dense eigensolves stay cheap
@@ -72,10 +74,10 @@ def coarse_partition(
 
     A single truncated embedding with ``k = ceil(n / tier_size)`` followed
     by k-means, then deterministic bisection of any oversized tier.  This
-    is MSC at tier granularity — the "scissor" step.
+    is MSC at tier granularity — the "scissor" step.  The result's
+    ``labels`` give each neuron's tier.
     """
-    if not (tier_size >= 1 and tier_size % 1 == 0):
-        raise ValueError(f"tier_size must be a whole number >= 1, got {tier_size}")
+    tier_size = check_whole_number("tier_size", tier_size)
     rng = ensure_rng(rng)
     n = network.size
     k = max(1, -(-n // tier_size))
@@ -86,10 +88,9 @@ def coarse_partition(
         km = kmeans(embedding, k, rng=rng)
         labels, _ = _enforce_size_limit(embedding, km.labels, tier_size, rng)
     return ClusteringResult(
-        clusters=clusters_from_labels(labels),
-        n=n,
+        labels=labels,
         method="coarse",
-        metadata={"tier_size": tier_size, "tiers": int(len(set(labels.tolist())))},
+        metadata={"tier_size": tier_size, "tiers": int(np.unique(labels).size)},
     )
 
 
@@ -115,8 +116,11 @@ def cluster_hierarchical(
     Returns an :class:`IscResult` over the **original** network whose
     crossbars are the union of the per-tier crossbars (re-indexed to global
     neuron ids) and whose outliers are the per-tier leftovers plus every
-    cross-tier connection.  Each tier's ISC run checks its own exact
-    cover; the stitched result is checked once more before returning.
+    cross-tier connection.  Tier ``t`` holds the neurons that
+    :func:`coarse_partition` labels ``t``, and the cross-tier connections
+    are what removing every tier's within-tier connections leaves.  Each
+    tier's ISC run checks its own exact cover; the stitched result is
+    checked once more before returning.
 
     ``clusterer=None`` (default) resolves per path: the small-network
     delegation to flat ISC uses the verbatim Algorithm 2 GCP, while the
@@ -124,6 +128,7 @@ def cluster_hierarchical(
     """
     if not isinstance(network, ConnectionMatrix):
         raise TypeError("network must be a ConnectionMatrix")
+    sizes = check_crossbar_sizes("sizes", sizes)
     rng = ensure_rng(rng)
     recorder = get_recorder()
 
@@ -144,23 +149,20 @@ def cluster_hierarchical(
     with recorder.span("hierarchical.partition", neurons=network.size):
         partition_rng, tier_parent_rng = spawn_rng(rng, 2)
         partition = coarse_partition(network, tier_size=tier_size, rng=partition_rng)
-    tiers = partition.clusters
-    tier_rngs = spawn_rng(tier_parent_rng, len(tiers))
+    tier_rngs = spawn_rng(tier_parent_rng, partition.k)
 
     crossbars: List[CrossbarInstance] = []
     records: List[IscIterationRecord] = []
     outlier_parts: List[Tuple[np.ndarray, np.ndarray]] = []
     iteration_offset = 0
     tier_summaries = []
-    cut_connections = network.num_connections
-    for tier, tier_rng in zip(tiers, tier_rngs):
-        members = np.asarray(tier.members, dtype=np.int64)
+    for tier, tier_rng in enumerate(tier_rngs):
+        members = np.flatnonzero(partition.labels == tier)
         block = network.submatrix(members)  # dense, ≤ tier_size × tier_size
         sub_network = ConnectionMatrix.from_dense(block, name=f"{network.name}-tier")
         if sub_network.num_connections == 0:
             tier_summaries.append({"neurons": int(members.size), "crossbars": 0})
             continue
-        cut_connections -= sub_network.num_connections
         with recorder.span("hierarchical.tier", neurons=int(members.size)):
             tier_result = iterative_spectral_clustering(
                 sub_network,
@@ -197,12 +199,8 @@ def cluster_hierarchical(
         )
 
     # Cross-tier connections: everything the coarse cut severed.
-    tier_label = np.full(network.size, -1, dtype=np.int64)
-    for position, tier in enumerate(tiers):
-        tier_label[np.asarray(tier.members, dtype=np.int64)] = position
-    rows, cols = network.connection_arrays()
-    crossing = tier_label[rows] != tier_label[cols]
-    outlier_parts.append((rows[crossing], cols[crossing]))
+    cut = network.remove_clusters(partition.labels)
+    outlier_parts.append(cut.connection_arrays())
 
     out_rows = np.concatenate([part[0] for part in outlier_parts])
     out_cols = np.concatenate([part[1] for part in outlier_parts])
@@ -216,20 +214,20 @@ def cluster_hierarchical(
         outliers=outliers,
         records=records,
         utilization_threshold=utilization_threshold,
-        sizes=tuple(sorted(int(s) for s in sizes)),
+        sizes=sizes,
         metadata={
             "method": "hierarchical",
             "tier_size": tier_size,
-            "tiers": len(tiers),
+            "tiers": partition.k,
             "tier_summaries": tier_summaries,
-            "cut_ratio": (cut_connections / total) if total else 0.0,
+            "cut_ratio": (cut.num_connections / total) if total else 0.0,
             "max_iterations": max_iterations,
             "selection_quantile": selection_quantile,
         },
     )
     result.validate()
     recorder.count("hierarchical.runs")
-    recorder.count("hierarchical.tiers", len(tiers))
+    recorder.count("hierarchical.tiers", partition.k)
     if recorder.enabled:
         recorder.gauge("hierarchical.cut_ratio", result.metadata["cut_ratio"])
     return result

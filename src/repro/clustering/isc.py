@@ -36,10 +36,11 @@ from repro.hardware.crossbar import (
     mean_utilization,
     size_histogram,
 )
-from repro.hardware.library import DEFAULT_CROSSBAR_SIZES
+from repro.hardware.library import DEFAULT_CROSSBAR_SIZES, check_crossbar_sizes
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.observability import get_recorder
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import check_whole_number
 
 #: "we empirically remove only the top 25% clusters with the high CPs".
 DEFAULT_SELECTION_QUANTILE = 0.75
@@ -114,35 +115,38 @@ class IscResult:
         check_exact_cover(self.crossbars, self.outliers, self.network)
 
 
-def _clusters_connections(
-    member_lists: Sequence[Sequence[int]], remaining: ConnectionMatrix
-) -> List[Tuple[Tuple[int, int], ...]]:
-    """Per-cluster within-cluster connection pairs for **disjoint** clusters.
+def _crossbars(
+    remaining: ConnectionMatrix, chosen: np.ndarray, sizes: Sequence[int]
+) -> List[CrossbarInstance]:
+    """One crossbar per selected cluster, from one O(connections) sweep.
 
-    One O(connections) sweep over the edge arrays instead of one submatrix
-    extraction per cluster.  Pairs come out in global row-major order,
-    which — because cluster members are sorted ascending — is exactly the
-    order the historical per-block ``np.nonzero`` extraction produced.
+    ``chosen`` labels the ``i``-th selected cluster ``i`` and every other
+    neuron -1; ``sizes[i]`` is that cluster's crossbar size.  Members and
+    connection pairs each come from one stable sort by label, so every
+    crossbar's rows ascend and its pairs keep global row-major order —
+    exactly the order the historical per-block ``np.nonzero`` extraction
+    produced.
     """
-    label = np.full(remaining.size, -1, dtype=np.int64)
-    for position, members in enumerate(member_lists):
-        label[np.asarray(list(members), dtype=int)] = position
-    rows, cols = remaining.connection_arrays()
-    within = (label[rows] >= 0) & (label[rows] == label[cols])
-    rows, cols = rows[within], cols[within]
-    groups = label[rows]
+    rows, cols, within = remaining.within_clusters(chosen)
+    groups = chosen[rows[within]]
     order = np.argsort(groups, kind="stable")  # keeps row-major order per group
-    rows, cols, groups = rows[order], cols[order], groups[order]
-    counts = np.bincount(groups, minlength=len(member_lists))
-    results: List[Tuple[Tuple[int, int], ...]] = []
-    start = 0
-    for count in counts:
-        stop = start + int(count)
-        results.append(
-            tuple(zip(rows[start:stop].tolist(), cols[start:stop].tolist()))
+    rows, cols = rows[within][order].tolist(), cols[within][order].tolist()
+    pair_bounds = [0] + np.cumsum(np.bincount(groups, minlength=len(sizes))).tolist()
+    neurons = np.argsort(chosen, kind="stable").tolist()  # the -1 neurons come first
+    member_bounds = np.cumsum(np.bincount(chosen + 1, minlength=len(sizes) + 1)).tolist()
+    crossbars = []
+    for index, size in enumerate(sizes):
+        members = tuple(neurons[member_bounds[index] : member_bounds[index + 1]])
+        start, stop = pair_bounds[index], pair_bounds[index + 1]
+        crossbars.append(
+            CrossbarInstance(
+                rows=members,
+                cols=members,
+                size=size,
+                connections=tuple(zip(rows[start:stop], cols[start:stop])),
+            )
         )
-        start = stop
-    return results
+    return crossbars
 
 
 def iterative_spectral_clustering(
@@ -179,7 +183,8 @@ def iterative_spectral_clustering(
         ``m²/s³``; the ablation benches swap in alternatives.
     clusterer:
         Size-capped clustering routine ``(network, max_size, rng=...) →
-        ClusteringResult`` used each iteration.  Defaults to GCP
+        ClusteringResult`` used each iteration; ISC reads its ``labels``
+        and its ``metadata["kmeans_calls"]``.  Defaults to GCP
         (Algorithm 2); :func:`repro.clustering.modularity.
         modularity_clustering` is a drop-in alternative for ablations.
 
@@ -191,13 +196,10 @@ def iterative_spectral_clustering(
     """
     if not isinstance(network, ConnectionMatrix):
         raise TypeError("network must be a ConnectionMatrix")
-    size_list = tuple(sorted(int(s) for s in sizes))
-    if not size_list or size_list[0] < 1:
-        raise ValueError(f"sizes must be positive, got {sizes}")
+    size_list = check_crossbar_sizes("sizes", sizes)
     if not 0.0 < selection_quantile < 1.0:
         raise ValueError(f"selection_quantile must lie in (0, 1), got {selection_quantile}")
-    if not (max_iterations >= 1 and max_iterations % 1 == 0):
-        raise ValueError(f"max_iterations must be a whole number >= 1, got {max_iterations}")
+    max_iterations = check_whole_number("max_iterations", max_iterations)
     rng = ensure_rng(rng)
     max_s = size_list[-1]
     total_connections = network.num_connections
@@ -221,19 +223,18 @@ def iterative_spectral_clustering(
             span.annotate(kmeans_calls=calls)
             kmeans_calls += calls
             # Lines 4-5: score clusters by CP at their minimum satisfiable size.
-            # The clusters partition the network, so all within-counts come from
+            # The labels partition the network, so all within-counts come from
             # a single O(connections) pass.
-            within_counts = remaining.connections_within_many(
-                [cluster.members for cluster in clustering.clusters]
-            )
+            labels = clustering.labels
+            within_counts = remaining.connections_within_many(labels)
             scored = []
-            for cluster, m in zip(clustering.clusters, within_counts.tolist()):
+            for cluster, (m, size) in enumerate(zip(within_counts.tolist(), clustering.sizes())):
                 if m == 0:
                     continue  # a cluster with no connections never earns a crossbar
-                s = minimum_satisfiable_size(cluster.size, size_list)
+                s = minimum_satisfiable_size(size, size_list)
                 if s is None:  # pragma: no cover - GCP caps sizes at max(S)
                     continue
-                scored.append((cluster, m, s, float(preference(m, s))))
+                scored.append((cluster, size, s, float(preference(m, s))))
             if not scored:
                 break
             cps = np.array([item[3] for item in scored])
@@ -246,26 +247,18 @@ def iterative_spectral_clustering(
             # experiment's stop condition) governs termination; this break is a
             # safety check for mis-matched library/GCP size limits.
             boundary = min(selected, key=lambda item: item[3])
-            if minimum_satisfiable_size(boundary[0].size, size_list) is None:
+            if minimum_satisfiable_size(boundary[1], size_list) is None:
                 break
             # Lines 9-14: realize the selected clusters, delete their
             # connections from the remaining network.  Selected clusters are
-            # disjoint, so extracting all connection groups up front and
-            # removing them in one batch is identical to the sequential
-            # extract-then-remove loop — at a single edge sweep instead of
-            # one matrix rebuild per cluster.
-            connection_groups = _clusters_connections(
-                [cluster.members for cluster, _, _, _ in selected], remaining
-            )
-            placed = [
-                CrossbarInstance(
-                    rows=cluster.members, cols=cluster.members, size=s, connections=connections
-                )
-                for (cluster, _, s, _), connections in zip(selected, connection_groups)
-            ]
-            remaining = remaining.remove_clusters(
-                [cluster.members for cluster, _, _, _ in selected]
-            )
+            # disjoint, so one relabelling (selection order, -1 elsewhere)
+            # serves both the pair extraction and a single batch removal —
+            # identical to the sequential extract-then-remove loop.
+            position = np.full(clustering.k, -1, dtype=np.int64)
+            position[[item[0] for item in selected]] = np.arange(len(selected))
+            chosen = position[labels]
+            placed = _crossbars(remaining, chosen, [item[2] for item in selected])
+            remaining = remaining.remove_clusters(chosen)
             crossbars.extend(placed)
             # Line 15: average utilization of the crossbars placed this round.
             ms = [(x.utilized_connections, x.size) for x in placed]
@@ -274,7 +267,7 @@ def iterative_spectral_clustering(
             records.append(
                 IscIterationRecord(
                     iteration=iteration,
-                    clusters_formed=len(clustering.clusters),
+                    clusters_formed=clustering.k,
                     crossbars_placed=len(placed),
                     connections_clustered=clustered_connections(placed),
                     average_utilization=avg_u,

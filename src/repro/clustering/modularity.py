@@ -15,9 +15,10 @@ import networkx as nx
 import numpy as np
 from scipy import sparse
 
-from repro.clustering.result import ClusteringResult, clusters_from_labels
+from repro.clustering.result import ClusteringResult
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import check_whole_number
 
 
 def modularity_clustering(
@@ -40,8 +41,7 @@ def modularity_clustering(
         similarity = np.asarray(network, dtype=float)
         similarity = np.maximum(similarity, similarity.T)
     n = similarity.shape[0]
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    max_size = check_whole_number("max_size", max_size)
     if n == 0:
         raise ValueError("cannot cluster an empty network")
     if sparse.issparse(similarity):
@@ -52,7 +52,7 @@ def modularity_clustering(
         # no structure at all: contiguous chunks of max_size
         labels = np.arange(n) // max_size
         return ClusteringResult(
-            clusters=clusters_from_labels(labels), n=n, method="modularity",
+            labels=labels, method="modularity",
             metadata={"max_size": max_size, "communities": int(labels.max()) + 1},
         )
     communities = nx.algorithms.community.greedy_modularity_communities(
@@ -81,10 +81,8 @@ def modularity_clustering(
         stack.append(value)
         stack.append(next_label)
         next_label += 1
-    clusters = clusters_from_labels(labels)
     return ClusteringResult(
-        clusters=clusters,
-        n=n,
+        labels=labels,
         method="modularity",
         metadata={"max_size": max_size, "communities": len(communities)},
     )

@@ -1,109 +1,63 @@
-"""Cluster containers shared by MSC / GCP / traversing / ISC."""
+"""The clustering result shared by MSC / GCP / traversing / ISC: one label per neuron."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """An immutable set of neuron indices grouped by a clustering algorithm."""
-
-    members: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        members = tuple(int(m) for m in self.members)
-        if len(set(members)) != len(members):
-            raise ValueError("cluster members must be unique")
-        object.__setattr__(self, "members", tuple(sorted(members)))
-
-    @property
-    def size(self) -> int:
-        """Number of neurons in the cluster."""
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, item: int) -> bool:
-        return int(item) in self.members
-
-
 @dataclass
 class ClusteringResult:
-    """Output of a clustering run: a partition of ``range(n)`` into clusters.
+    """Output of a clustering run: a partition of ``range(n)`` as a label array.
 
     Attributes
     ----------
-    clusters:
-        Non-empty clusters; together they cover every neuron exactly once.
-    n:
-        Number of neurons that were clustered.
+    labels:
+        Read-only ``int64`` array, one cluster index per neuron.  On
+        construction the clusterer's labels are renumbered to ``0..k-1`` in
+        ascending order of value, skipping values no neuron carries, so
+        every neuron lies in exactly one non-empty cluster.
     method:
         Human-readable algorithm name ("msc", "gcp", "traversing").
     """
 
-    clusters: List[Cluster]
-    n: int
+    labels: np.ndarray
     method: str = "msc"
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        covered: set = set()
-        for cluster in self.clusters:
-            overlap = covered.intersection(cluster.members)
-            if overlap:
-                raise ValueError(f"clusters overlap on neurons {sorted(overlap)[:5]}")
-            covered.update(cluster.members)
-        if covered and (min(covered) < 0 or max(covered) >= self.n):
-            raise ValueError("cluster members out of range")
-        if len(covered) != self.n:
-            missing = sorted(set(range(self.n)) - covered)
-            raise ValueError(f"clusters must cover all {self.n} neurons; missing {missing[:5]}")
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(
+                f"labels must be one integer per neuron, got a {labels.dtype} "
+                f"array of shape {labels.shape}"
+            )
+        if labels.size and labels.min() < 0:
+            raise ValueError(f"labels must be non-negative, got {labels.min()}")
+        labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+        labels.flags.writeable = False
+        self.labels = labels
+
+    @property
+    def n(self) -> int:
+        """Number of neurons that were clustered."""
+        return self.labels.size
 
     @property
     def k(self) -> int:
         """Number of clusters."""
-        return len(self.clusters)
+        return int(self.labels.max()) + 1 if self.labels.size else 0
 
     def sizes(self) -> List[int]:
         """Cluster sizes in cluster order."""
-        return [c.size for c in self.clusters]
+        return np.bincount(self.labels).tolist()
 
     def max_size(self) -> int:
         """Size of the largest cluster (0 for an empty result)."""
         return max(self.sizes(), default=0)
 
-    def labels(self) -> np.ndarray:
-        """Per-neuron cluster index array of shape ``(n,)``."""
-        labels = np.full(self.n, -1, dtype=int)
-        for idx, cluster in enumerate(self.clusters):
-            labels[list(cluster.members)] = idx
-        return labels
-
     def permutation(self) -> np.ndarray:
         """Neuron order grouping clusters contiguously (for matrix plots)."""
-        order: List[int] = []
-        for cluster in self.clusters:
-            order.extend(cluster.members)
-        return np.asarray(order, dtype=int)
-
-
-def clusters_from_labels(labels: Sequence[int]) -> List[Cluster]:
-    """Build :class:`Cluster` objects from a per-point label vector.
-
-    Empty labels are skipped; cluster order follows ascending label value.
-    """
-    labels = np.asarray(list(labels), dtype=int)
-    clusters = []
-    for value in np.unique(labels):
-        members = np.nonzero(labels == value)[0]
-        if members.size:
-            clusters.append(Cluster(tuple(int(m) for m in members)))
-    return clusters
+        return np.argsort(self.labels, kind="stable")

@@ -48,7 +48,7 @@ from scipy.sparse import linalg as spla
 from typing import Optional, Tuple, Union
 
 from repro.clustering.kmeans import kmeans
-from repro.clustering.result import ClusteringResult, clusters_from_labels
+from repro.clustering.result import ClusteringResult
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -190,12 +190,7 @@ def spectral_embedding(
     return _sparse_embedding(w, k)
 
 
-def modified_spectral_clustering(
-    network,
-    k: int,
-    rng: RngLike = None,
-    max_kmeans_iterations: int = 100,
-) -> ClusteringResult:
+def modified_spectral_clustering(network, k: int, rng: RngLike = None) -> ClusteringResult:
     """Run MSC (Algorithm 1): spectral embedding + k-means into ``k`` clusters."""
     rng = ensure_rng(rng)
     w = _similarity(network)
@@ -203,11 +198,9 @@ def modified_spectral_clustering(
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     embedding, _ = spectral_embedding(w, k)
-    km = kmeans(embedding, k, max_iterations=max_kmeans_iterations, rng=rng)
-    clusters = clusters_from_labels(km.labels)
+    km = kmeans(embedding, k, rng=rng)
     return ClusteringResult(
-        clusters=clusters,
-        n=n,
+        labels=km.labels,
         method="msc",
         metadata={"requested_k": k, "kmeans_iterations": km.n_iterations},
     )

@@ -13,28 +13,22 @@ from typing import Union
 
 import numpy as np
 
-from repro.clustering.kmeans import kmeans
-from repro.clustering.result import ClusteringResult, clusters_from_labels
-from repro.clustering.spectral import modified_spectral_clustering, spectral_embedding
+from repro.clustering.result import ClusteringResult
+from repro.clustering.spectral import modified_spectral_clustering
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import check_whole_number
 
 
 def traversing_clustering(
     network: Union[ConnectionMatrix, np.ndarray],
     max_size: int,
     rng: RngLike = None,
-    reuse_embedding: bool = False,
 ) -> ClusteringResult:
     """Scan ``k`` upward until the largest MSC cluster fits ``max_size``.
 
-    Parameters
-    ----------
-    reuse_embedding:
-        The paper's traversing baseline "exhaustively increas[es] the value
-        of k in MSC", and each MSC run includes its own eigendecomposition
-        — the default (False) follows that literally.  Set True to share
-        one full eigenbasis across the scan, a cheaper variant.
+    Each step is a full MSC run, eigendecomposition included, as the
+    paper's baseline "exhaustively increas[es] the value of k in MSC".
 
     Returns
     -------
@@ -47,27 +41,15 @@ def traversing_clustering(
         n = network.size
     else:
         n = np.asarray(network).shape[0]
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    max_size = check_whole_number("max_size", max_size)
     start_k = max(1, min(n, math.ceil(n / max_size)))
-    if reuse_embedding:
-        basis, _ = spectral_embedding(network, k=None)
-    labels = None
     attempts = 0
     for k in range(start_k, n + 1):
         attempts += 1
-        if reuse_embedding:
-            km = kmeans(basis[:, :k], k, max_iterations=40, rng=rng, repair_empty=False)
-            labels = km.labels
-        else:
-            result = modified_spectral_clustering(network, k, rng=rng)
-            labels = result.labels()
-        sizes = np.bincount(labels, minlength=k)
-        if sizes.max() <= max_size:
-            clusters = clusters_from_labels(labels)
+        labels = modified_spectral_clustering(network, k, rng=rng).labels
+        if np.bincount(labels, minlength=k).max() <= max_size:
             return ClusteringResult(
-                clusters=clusters,
-                n=n,
+                labels=labels,
                 method="traversing",
                 metadata={"max_size": max_size, "attempts": attempts, "final_k": k},
             )

@@ -6,11 +6,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.clustering.isc import DEFAULT_SELECTION_QUANTILE
-from repro.hardware.library import DEFAULT_CROSSBAR_SIZES
+from repro.hardware.library import DEFAULT_CROSSBAR_SIZES, check_crossbar_sizes
 from repro.hardware.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.physical.cost import CostWeights
 from repro.physical.placement.placer import PlacementConfig
 from repro.physical.routing.router import RoutingConfig
+from repro.utils.validation import check_whole_number
 
 #: Network size above which ``clustering="auto"`` switches from flat ISC to
 #: the tiered pass.
@@ -60,10 +61,7 @@ class AutoNcsConfig:
     cost_weights: CostWeights = field(default_factory=CostWeights)
 
     def __post_init__(self) -> None:
-        sizes = tuple(sorted(int(s) for s in self.crossbar_sizes))
-        if not sizes or sizes[0] < 1:
-            raise ValueError(f"crossbar_sizes must be positive, got {self.crossbar_sizes}")
-        self.crossbar_sizes = sizes
+        self.crossbar_sizes = check_crossbar_sizes("crossbar_sizes", self.crossbar_sizes)
         # ``not x >= 0`` also rejects NaN, under which ISC would never stop.
         if self.utilization_threshold is not None and not self.utilization_threshold >= 0:
             raise ValueError(
@@ -72,10 +70,7 @@ class AutoNcsConfig:
         if not 0.0 < self.selection_quantile < 1.0:
             raise ValueError("selection_quantile must lie in (0, 1)")
         for name in ("max_isc_iterations", "tier_size"):
-            value = getattr(self, name)
-            if not (value >= 1 and value % 1 == 0):
-                raise ValueError(f"{name} must be a whole number >= 1, got {value}")
-            setattr(self, name, int(value))
+            setattr(self, name, check_whole_number(name, getattr(self, name)))
         if self.clustering not in ("auto", "isc", "hierarchical"):
             raise ValueError(
                 "clustering must be 'auto', 'isc' or 'hierarchical', "

@@ -50,13 +50,12 @@ def figure3(network: ConnectionMatrix, rng: RngLike = None, max_size: int = 64) 
     rng = ensure_rng(rng)
     k = max(1, math.ceil(network.size / max_size))
     clustering = modified_spectral_clustering(network, k, rng=rng)
-    clusters = [c.members for c in clustering.clusters]
     return Figure3Result(
         n=network.size,
         connections=network.num_connections,
         k=k,
         cluster_sizes=clustering.sizes(),
-        outlier_ratio=network.outlier_ratio(clusters),
+        outlier_ratio=network.outlier_ratio(clustering.labels),
         permutation=clustering.permutation(),
     )
 
@@ -97,8 +96,6 @@ def figure4(
         gcp = greedy_cluster_size_prediction(network, max_size, rng=seed)
     with recorder.span("figure4.traversing") as traversing_span:
         traversing = traversing_clustering(network, max_size, rng=seed)
-    gcp_clusters = [c.members for c in gcp.clusters]
-    trav_clusters = [c.members for c in traversing.clusters]
     return Figure4Result(
         max_size=max_size,
         gcp_max_cluster=gcp.max_size(),
@@ -107,8 +104,8 @@ def figure4(
         traversing_clusters=traversing.k,
         gcp_runtime_ms=gcp_span.duration * 1e3,
         traversing_runtime_ms=traversing_span.duration * 1e3,
-        gcp_outlier_ratio=network.outlier_ratio(gcp_clusters),
-        traversing_outlier_ratio=network.outlier_ratio(trav_clusters),
+        gcp_outlier_ratio=network.outlier_ratio(gcp.labels),
+        traversing_outlier_ratio=network.outlier_ratio(traversing.labels),
     )
 
 
@@ -133,9 +130,9 @@ def figure5(
     rng = ensure_rng(rng)
     total = network.num_connections
     round1 = greedy_cluster_size_prediction(network, max_size, rng=rng)
-    remaining = network.remove_clusters([c.members for c in round1.clusters])
+    remaining = network.remove_clusters(round1.labels)
     round2 = greedy_cluster_size_prediction(remaining, max_size, rng=rng)
-    remaining2 = remaining.remove_clusters([c.members for c in round2.clusters])
+    remaining2 = remaining.remove_clusters(round2.labels)
     return Figure5Result(
         initial_connections=total,
         round1_outliers=remaining.num_connections,

@@ -8,15 +8,30 @@ area/delay spec.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.hardware.crossbar import CrossbarSpec
 from repro.hardware.neuron import IntegrateFireNeuron
 from repro.hardware.synapse import DiscreteSynapse
 from repro.hardware.technology import DEFAULT_TECHNOLOGY, Technology
+from repro.utils.validation import check_whole_number
 
 #: The paper's crossbar library: sizes 16..64 at a step of 4 (Sec. 4.2).
 DEFAULT_CROSSBAR_SIZES: Tuple[int, ...] = tuple(range(16, 65, 4))
+
+
+def check_crossbar_sizes(name: str, sizes: Iterable[int]) -> Tuple[int, ...]:
+    """The ascending distinct crossbar sizes of ``sizes``, as ``int``.
+
+    Every size must be a whole number ``>= 1`` and the list non-empty;
+    errors name the parameter.
+    """
+    size_list = tuple(
+        sorted({check_whole_number(f"{name}[{i}]", s) for i, s in enumerate(sizes)})
+    )
+    if not size_list:
+        raise ValueError(f"{name} must be non-empty")
+    return size_list
 
 
 class CrossbarLibrary:
@@ -35,11 +50,7 @@ class CrossbarLibrary:
         sizes: Sequence[int] = DEFAULT_CROSSBAR_SIZES,
         technology: Technology = DEFAULT_TECHNOLOGY,
     ) -> None:
-        size_list = sorted(set(int(s) for s in sizes))
-        if not size_list:
-            raise ValueError("sizes must be non-empty")
-        if size_list[0] < 1:
-            raise ValueError(f"crossbar sizes must be >= 1, got {size_list[0]}")
+        size_list = check_crossbar_sizes("sizes", sizes)
         self.technology = technology
         self._specs: Dict[int, CrossbarSpec] = {
             s: CrossbarSpec.from_technology(s, technology) for s in size_list

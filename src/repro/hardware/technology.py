@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_whole_number
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,7 @@ class Technology:
                 f"got {self.routing_space_factor}"
             )
         check_positive("routing_bin_um", self.routing_bin_um)
-        capacity = self.routing_capacity_per_bin
-        if not (capacity >= 1 and capacity % 1 == 0):
-            raise ValueError(
-                f"routing_capacity_per_bin must be a whole number >= 1, got {capacity}"
-            )
+        check_whole_number("routing_capacity_per_bin", self.routing_capacity_per_bin)
 
     # ------------------------------------------------------------------
     # Crossbar geometry and timing

@@ -6,7 +6,8 @@ output neuron *j* and 0 otherwise ("connection matrix" and "network" are used
 interchangeably).  :class:`ConnectionMatrix` wraps such a matrix with the
 operations the clustering flow needs:
 
-* counting connections inside / outside a set of clusters,
+* counting connections inside / outside the clusters of a label array
+  (one integer per neuron, -1 meaning "in no cluster"),
 * removing within-cluster connections (building the "remaining network" of
   ISC, Sec. 3.4),
 * extracting submatrices for crossbar mapping,
@@ -281,87 +282,60 @@ class ConnectionMatrix:
             return np.zeros((rows.size, cols.size), dtype=np.uint8)
         return self._sparse[rows][:, cols].toarray()
 
-    def _membership(self, cluster: Sequence[int]) -> np.ndarray:
-        idx = np.asarray(list(cluster), dtype=int)
-        self._check_indices(idx)
-        return idx
+    def within_clusters(self, labels) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All connections and which of them lie inside a cluster.
 
-    def _cluster_labels(self, clusters: Sequence[Sequence[int]]) -> np.ndarray:
-        """Each neuron's position in ``clusters`` (-1 when in none)."""
-        label = np.full(self.size, -1, dtype=np.int64)
-        for position, cluster in enumerate(clusters):
-            idx = self._membership(cluster)
-            if np.any(label[idx] != -1):
-                raise ValueError("clusters must be disjoint")
-            label[idx] = position
-        return label
-
-    def connections_within(self, cluster: Sequence[int]) -> int:
-        """Number of connections with both endpoints inside ``cluster``.
-
-        This is the crossbar-utilized-connection count *m* of Sec. 3.1 for a
-        cluster mapped to a crossbar.  A repeated member is one neuron, so
-        each connection counts once.
+        Returns ``(rows, cols, within)``: the :meth:`connection_arrays` in
+        row-major order and the mask of the connections whose endpoints carry
+        the same label ``>= 0``.  This is the one within-cluster edge test;
+        ``labels`` holds one integer per neuron, -1 meaning "in no cluster".
         """
-        idx = self._membership(cluster)
-        if idx.size == 0:
-            return 0
+        try:
+            labels = np.asarray(labels)
+        except ValueError:  # a ragged sequence, such as a list of member lists
+            raise ValueError("labels must be one integer per neuron") from None
+        if labels.shape != (self.size,) or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(
+                f"labels must be one integer per neuron ({self.size}), got a "
+                f"{labels.dtype} array of shape {labels.shape}"
+            )
+        if labels.size and labels.min() < -1:
+            raise ValueError(f"labels must be >= -1 (-1: in no cluster), got {labels.min()}")
         rows, cols = self.connection_arrays()
-        mask = np.zeros(self.size, dtype=bool)
-        mask[idx] = True
-        return int(np.count_nonzero(mask[rows] & mask[cols]))
+        return rows, cols, (labels[rows] >= 0) & (labels[rows] == labels[cols])
 
-    def connections_within_many(
-        self, clusters: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """Within-cluster connection counts for many **disjoint** clusters.
+    def connections_within_many(self, labels) -> np.ndarray:
+        """Within-cluster connection counts, indexed by label.
 
-        One O(connections) pass instead of one scan per cluster — the
-        primitive the ISC scoring loop runs every iteration.  Returns an
-        ``int64`` array aligned with ``clusters``.
+        Entry ``c`` is the crossbar-utilized-connection count *m* of
+        Sec. 3.1 for the neurons labelled ``c``; one O(connections) pass
+        serves every cluster, as the ISC scoring loop needs each iteration.
         """
-        label = self._cluster_labels(clusters)
-        counts = np.zeros(len(clusters), dtype=np.int64)
-        if not len(clusters):
-            return counts
-        rows, cols = self.connection_arrays()
-        if rows.size == 0:
-            return counts
-        within = (label[rows] >= 0) & (label[rows] == label[cols])
-        counts += np.bincount(label[rows][within], minlength=len(clusters))
-        return counts
+        rows, _, within = self.within_clusters(labels)
+        labels = np.asarray(labels)
+        k = int(labels.max()) + 1 if labels.size else 0
+        return np.bincount(labels[rows[within]], minlength=k)
 
-    def connections_within_clusters(self, clusters: Iterable[Sequence[int]]) -> int:
-        """Total within-cluster connections over a disjoint cluster list."""
-        return int(self.connections_within_many(list(clusters)).sum())
+    def outlier_ratio(self, labels) -> float:
+        """Fraction of connections outside every cluster — the paper's *outliers*.
 
-    def outlier_count(self, clusters: Iterable[Sequence[int]]) -> int:
-        """Connections not covered by any cluster — the paper's *outliers*."""
-        return self.num_connections - self.connections_within_clusters(clusters)
-
-    def outlier_ratio(self, clusters: Iterable[Sequence[int]]) -> float:
-        """Fraction of connections that are outliers (0 when the net is empty)."""
+        0 when the network has no connections.
+        """
+        _, _, within = self.within_clusters(labels)
         total = self.num_connections
         if total == 0:
             return 0.0
-        return self.outlier_count(clusters) / total
+        return (total - int(np.count_nonzero(within))) / total
 
-    def remove_cluster(self, cluster: Sequence[int]) -> "ConnectionMatrix":
-        """Return a new network with within-``cluster`` connections deleted.
+    def remove_clusters(self, labels) -> "ConnectionMatrix":
+        """Return a new network with every within-cluster connection deleted.
 
-        The one-cluster form of :meth:`remove_clusters`, which ISC
-        (Algorithm 3, line 12) calls once per iteration on all the clusters
-        it realized.
+        ISC (Algorithm 3, line 12) calls this once per iteration with the
+        clusters it realized labelled and every other neuron at -1.
         """
-        return self.remove_clusters([cluster])
-
-    def remove_clusters(self, clusters: Iterable[Sequence[int]]) -> "ConnectionMatrix":
-        """Delete within-cluster connections of **disjoint** clusters in one pass."""
-        label = self._cluster_labels(list(clusters))
-        rows, cols = self.connection_arrays()
-        keep = ~((label[rows] >= 0) & (label[rows] == label[cols]))
+        rows, cols, within = self.within_clusters(labels)
         return ConnectionMatrix.from_edges(
-            self.size, (rows[keep], cols[keep]), name=self.name
+            self.size, (rows[~within], cols[~within]), name=self.name
         )
 
     def connection_list(self) -> List[Tuple[int, int]]:

@@ -45,6 +45,7 @@ from repro.physical.placement.optimizer import conjugate_gradient
 from repro.physical.placement.seed import connectivity_seed
 from repro.physical.placement.wirelength import hpwl
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import check_whole_number
 
 
 #: Algorithm 4's stop rule: λ stops doubling once total (virtual) overlap
@@ -73,10 +74,7 @@ class PlacementConfig:
 
     def __post_init__(self) -> None:
         for name in ("max_lambda_stages", "cg_iterations_per_stage"):
-            value = getattr(self, name)
-            if not (value >= 1 and value % 1 == 0):
-                raise ValueError(f"{name} must be a whole number >= 1, got {value}")
-            setattr(self, name, int(value))
+            setattr(self, name, check_whole_number(name, getattr(self, name)))
 
 
 def place(

@@ -16,6 +16,8 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.utils.validation import check_whole_number
+
 BinCoord = Tuple[int, int]
 
 
@@ -49,13 +51,12 @@ class RoutingGrid:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not all(math.isfinite(value) for value in origin):
             raise ValueError(f"origin must be finite, got {tuple(origin)}")
-        if not (capacity >= 1 and capacity % 1 == 0):
-            raise ValueError(f"capacity must be a whole number >= 1, got {capacity}")
+        capacity = check_whole_number("capacity", capacity)
         self.origin = (float(origin[0]), float(origin[1]))
         self.bin_um = float(bin_um)
         self.nx = max(1, int(math.ceil(width / bin_um)))
         self.ny = max(1, int(math.ceil(height / bin_um)))
-        self.base_capacity = int(capacity)
+        self.base_capacity = capacity
         # horizontal edges: (bx, by) -> (bx+1, by); vertical: (bx, by) -> (bx, by+1)
         self.horizontal_capacity = np.full((max(self.nx - 1, 0), self.ny), capacity, dtype=int)
         self.vertical_capacity = np.full((self.nx, max(self.ny - 1, 0)), capacity, dtype=int)

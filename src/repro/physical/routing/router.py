@@ -46,6 +46,7 @@ from repro.physical.layout import Placement
 from repro.physical.routing.grid import BinCoord, RoutingGrid
 from repro.physical.routing.maze import MazeWorkspace, maze_route
 from repro.physical.routing.negotiated import WirePins, negotiate_routes
+from repro.utils.validation import check_whole_number
 
 #: The routing algorithms ``route`` can dispatch to.
 ROUTING_ALGORITHMS = ("ordered", "negotiated")
@@ -83,10 +84,9 @@ class RoutingConfig:
     algorithm: str = "ordered"
 
     def __post_init__(self) -> None:
-        if not (self.max_relax_rounds >= 0 and self.max_relax_rounds % 1 == 0):
-            raise ValueError(
-                f"max_relax_rounds must be a whole number >= 0, got {self.max_relax_rounds}"
-            )
+        self.max_relax_rounds = check_whole_number(
+            "max_relax_rounds", self.max_relax_rounds, minimum=0
+        )
         if self.algorithm not in ROUTING_ALGORITHMS:
             raise ValueError(
                 f"algorithm must be one of {ROUTING_ALGORITHMS}, "

@@ -26,6 +26,17 @@ def check_positive(name: str, value: float, *, allow_zero: bool = False) -> None
         raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
+def check_whole_number(name: str, value, minimum: int = 1) -> int:
+    """Return ``value`` as an ``int``; raise ``ValueError`` naming ``name``
+    unless it is a whole number ``>= minimum``.
+
+    Tested as ``not ...`` so that NaN fails too.
+    """
+    if not (value >= minimum and value % 1 == 0):
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value}")
+    return int(value)
+
+
 def check_probability(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` lies in the closed interval [0, 1]."""
     if not np.isscalar(value) or isinstance(value, (bool, np.bool_)):

@@ -29,7 +29,7 @@ DIM = 16  # smallest practical scaled testbench
 
 @pytest.fixture(scope="module")
 def routing_suite():
-    return run_suite("routing", fast=True, dimension=DIM, testbenches=(1,))
+    return run_suite("routing", dimension=DIM, testbenches=(1,))
 
 
 class TestSuiteRun:
@@ -46,7 +46,7 @@ class TestSuiteRun:
             assert "routing.ripup_retries" in record.counters
 
     def test_flow_suite_runs(self):
-        result = run_suite("flow", fast=True, dimension=DIM)
+        result = run_suite("flow", dimension=DIM)
         assert [r.name for r in result.benchmarks] == [
             "flow.tb1.ordered",
             "flow.tb1.negotiated",
@@ -57,7 +57,7 @@ class TestSuiteRun:
             assert record.qor["area_um2"] > 0
 
     def test_chaos_records_pin_resilience_accounting(self):
-        result = run_suite("flow", fast=True, dimension=DIM)
+        result = run_suite("flow", dimension=DIM)
         by_name = {record.name: record for record in result.benchmarks}
         null = by_name["chaos.null"]
         # The null-plan contract: a resilient runner with chaos off must
@@ -183,7 +183,7 @@ class TestRegressionGate:
 
     def test_mode_mismatch_detected(self, routing_suite):
         baseline = copy.deepcopy(routing_suite)
-        baseline.mode = "full"
+        baseline.mode = "scale"
         failures = compare_to_baseline(routing_suite, baseline)
         assert failures and "parameters" in failures[0]
 
@@ -209,8 +209,7 @@ def bench(argv):
 
 
 class TestCli:
-    ARGS = ["--suites", "routing", "--fast",
-            "--dimension", str(DIM), "--testbenches", "1"]
+    ARGS = ["--suites", "routing", "--dimension", str(DIM), "--testbenches", "1"]
 
     def test_write_then_check_round_trips(self, tmp_path, capsys):
         base = ["--baseline-dir", str(tmp_path)] + self.ARGS
@@ -246,4 +245,4 @@ class TestCli:
         assert bench(
             ["--baseline-dir", str(tmp_path), "--update-baseline"] + self.ARGS
         ) == 0
-        assert load_suite_json(tmp_path / BASELINE_FILES["routing"]).mode == "fast"
+        assert load_suite_json(tmp_path / BASELINE_FILES["routing"]).mode == "full"

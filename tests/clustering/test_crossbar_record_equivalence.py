@@ -8,7 +8,8 @@ iteration record, ``autoncs_mapping`` converted each assignment into a
 ``MappingResult.validate`` each asserted the exact cover over Python sets.
 The references below are that code: the ISC loop with its record
 construction, the tiered stitch, the mapping's conversion, both set-based
-bodies and both copies of the crossbar statistics.  Every check runs the
+bodies and both copies of the crossbar statistics.  They read clusters as
+member lists, through the test-local ``parent_partition`` copies.  Every check runs the
 reference and the current code from equal seeds and asserts equal
 ``(rows, cols, size, connections)`` lists of Python ints, outliers,
 records (by repr), metadata, statistics, metrics and trace spans, and
@@ -30,7 +31,6 @@ from repro.clustering.hierarchical import _fast_gcp, cluster_hierarchical, coars
 from repro.clustering.isc import (
     DEFAULT_SELECTION_QUANTILE,
     IscIterationRecord,
-    _clusters_connections,
     iterative_spectral_clustering,
 )
 from repro.clustering.preference import (
@@ -51,6 +51,7 @@ from repro.networks import (
 )
 from repro.observability import get_recorder, recording
 from repro.utils.rng import ensure_rng, spawn_rng
+from tests.clustering import parent_partition as parent
 
 SIZE_LIBRARIES = [DEFAULT_CROSSBAR_SIZES, (4, 8, 12, 16), (6, 10), (8,)]
 
@@ -210,12 +211,12 @@ def _old_iterative_spectral_clustering(
             if recorder.enabled:
                 live = remaining.out_degrees() + remaining.in_degrees()
                 span.annotate(live_neurons=int(np.count_nonzero(live)))
-            clustering = clusterer(remaining, max_s, rng=rng)
+            clustering = parent.as_parent(clusterer(remaining, max_s, rng=rng))
             calls = clustering.metadata.get("kmeans_calls", 0)
             span.annotate(kmeans_calls=calls)
             kmeans_calls += calls
-            within_counts = remaining.connections_within_many(
-                [cluster.members for cluster in clustering.clusters]
+            within_counts = parent.connections_within_many(
+                remaining, [cluster.members for cluster in clustering.clusters]
             )
             scored = []
             for cluster, m in zip(clustering.clusters, within_counts.tolist()):
@@ -233,7 +234,7 @@ def _old_iterative_spectral_clustering(
             boundary = min(selected, key=lambda item: item[3])
             if minimum_satisfiable_size(boundary[0].size, size_list) is None:
                 break
-            connection_groups = _clusters_connections(
+            connection_groups = parent.clusters_connections(
                 [cluster.members for cluster, _, _, _ in selected], remaining
             )
             placed: List[_OldCrossbarAssignment] = []
@@ -246,8 +247,8 @@ def _old_iterative_spectral_clustering(
                         iteration=iteration,
                     )
                 )
-            remaining = remaining.remove_clusters(
-                [cluster.members for cluster, _, _, _ in selected]
+            remaining = parent.remove_clusters(
+                remaining, [cluster.members for cluster, _, _, _ in selected]
             )
             crossbars.extend(placed)
             avg_u = float(np.mean([x.utilization for x in placed]))
@@ -333,7 +334,9 @@ def _old_cluster_hierarchical(
         clusterer = _fast_gcp
     with recorder.span("hierarchical.partition", neurons=network.size):
         partition_rng, tier_parent_rng = spawn_rng(rng, 2)
-        partition = coarse_partition(network, tier_size=tier_size, rng=partition_rng)
+        partition = parent.as_parent(
+            coarse_partition(network, tier_size=tier_size, rng=partition_rng)
+        )
     tiers = partition.clusters
     tier_rngs = spawn_rng(tier_parent_rng, len(tiers))
     crossbars = []

@@ -34,9 +34,9 @@ from repro.clustering.kmeans import (
     kmeans,
     kmeans_plus_plus_centroids,
 )
-from repro.clustering.result import clusters_from_labels
 from repro.clustering.spectral import spectral_embedding
 from repro.networks import ConnectionMatrix, random_sparse_network
+from tests.clustering.parent_partition import as_parent, clusters_from_labels
 
 # The package re-exports the function ``kmeans``, which shadows the module.
 kmeans_module = importlib.import_module("repro.clustering.kmeans")
@@ -439,7 +439,8 @@ def test_gcp_matches_two_branch_driver(seed, n, density, isolated, max_fraction,
     with _old_centroid_update():
         want, outer_iterations = _old_gcp(network, max_size, old_rng, split_mode)
     got = greedy_cluster_size_prediction(network, max_size, rng=new_rng, split_mode=split_mode)
-    assert [c.members for c in got.clusters] == [c.members for c in want]
+    assert [c.members for c in as_parent(got).clusters] == [c.members for c in want]
+    assert got.metadata["final_k"] == len(want)
     assert got.metadata["outer_iterations"] == outer_iterations
     assert got.metadata["split_mode"] == split_mode
     _assert_same_state(old_rng, new_rng)

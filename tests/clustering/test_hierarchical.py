@@ -28,18 +28,17 @@ def tiered_network():
 class TestCoarsePartition:
     def test_partitions_all_neurons(self, tiered_network):
         result = coarse_partition(tiered_network, tier_size=32, rng=0)
-        covered = sorted(m for c in result.clusters for m in c.members)
-        assert covered == list(range(tiered_network.size))
+        assert result.n == sum(result.sizes()) == tiered_network.size
         assert result.method == "coarse"
 
     def test_respects_tier_size(self, tiered_network):
         result = coarse_partition(tiered_network, tier_size=32, rng=0)
-        assert all(c.size <= 32 for c in result.clusters)
-        assert len(result.clusters) >= tiered_network.size // 32
+        assert result.max_size() <= 32
+        assert result.k >= tiered_network.size // 32
 
     def test_single_tier_when_network_fits(self, tiered_network):
         result = coarse_partition(tiered_network, tier_size=10_000, rng=0)
-        assert len(result.clusters) == 1
+        assert result.k == 1
 
     def test_rejects_bad_tier_size(self, tiered_network):
         # NaN used to return one tier of every neuron; 2.5 failed in k-means.
@@ -52,7 +51,7 @@ class TestCoarsePartition:
     def test_deterministic(self, tiered_network):
         a = coarse_partition(tiered_network, tier_size=32, rng=3)
         b = coarse_partition(tiered_network, tier_size=32, rng=3)
-        assert [c.members for c in a.clusters] == [c.members for c in b.clusters]
+        np.testing.assert_array_equal(a.labels, b.labels)
 
 
 class TestClusterHierarchical:
@@ -100,6 +99,18 @@ class TestClusterHierarchical:
     def test_rejects_non_connection_matrix(self):
         with pytest.raises(TypeError, match="ConnectionMatrix"):
             cluster_hierarchical(np.zeros((4, 4)))
+
+    def test_rejects_bad_sizes(self, tiered_network):
+        # Both paths: the tiered pass and its flat-ISC delegation.
+        for tier_size in (32, 10_000):
+            for sizes in ((), (16.7, 63.9), (16, float("nan"))):
+                with pytest.raises(ValueError, match="sizes"):
+                    cluster_hierarchical(tiered_network, sizes=sizes, tier_size=tier_size)
+
+    def test_sizes_stored_sorted_distinct(self, tiered_network):
+        result = cluster_hierarchical(tiered_network, sizes=(32, 16, 32.0), tier_size=32, rng=0)
+        assert result.sizes == (16, 32)
+        assert all(type(size) is int for size in result.sizes)
 
 
 class TestConfigRouting:

@@ -94,8 +94,19 @@ class TestIscControls:
             iterative_spectral_clustering(block_network, selection_quantile=0.0)
 
     def test_rejects_bad_sizes(self, block_network):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sizes"):
             iterative_spectral_clustering(block_network, sizes=())
+        # (16.7, 63.9) used to place 63x63 crossbars and store (16, 63).
+        for sizes in ((16.7, 63.9), (16, float("nan"))):
+            with pytest.raises(ValueError, match="sizes"):
+                iterative_spectral_clustering(block_network, sizes=sizes)
+
+    def test_sizes_stored_sorted_distinct(self):
+        net = random_sparse_network(60, 0.1, rng=6)
+        isc = iterative_spectral_clustering(net, sizes=(64, 16.0, 16), rng=0)
+        assert isc.sizes == (16, 64)
+        assert all(type(size) is int for size in isc.sizes)
+        assert {x.size for x in isc.crossbars} <= {16, 64}
 
     def test_rejects_non_network(self):
         with pytest.raises(TypeError):

@@ -1,72 +1,80 @@
-"""Tests for cluster containers."""
+"""Tests for the clustering result: one label per neuron."""
 
 import numpy as np
 import pytest
 
-from repro.clustering.result import Cluster, ClusteringResult, clusters_from_labels
+from repro.clustering.result import ClusteringResult
+from tests.clustering.parent_partition import clusters_from_labels
 
 
-class TestCluster:
-    def test_members_sorted_unique(self):
-        cluster = Cluster((3, 1, 2))
-        assert cluster.members == (1, 2, 3)
-        assert cluster.size == 3
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="unique"):
-            Cluster((1, 1, 2))
-
-    def test_contains_and_iter(self):
-        cluster = Cluster((5, 7))
-        assert 5 in cluster
-        assert 6 not in cluster
-        assert list(cluster) == [5, 7]
-        assert len(cluster) == 2
+def _members(result):
+    return [tuple(np.flatnonzero(result.labels == c).tolist()) for c in range(result.k)]
 
 
 class TestClusteringResult:
     def test_valid_partition(self):
-        result = ClusteringResult(
-            clusters=[Cluster((0, 1)), Cluster((2,))], n=3, method="msc"
-        )
+        result = ClusteringResult(labels=[0, 0, 1], method="msc")
+        assert result.n == 3
         assert result.k == 2
         assert result.sizes() == [2, 1]
+        assert all(type(size) is int for size in result.sizes())
         assert result.max_size() == 2
+        assert result.method == "msc"
 
     def test_rejects_overlap(self):
-        with pytest.raises(ValueError, match="overlap"):
-            ClusteringResult(clusters=[Cluster((0, 1)), Cluster((1, 2))], n=3)
+        # A neuron in two clusters would need two labels: a 2-D array.
+        with pytest.raises(ValueError, match="labels"):
+            ClusteringResult(labels=[[0, 1], [1, 2]])
 
     def test_rejects_incomplete_cover(self):
-        with pytest.raises(ValueError, match="cover"):
-            ClusteringResult(clusters=[Cluster((0,))], n=3)
+        # -1 is "in no cluster"; every neuron must be in one.
+        with pytest.raises(ValueError, match="labels"):
+            ClusteringResult(labels=[0, -1, 1])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ClusteringResult(clusters=[Cluster((0, 5))], n=2)
+        with pytest.raises(ValueError, match="labels"):
+            ClusteringResult(labels=[0, -2])
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [True, False], ["0", "1"]])
+    def test_rejects_non_integer_labels(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            ClusteringResult(labels=labels)
 
     def test_labels_roundtrip(self):
-        result = ClusteringResult(
-            clusters=[Cluster((0, 2)), Cluster((1, 3))], n=4
-        )
-        labels = result.labels()
-        assert labels[0] == labels[2]
-        assert labels[1] == labels[3]
-        assert labels[0] != labels[1]
+        result = ClusteringResult(labels=np.array([7, 3, 7, 3], dtype=np.int32))
+        np.testing.assert_array_equal(result.labels, [1, 0, 1, 0])
+        assert result.labels.dtype == np.int64
+
+    def test_labels_are_read_only_copies(self):
+        raw = np.array([0, 1, 1])
+        result = ClusteringResult(labels=raw)
+        raw[0] = 1
+        np.testing.assert_array_equal(result.labels, [0, 1, 1])
+        with pytest.raises(ValueError):
+            result.labels[0] = 5
 
     def test_permutation_groups_clusters(self):
-        result = ClusteringResult(clusters=[Cluster((0, 2)), Cluster((1,))], n=3)
+        result = ClusteringResult(labels=[0, 1, 0])
         np.testing.assert_array_equal(result.permutation(), [0, 2, 1])
+        result = ClusteringResult(labels=[1, 0, 1, 0, 2])
+        np.testing.assert_array_equal(result.permutation(), [1, 3, 0, 2, 4])
 
 
 class TestClustersFromLabels:
+    """The renumbering gives the clusters ``clusters_from_labels`` built."""
+
     def test_basic(self):
-        clusters = clusters_from_labels([0, 1, 0, 2])
-        assert [c.members for c in clusters] == [(0, 2), (1,), (3,)]
+        result = ClusteringResult(labels=[0, 1, 0, 2])
+        assert _members(result) == [(0, 2), (1,), (3,)]
+        assert _members(result) == [c.members for c in clusters_from_labels([0, 1, 0, 2])]
 
     def test_skips_missing_labels(self):
-        clusters = clusters_from_labels([5, 5, 9])
-        assert len(clusters) == 2
+        result = ClusteringResult(labels=[9, 2, 9, 5, 2])
+        np.testing.assert_array_equal(result.labels, [2, 0, 2, 1, 0])
+        assert result.k == len(clusters_from_labels([9, 2, 9, 5, 2])) == 3
 
     def test_empty(self):
+        result = ClusteringResult(labels=np.zeros(0, dtype=int))
+        assert (result.n, result.k, result.sizes(), result.max_size()) == (0, 0, [], 0)
+        assert result.permutation().size == 0
         assert clusters_from_labels([]) == []

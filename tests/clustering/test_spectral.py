@@ -68,8 +68,7 @@ class TestMsc:
         result = modified_spectral_clustering(block_network, 3, rng=0)
         assert result.k == 3
         assert sorted(result.sizes()) == [20, 25, 30]
-        clusters = [c.members for c in result.clusters]
-        assert block_network.outlier_ratio(clusters) < 0.1
+        assert block_network.outlier_ratio(result.labels) < 0.1
 
     def test_metadata(self, block_network):
         result = modified_spectral_clustering(block_network, 3, rng=0)
@@ -78,13 +77,12 @@ class TestMsc:
 
     def test_partition_complete(self, sparse_network):
         result = modified_spectral_clustering(sparse_network, 4, rng=0)
-        covered = sorted(m for c in result.clusters for m in c.members)
-        assert covered == list(range(sparse_network.size))
+        assert result.n == sum(result.sizes()) == sparse_network.size
 
     def test_k_one_single_cluster(self, sparse_network):
         result = modified_spectral_clustering(sparse_network, 1, rng=0)
         assert result.k == 1
-        assert result.clusters[0].size == sparse_network.size
+        assert result.sizes() == [sparse_network.size]
 
     def test_rejects_bad_k(self, sparse_network):
         with pytest.raises(ValueError):
@@ -101,8 +99,7 @@ class TestMsc:
 def test_property_msc_always_partitions(seed, k):
     net = random_sparse_network(30, 0.1, rng=seed)
     result = modified_spectral_clustering(net, k, rng=seed)
-    covered = sorted(m for c in result.clusters for m in c.members)
-    assert covered == list(range(30))
+    assert result.n == sum(result.sizes()) == 30
 
 
 class TestEigensolverEquivalence:

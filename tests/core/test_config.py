@@ -19,8 +19,19 @@ class TestAutoNcsConfig:
         assert config.crossbar_sizes == (16, 32, 64)
 
     def test_rejects_empty_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="crossbar_sizes"):
             AutoNcsConfig(crossbar_sizes=())
+
+    def test_rejects_fractional_or_nan_sizes(self):
+        # (16.7, 63.9) used to truncate to (16, 63); NaN failed unnamed.
+        for sizes in ((16.7, 63.9), (float("nan"), 64), (0, 16)):
+            with pytest.raises(ValueError, match=r"crossbar_sizes\[0\]"):
+                AutoNcsConfig(crossbar_sizes=sizes)
+
+    def test_sizes_deduplicated_as_ints(self):
+        config = AutoNcsConfig(crossbar_sizes=(16, 64.0, 16))
+        assert config.crossbar_sizes == (16, 64)
+        assert all(type(size) is int for size in config.crossbar_sizes)
 
     def test_rejects_bad_quantile(self):
         with pytest.raises(ValueError):

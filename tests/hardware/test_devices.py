@@ -168,8 +168,14 @@ class TestCrossbarLibrary:
         assert library.sizes == (16, 32)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sizes"):
             CrossbarLibrary(sizes=())
+
+    def test_rejects_fractional_or_nan_sizes(self):
+        # (16.7, 63.9) used to truncate to (16, 63); NaN failed unnamed.
+        for sizes in ((16, 63.9), (16, float("nan")), (16, -4)):
+            with pytest.raises(ValueError, match=r"sizes\[1\] must be a whole number"):
+                CrossbarLibrary(sizes=sizes)
 
     def test_specs_follow_technology(self):
         library = CrossbarLibrary()

@@ -26,6 +26,7 @@ from repro.clustering import (
 )
 from repro.mapping import autoncs_mapping
 from repro.networks import ConnectionMatrix, random_sparse_network
+from tests.clustering import parent_partition as parent
 
 
 class DenseReference:
@@ -147,7 +148,9 @@ def test_cluster_operations_match(seed, n, density, symmetric):
     # Drawn with replacement: a repeated member is one neuron.
     members = rng.choice(n, size=max(1, n // 3))
     unique = np.unique(members)
-    assert csr.connections_within(members) == ref.connections_within(unique)
+    in_members = np.where(np.isin(np.arange(n), unique), 0, -1)
+    assert parent.connections_within(csr, members) == ref.connections_within(unique)
+    assert csr.connections_within_many(in_members).tolist() == [ref.connections_within(unique)]
     np.testing.assert_array_equal(csr.submatrix(members), ref.submatrix(members))
     rest = np.setdiff1d(np.arange(n), members)
     np.testing.assert_array_equal(
@@ -155,15 +158,17 @@ def test_cluster_operations_match(seed, n, density, symmetric):
     )
     labels = rng.integers(0, 3, size=n)
     clusters = [np.flatnonzero(labels == value) for value in range(3)]
-    np.testing.assert_array_equal(
-        csr.connections_within_many(clusters),
-        [ref.connections_within(cluster) for cluster in clusters],
-    )
-    assert (
-        csr.remove_clusters(clusters[:2]).digest()
-        == ref.remove_clusters(clusters[:2]).digest()
-    )
-    assert csr.remove_cluster(members).digest() == ref.remove_clusters([unique]).digest()
+    want = [ref.connections_within(cluster) for cluster in clusters]
+    np.testing.assert_array_equal(parent.connections_within_many(csr, clusters), want)
+    got = csr.connections_within_many(labels).tolist()  # indexed by label, up to the largest
+    assert got == want[: len(got)] and not any(want[len(got) :])
+    first_two = np.where(labels < 2, labels, -1)
+    want = ref.remove_clusters(clusters[:2]).digest()
+    assert parent.remove_clusters(csr, clusters[:2]).digest() == want
+    assert csr.remove_clusters(first_two).digest() == want
+    want = ref.remove_clusters([unique]).digest()
+    assert parent.remove_cluster(csr, members).digest() == want
+    assert csr.remove_clusters(in_members).digest() == want
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,9 +269,13 @@ def test_clusterers_match_dense_input(seed, max_size):
     dense = net.matrix
     bisect_csr = greedy_cluster_size_prediction(net, max_size, rng=seed, split_mode="bisect")
     bisect_dense = greedy_cluster_size_prediction(dense, max_size, rng=seed, split_mode="bisect")
-    assert [c.members for c in bisect_csr.clusters] == [c.members for c in bisect_dense.clusters]
+    assert [c.members for c in parent.as_parent(bisect_csr).clusters] == [
+        c.members for c in parent.as_parent(bisect_dense).clusters
+    ]
+    np.testing.assert_array_equal(bisect_csr.labels, bisect_dense.labels)
     modularity_csr = modularity_clustering(net, max_size, rng=seed)
     modularity_dense = modularity_clustering(dense, max_size, rng=seed)
-    assert [c.members for c in modularity_csr.clusters] == [
-        c.members for c in modularity_dense.clusters
+    assert [c.members for c in parent.as_parent(modularity_csr).clusters] == [
+        c.members for c in parent.as_parent(modularity_dense).clusters
     ]
+    np.testing.assert_array_equal(modularity_csr.labels, modularity_dense.labels)

@@ -83,46 +83,79 @@ class TestSymmetry:
 
 
 class TestClusterOperations:
+    """The label methods: one integer per neuron, -1 meaning "in no cluster"."""
+
     def test_connections_within(self):
         net = simple_matrix()
-        assert net.connections_within([0, 1]) == 2  # 0->1 and 1->0
-        assert net.connections_within([2]) == 0
-        assert net.connections_within([]) == 0
+        counts = net.connections_within_many([0, 0, -1, -1])
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [2]  # 0->1 and 1->0
+        assert net.connections_within_many([-1, 0, 0, -1]).tolist() == [1]  # only 1->2
+        assert net.connections_within_many([-1, -1, 0, -1]).tolist() == [0]
+        assert net.connections_within_many([-1, -1, -1, -1]).tolist() == []
+        # Indexed by label: an unused label counts zero.
+        assert net.connections_within_many([2, 2, 0, 0]).tolist() == [1, 0, 2]
 
-    def test_connections_within_repeated_member_counts_once(self):
+    def test_unlabelled_neurons_are_ignored(self):
         net = simple_matrix()
-        assert net.connections_within([0, 0, 1]) == 2
-        assert net.connections_within([1, 2, 2, 1]) == 1  # only 1->2
+        # 2->3 and 3->0 would join one cluster if -1 were a label.
+        assert net.connections_within_many([-1, 0, -1, -1]).tolist() == [0]
+        assert net.outlier_ratio([-1, -1, -1, -1]) == 1.0
+        assert net.remove_clusters([-1, -1, -1, -1]) == net
 
     def test_outlier_count(self):
         net = simple_matrix()
-        assert net.outlier_count([[0, 1]]) == 3
-        assert net.outlier_ratio([[0, 1]]) == pytest.approx(3 / 5)
+        labels = [0, 0, -1, -1]
+        assert net.num_connections - net.connections_within_many(labels).sum() == 3
+        assert net.outlier_ratio(labels) == pytest.approx(3 / 5)
+        assert net.outlier_ratio([0, 0, 0, 0]) == 0.0
 
     def test_outlier_ratio_empty_network(self):
         net = ConnectionMatrix.from_dense(np.zeros((3, 3)))
-        assert net.outlier_ratio([[0, 1, 2]]) == 0.0
+        assert net.outlier_ratio([0, 0, 0]) == 0.0
 
     def test_remove_cluster(self):
         net = simple_matrix()
-        reduced = net.remove_cluster([0, 1])
+        reduced = net.remove_clusters([0, 0, -1, -1])
         assert reduced.num_connections == 3
-        assert reduced.connections_within([0, 1]) == 0
+        assert reduced.connections_within_many([0, 0, -1, -1]).tolist() == [0]
+        assert reduced.name == net.name
         # original untouched
         assert net.num_connections == 5
 
     def test_remove_clusters_multiple(self):
         net = simple_matrix()
-        reduced = net.remove_clusters([[0, 1], [2, 3]])
-        assert reduced.connections_within([0, 1]) == 0
-        assert reduced.connections_within([2, 3]) == 0
+        reduced = net.remove_clusters([0, 0, 1, 1])
+        assert reduced.connections_within_many([0, 0, 1, 1]).tolist() == [0, 0]
+        assert reduced.connection_list() == [(1, 2), (3, 0)]
+
+    def test_within_clusters_is_the_one_edge_test(self):
+        rows, cols, within = simple_matrix().within_clusters([0, 0, 1, 1])
+        assert list(zip(rows.tolist(), cols.tolist())) == simple_matrix().connection_list()
+        assert within.tolist() == [True, True, False, True, False]
 
     def test_remove_clusters_rejects_overlap(self):
+        # Member lists, overlapping or not, are not labels.
         net = ConnectionMatrix.from_edges(4, [(0, 2), (2, 3), (0, 1)])
-        with pytest.raises(ValueError, match="clusters must be disjoint"):
+        with pytest.raises(ValueError, match="labels"):
             net.remove_clusters([[0, 1, 2], [2, 3]])
-        # A member repeated inside one cluster is not an overlap.
-        assert net.remove_clusters([[0, 1, 1, 2]]).connection_list() == [(2, 3)]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, 0, 1],  # wrong length
+            [0.0, 0.0, 1.0, 1.0],  # float
+            [0, -2, 1, 1],  # below -1
+            [[0, 1], [2, 3]],  # a member list
+            [True, True, False, False],  # boolean
+        ],
+    )
+    @pytest.mark.parametrize(
+        "method", ["connections_within_many", "outlier_ratio", "remove_clusters"]
+    )
+    def test_rejects_bad_labels(self, method, labels):
+        with pytest.raises(ValueError, match="labels"):
+            getattr(simple_matrix(), method)(labels)
 
     def test_submatrix_default_cols(self):
         net = simple_matrix()
@@ -137,7 +170,7 @@ class TestClusterOperations:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            simple_matrix().connections_within([0, 9])
+            simple_matrix().submatrix([0, 9])
 
     def test_connection_list_roundtrip(self):
         net = simple_matrix()
@@ -167,12 +200,13 @@ class TestPermutation:
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(4, 30), density=st.floats(0.0, 0.5), seed=st.integers(0, 10**6))
 def test_property_remove_clusters_conserves(n, density, seed):
-    """Within + outliers always partition the connection set."""
+    """Within + remaining always partition the connection set."""
     net = random_sparse_network(n, density, rng=seed)
-    half = list(range(n // 2))
-    within = net.connections_within(half)
-    remaining = net.remove_cluster(half)
+    labels = np.random.default_rng(seed).integers(-1, 4, size=n)
+    within = int(net.connections_within_many(labels).sum())
+    remaining = net.remove_clusters(labels)
     assert remaining.num_connections == net.num_connections - within
+    assert net.outlier_ratio(labels) == remaining.num_connections / max(net.num_connections, 1)
 
 
 @settings(max_examples=25, deadline=None)
