@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -80,6 +81,11 @@ SUITES = ("routing", "flow", "service", "clustering")
 
 #: suite -> committed baseline file name (repo root).
 BASELINE_FILES = {suite: f"BENCH_{suite}.json" for suite in SUITES}
+
+#: The environment variables that set the BLAS thread count.  Designs move
+#: with it (the dense eigensolve's bits do), so every suite header records
+#: the values its run saw and the gate compares only equal settings.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 #: Default regression threshold (percent) for QoR metrics and counters.
 DEFAULT_THRESHOLD_PCT = 20.0
@@ -155,6 +161,11 @@ class BenchRecord:
         return asdict(self)
 
 
+def blas_threads() -> Dict[str, Optional[str]]:
+    """The BLAS thread-count variables of this process (``None``: unset)."""
+    return {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+
+
 @dataclass
 class SuiteResult:
     """One suite's full run, ready to serialize as ``BENCH_<suite>.json``."""
@@ -165,6 +176,7 @@ class SuiteResult:
     dimension: int
     package_version: str
     benchmarks: List[BenchRecord] = field(default_factory=list)
+    blas_threads: Dict[str, Optional[str]] = field(default_factory=blas_threads)
 
     def to_dict(self) -> dict:
         return {
@@ -174,6 +186,7 @@ class SuiteResult:
             "seed": self.seed,
             "dimension": self.dimension,
             "package_version": self.package_version,
+            "blas_threads": self.blas_threads,
             "benchmarks": [record.to_dict() for record in self.benchmarks],
         }
 
@@ -181,7 +194,7 @@ class SuiteResult:
         """Aligned plain-text summary (the repo-wide result-object surface)."""
         lines = [
             f"bench suite {self.suite!r} — mode={self.mode} seed={self.seed} "
-            f"dimension={self.dimension}"
+            f"dimension={self.dimension} blas_threads={self.blas_threads}"
         ]
         width = max((len(r.name) for r in self.benchmarks), default=4)
         for record in self.benchmarks:
@@ -216,6 +229,9 @@ def suite_result_from_dict(payload: dict) -> SuiteResult:
         seed=int(payload["seed"]),
         dimension=int(payload["dimension"]),
         package_version=str(payload.get("package_version", "")),
+        # Records written before the thread count was recorded read as {},
+        # which matches no run.
+        blas_threads=dict(payload.get("blas_threads", {})),
         benchmarks=[
             BenchRecord(
                 name=str(entry["name"]),
@@ -681,6 +697,13 @@ def compare_to_baseline(
             f"{candidate.mode}/{candidate.dimension} vs "
             f"{baseline.mode}/{baseline.dimension}) — rerun with matching "
             "flags or refresh the baseline with --update-baseline"
+        ]
+    if candidate.blas_threads != baseline.blas_threads:
+        return [
+            f"BLAS thread settings differ from the baseline "
+            f"({candidate.blas_threads} vs {baseline.blas_threads}) — rerun "
+            "with matching OPENBLAS_NUM_THREADS/OMP_NUM_THREADS or refresh "
+            "the baseline with --update-baseline"
         ]
     by_name = {record.name: record for record in candidate.benchmarks}
     for base in baseline.benchmarks:

@@ -99,6 +99,13 @@ def _similarity(network: Union[ConnectionMatrix, np.ndarray]):
     return np.asarray(network, dtype=float)
 
 
+def _connected(similarity) -> np.ndarray:
+    """Mask of the neurons with a connection in either direction."""
+    magnitude = abs(similarity)
+    degree = np.asarray(magnitude.sum(axis=0)).ravel() + np.asarray(magnitude.sum(axis=1)).ravel()
+    return degree > 0
+
+
 def greedy_cluster_size_prediction(
     network: Union[ConnectionMatrix, np.ndarray],
     max_size: int,
@@ -106,6 +113,16 @@ def greedy_cluster_size_prediction(
     split_mode: str = "lloyd",
 ) -> ClusteringResult:
     """Run GCP (Algorithm 2): size-capped spectral clustering.
+
+    Only the neurons that carry a connection are clustered.  Each isolated
+    neuron adds another copy of eigenvalue 0 to the spectrum, and their
+    shared embedding row is a blob that 2-means cannot split; ISC's
+    remaining network holds more of them every iteration.  The isolated
+    neurons, in ascending order, fill consecutive clusters of at most
+    ``max_size`` after the connected neurons' clusters and never join them.
+    Algorithm 2's ``k = n / s`` still counts every neuron, capped at the
+    number of connected ones; when every neuron is connected, nothing is
+    set aside and the input is embedded as given.
 
     After the split loop, undersized clusters merge with their nearest
     spectral centroids while the combined size stays ≤ ``max_size``
@@ -125,14 +142,11 @@ def greedy_cluster_size_prediction(
         dimension available (64 in the paper's experiments).
     split_mode:
         ``"lloyd"`` (default) is Algorithm 2 verbatim: after every split
-        sweep the full k-means re-converges before the next sweep.  On
-        hub-dominated topologies (scale-free tiers) that loop can run
-        hundreds of sweeps, each re-running Lloyd's from scratch.
+        sweep the full k-means re-converges before the next sweep.
         ``"bisect"`` runs the same first k-means and skips the sweeps, so
-        the safety net's recursive bisection caps the sizes — trading a
-        little cluster quality for orders of magnitude in speed.  The tiered
-        large-network pass uses ``"bisect"``; the paper-scale flows keep
-        ``"lloyd"``.
+        the safety net's recursive bisection caps the sizes — faster, with
+        looser crossbar packing.  The tiered large-network pass uses
+        ``"bisect"``; the paper-scale flows keep ``"lloyd"``.
 
     Returns
     -------
@@ -149,11 +163,43 @@ def greedy_cluster_size_prediction(
         raise ValueError("cannot cluster an empty network")
     if split_mode not in ("lloyd", "bisect"):
         raise ValueError(f"split_mode must be 'lloyd' or 'bisect', got {split_mode!r}")
+    connected = _connected(similarity)
+    members = np.flatnonzero(connected)
+    labels = np.empty(n, dtype=np.int64)
+    next_label = outer_iterations = kmeans_calls = 0
+    if members.size:
+        if members.size < n:  # else the input is embedded as given
+            similarity = network = similarity[members][:, members]
+        k = min(members.size, math.ceil(n / max_size))
+        member_labels, outer_iterations, kmeans_calls = _cluster(
+            network, similarity, k, max_size, rng, split_mode
+        )
+        labels[members] = member_labels
+        next_label = int(member_labels.max()) + 1
+    labels[~connected] = next_label + np.arange(n - members.size) // max_size
+    return ClusteringResult(
+        labels=labels,
+        method="gcp",
+        metadata={
+            "max_size": max_size,
+            "final_k": int(np.unique(labels).size),
+            "outer_iterations": outer_iterations,
+            "split_mode": split_mode,
+            "kmeans_calls": kmeans_calls,
+        },
+    )
+
+
+def _cluster(network, similarity, k: int, max_size: int, rng, split_mode: str) -> tuple:
+    """Algorithm 2 on neurons that all carry a connection, from ``k`` clusters.
+
+    Returns ``(labels, outer_iterations, kmeans_calls)``.
+    """
+    n = similarity.shape[0]
     # Algorithm 2 line 1 asks for the full generalized eigenbasis; only the
     # first k columns are ever read and k stays near n/s, so we compute the
     # basis lazily (a bounded prefix, extended on demand) — semantically
     # identical and several times faster on large networks.
-    k = max(1, min(n, math.ceil(n / max_size)))
     basis_cap = min(n, max(4 * k, 32))
     basis, _ = spectral_embedding(network, k=basis_cap)
     labels = None
@@ -200,17 +246,7 @@ def greedy_cluster_size_prediction(
     points = basis[:, : min(k, basis.shape[1])]
     labels, splits = _enforce_size_limit(points, labels, max_size, rng)
     labels = _merge_undersized(points, labels, max_size, similarity)
-    return ClusteringResult(
-        labels=labels,
-        method="gcp",
-        metadata={
-            "max_size": max_size,
-            "final_k": int(np.unique(labels).size),
-            "outer_iterations": outer_iterations,
-            "split_mode": split_mode,
-            "kmeans_calls": kmeans_calls + splits,
-        },
-    )
+    return labels, outer_iterations, kmeans_calls + splits
 
 
 def _merge_undersized(

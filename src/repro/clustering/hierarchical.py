@@ -55,9 +55,9 @@ DEFAULT_TIER_SIZE = 1024
 def _fast_gcp(network, max_size: int, rng: RngLike = None):
     """GCP with the fast bisection split — the tiered pass's clusterer.
 
-    Scale-free tiers make Algorithm 2's re-Lloyd split loop pathological
-    (hundreds of sweeps); the bisect mode caps sizes deterministically
-    after a single k-means.  See ``split_mode`` in
+    The bisect mode caps sizes by recursive bisection after a single
+    k-means instead of Algorithm 2's re-Lloyd split sweeps.  See
+    ``split_mode`` in
     :func:`~repro.clustering.gcp.greedy_cluster_size_prediction`.
     """
     return greedy_cluster_size_prediction(

@@ -51,6 +51,7 @@ from repro.clustering.kmeans import kmeans
 from repro.clustering.result import ClusteringResult
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import check_whole_number
 
 #: Degree floor inserted for isolated neurons so that D stays positive
 #: definite in the generalized eigenproblem.  Isolated neurons carry no
@@ -176,9 +177,8 @@ def spectral_embedding(
     """
     w = _similarity(network)
     n = w.shape[0]
-    if k is None:
-        k = n
-    if not 1 <= k <= n:
+    k = check_whole_number("k", n if k is None else k)
+    if k > n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     # ARPACK needs k < n; full-basis and near-full requests are dense anyway.
     if n <= DENSE_EIGENSOLVER_CUTOFF or k >= n - 1:
@@ -195,7 +195,8 @@ def modified_spectral_clustering(network, k: int, rng: RngLike = None) -> Cluste
     rng = ensure_rng(rng)
     w = _similarity(network)
     n = w.shape[0]
-    if not 1 <= k <= n:
+    k = check_whole_number("k", k)
+    if k > n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     embedding, _ = spectral_embedding(w, k)
     km = kmeans(embedding, k, rng=rng)

@@ -17,6 +17,11 @@ reroutes them under two escalating cost terms:
   which remembers chronic congestion across iterations so wires stop
   oscillating between two equally contested corridors.
 
+After the last round, each wire that still takes a detour is re-routed
+once by the shortest path over edges below base capacity, and keeps that
+path when it is shorter: the rising costs can leave a wire on a detour
+that the converged grid no longer forces.
+
 The search itself is the existing windowed A* of
 :mod:`repro.physical.routing.maze` — the negotiated costs are folded into
 the same :class:`~repro.physical.routing.maze.MazeWorkspace` arrays
@@ -121,3 +126,16 @@ def negotiate_routes(
         present *= PRESENT_GROWTH
         for index in victims:
             search(index)
+
+    # The detour pass (module docs): wires longer than their pin bins'
+    # Manhattan distance, in routing order.
+    for index in order:
+        path, start, goal = paths[index], starts[index], goals[index]
+        if len(path) - 1 <= abs(start[0] - goal[0]) + abs(start[1] - goal[1]):
+            continue
+        grid.add_usage(path, amount=-1)
+        shorter = maze_route(grid, start, goal, congestion_weight=0.0, workspace=workspace)
+        if shorter is not None and len(shorter) < len(path):
+            paths[index] = path = shorter
+            lengths[index] = grid.path_length_um(path)
+        grid.add_usage(path)

@@ -15,6 +15,7 @@ from repro.bench import (
     DEFAULT_THRESHOLD_PCT,
     SCHEMA_VERSION,
     SUITES,
+    blas_threads,
     compare_to_baseline,
     load_suite_json,
     metric_gate,
@@ -148,6 +149,12 @@ class TestSchema:
         with pytest.raises(ValueError, match="schema_version"):
             suite_result_from_dict(payload)
 
+    def test_header_records_blas_threads(self, routing_suite):
+        payload = routing_suite.to_dict()
+        assert payload["blas_threads"] == blas_threads()
+        del payload["blas_threads"]
+        assert suite_result_from_dict(payload).blas_threads == {}
+
     def test_missing_field_rejected(self, routing_suite):
         payload = routing_suite.to_dict()
         del payload["dimension"]
@@ -186,6 +193,22 @@ class TestRegressionGate:
         baseline.mode = "scale"
         failures = compare_to_baseline(routing_suite, baseline)
         assert failures and "parameters" in failures[0]
+
+    def test_blas_thread_mismatch_detected(self, routing_suite, monkeypatch):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.setenv(name, "1")
+        one_thread = blas_threads()
+        assert one_thread == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        candidate = copy.deepcopy(routing_suite)
+        candidate.blas_threads = one_thread
+        for other in ({**one_thread, "OPENBLAS_NUM_THREADS": "2"},
+                      {**one_thread, "OMP_NUM_THREADS": None},
+                      {}):  # a record from before the count was recorded
+            baseline = copy.deepcopy(candidate)
+            baseline.blas_threads = other
+            failures = compare_to_baseline(candidate, baseline)
+            assert failures and "BLAS thread" in failures[0]
+        assert compare_to_baseline(candidate, copy.deepcopy(candidate)) == []
 
     def test_missing_benchmark_detected(self, routing_suite):
         candidate = copy.deepcopy(routing_suite)

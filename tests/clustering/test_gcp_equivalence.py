@@ -10,6 +10,13 @@ generator state after the call.  The inputs include coincident rows
 (which force the cut-in-half rule), distance ties, clusters without
 connections, every ``max_size`` from 1 to ``n``, dense and CSR
 similarities, and both split modes end to end.
+
+GCP now clusters only the neurons that carry a connection and puts the
+isolated ones, in ascending order, into chunks of at most ``max_size``
+after them, with ``k`` still counted over every neuron.  So the whole-GCP
+reference runs the frozen two-branch body on the connected neurons'
+sub-similarity from that ``k`` and appends the chunks; on inputs where
+every neuron is connected it runs on the input as given, as before.
 """
 
 import importlib
@@ -36,7 +43,7 @@ from repro.clustering.kmeans import (
 )
 from repro.clustering.spectral import spectral_embedding
 from repro.networks import ConnectionMatrix, random_sparse_network
-from tests.clustering.parent_partition import as_parent, clusters_from_labels
+from tests.clustering.parent_partition import clusters_from_labels
 
 # The package re-exports the function ``kmeans``, which shadows the module.
 kmeans_module = importlib.import_module("repro.clustering.kmeans")
@@ -192,14 +199,16 @@ def _old_merge_undersized(points, labels, max_size, similarity, tolerance=0.6):
     return labels
 
 
-def _old_gcp(network, max_size, rng, split_mode):
+def _old_gcp(network, max_size, rng, split_mode, k=None):
     """The two-branch driver, on the reference helpers.
 
     Only ``n`` is read differently: the old body took ``np.asarray`` of the
-    input, which fails on a scipy sparse similarity.
+    input, which fails on a scipy sparse similarity.  ``k`` overrides the
+    first ``ceil(n / max_size)``.
     """
     n = _similarity(network).shape[0]
-    k = max(1, min(n, math.ceil(n / max_size)))
+    if k is None:
+        k = max(1, min(n, math.ceil(n / max_size)))
     basis_cap = min(n, max(4 * k, 32))
     basis, _ = spectral_embedding(network, k=basis_cap)
     if split_mode == "bisect":
@@ -242,6 +251,55 @@ def _old_gcp(network, max_size, rng, split_mode):
     labels = _old_enforce_size_limit(points, labels, max_size, rng)
     labels = _old_merge_undersized(points, labels, max_size, _similarity(network))
     return clusters_from_labels(labels), outer_iterations
+
+
+def _reference_gcp(network, max_size, rng, split_mode):
+    """``_old_gcp`` on the connected neurons, then the isolated chunks.
+
+    Returns ``(labels, metadata)``; the reference's k-means runs are
+    counted through this module's ``kmeans`` name, which its bodies call.
+    """
+    similarity = _similarity(network)
+    dense = similarity.toarray() if sparse.issparse(similarity) else similarity
+    n = dense.shape[0]
+    connected = (dense != 0).any(axis=0) | (dense != 0).any(axis=1)
+    members = np.flatnonzero(connected)
+    labels = np.empty(n, dtype=np.int64)
+    calls, outer_iterations, next_label = [], 0, 0
+    if members.size:
+        counted = globals()["kmeans"]
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return counted(*args, **kwargs)
+
+        globals()["kmeans"] = counting
+        try:
+            if members.size == n:
+                clusters, outer_iterations = _old_gcp(network, max_size, rng, split_mode)
+            else:
+                clusters, outer_iterations = _old_gcp(
+                    similarity[members][:, members],
+                    max_size,
+                    rng,
+                    split_mode,
+                    k=min(members.size, math.ceil(n / max_size)),
+                )
+        finally:
+            globals()["kmeans"] = counted
+        for label, cluster in enumerate(clusters):
+            labels[members[list(cluster.members)]] = label
+        next_label = len(clusters)
+    isolated = np.flatnonzero(~connected)
+    labels[isolated] = next_label + np.arange(isolated.size) // max_size
+    metadata = {
+        "max_size": max_size,
+        "final_k": int(np.unique(labels).size),
+        "outer_iterations": outer_iterations,
+        "split_mode": split_mode,
+        "kmeans_calls": len(calls),
+    }
+    return labels, metadata
 
 
 @contextmanager
@@ -416,6 +474,16 @@ def _network_forms(network):
     }
 
 
+def _assert_gcp_matches(network, max_size, seed, split_mode):
+    old_rng, new_rng = _generators(seed)
+    with _old_centroid_update():
+        want_labels, want_metadata = _reference_gcp(network, max_size, old_rng, split_mode)
+    got = greedy_cluster_size_prediction(network, max_size, rng=new_rng, split_mode=split_mode)
+    assert got.labels.tobytes() == want_labels.tobytes()
+    assert got.metadata == want_metadata
+    _assert_same_state(old_rng, new_rng)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -425,25 +493,40 @@ def _network_forms(network):
     max_fraction=st.floats(0.0, 1.0),
     split_mode=st.sampled_from(["lloyd", "bisect"]),
     form=st.sampled_from(["matrix", "dense", "csr"]),
+    symmetric=st.booleans(),
 )
-def test_gcp_matches_two_branch_driver(seed, n, density, isolated, max_fraction, split_mode, form):
-    # Isolated neurons give the embedding coincident rows, as late ISC
-    # iterations do.
-    dense = np.array(random_sparse_network(n, density, rng=seed).matrix)
+def test_gcp_matches_two_branch_driver(
+    seed, n, density, isolated, max_fraction, split_mode, form, symmetric
+):
+    # Isolated neurons are what late ISC iterations hand GCP; a directed
+    # network also has neurons with only incoming or outgoing connections.
+    dense = np.array(random_sparse_network(n, density, symmetric=symmetric, rng=seed).matrix)
     dead = np.random.default_rng(seed).random(n) < isolated
     dense[dead, :] = 0
     dense[:, dead] = 0
     network = _network_forms(ConnectionMatrix.from_dense(dense))[form]
     max_size = 1 + int(max_fraction * (n - 1))
-    old_rng, new_rng = _generators(seed)
-    with _old_centroid_update():
-        want, outer_iterations = _old_gcp(network, max_size, old_rng, split_mode)
-    got = greedy_cluster_size_prediction(network, max_size, rng=new_rng, split_mode=split_mode)
-    assert [c.members for c in as_parent(got).clusters] == [c.members for c in want]
-    assert got.metadata["final_k"] == len(want)
-    assert got.metadata["outer_iterations"] == outer_iterations
-    assert got.metadata["split_mode"] == split_mode
-    _assert_same_state(old_rng, new_rng)
+    _assert_gcp_matches(network, max_size, seed, split_mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 48),
+    density=st.floats(0.0, 0.3),
+    max_fraction=st.floats(0.0, 1.0),
+    split_mode=st.sampled_from(["lloyd", "bisect"]),
+    form=st.sampled_from(["matrix", "dense", "csr"]),
+)
+def test_gcp_matches_two_branch_body_when_all_connected(
+    seed, n, density, max_fraction, split_mode, form
+):
+    # A ring joins every neuron, so GCP sets nothing aside, and the
+    # reference runs the frozen two-branch body on the input as given.
+    dense = np.array(random_sparse_network(n, density, rng=seed).matrix)
+    dense[np.arange(n), (np.arange(n) + 1) % n] = 1
+    network = _network_forms(ConnectionMatrix.from_dense(dense))[form]
+    _assert_gcp_matches(network, 1 + int(max_fraction * (n - 1)), seed, split_mode)
 
 
 @settings(max_examples=15, deadline=None)

@@ -47,11 +47,12 @@ class TestSpectralEmbedding:
         basis, _ = spectral_embedding(ConnectionMatrix.from_dense(m), k=2)
         assert np.all(np.isfinite(basis))
 
-    def test_rejects_bad_k(self, block_network):
-        with pytest.raises(ValueError):
-            spectral_embedding(block_network, k=0)
-        with pytest.raises(ValueError):
-            spectral_embedding(block_network, k=block_network.size + 1)
+    def test_rejects_bad_k(self):
+        # 31 is n + 1; a fractional k used to return int(k) eigenpairs.
+        network = random_sparse_network(30, 0.1, rng=0)
+        for k in (2.5, float("nan"), 0, 31):
+            with pytest.raises(ValueError, match="^k must"):
+                spectral_embedding(network, k=k)
 
     def test_accepts_raw_matrix(self):
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -84,9 +85,12 @@ class TestMsc:
         assert result.k == 1
         assert result.sizes() == [sparse_network.size]
 
-    def test_rejects_bad_k(self, sparse_network):
-        with pytest.raises(ValueError):
-            modified_spectral_clustering(sparse_network, 0)
+    def test_rejects_bad_k(self):
+        # A fractional k used to fail inside k-means, naming no parameter.
+        network = random_sparse_network(30, 0.1, rng=0)
+        for k in (2.5, float("nan"), 0, 31):
+            with pytest.raises(ValueError, match="^k must"):
+                modified_spectral_clustering(network, k, rng=0)
 
     def test_directed_network_symmetrized(self):
         net = random_sparse_network(40, 0.1, symmetric=False, rng=3)

@@ -31,6 +31,7 @@ from repro.mapping.netlist import build_netlist
 from repro.physical.layout import Placement
 from repro.physical.placement.placer import place
 from repro.physical.routing import negotiated
+from repro.physical.routing.maze import maze_route
 from repro.physical.routing.router import (
     ROUTING_ALGORITHMS,
     RoutingConfig,
@@ -209,6 +210,24 @@ def test_negotiated_never_worse_than_ordered(placed_testbenches, index):
     negotiated, ordered = results["negotiated"], results["ordered"]
     assert negotiated.overflow_wires <= ordered.overflow_wires
     assert negotiated.total_wirelength_um <= ordered.total_wirelength_um + 1e-6
+
+
+@pytest.mark.parametrize("index", (1, 2, 3))
+def test_negotiated_leaves_no_detour_it_could_shorten(placed_testbenches, index):
+    # Ripping up any routed wire, no path over edges below base capacity is
+    # shorter than the one the negotiated router kept.
+    netlist, placement, technology = placed_testbenches[index]
+    result = route(
+        netlist, placement, technology=technology, config=RoutingConfig(algorithm="negotiated")
+    )
+    grid = result.grid
+    for path in result.paths:
+        if len(path) < 2:
+            continue
+        grid.add_usage(path, amount=-1)
+        shorter = maze_route(grid, path[0], path[-1], congestion_weight=0.0)
+        grid.add_usage(path)
+        assert shorter is None or len(shorter) >= len(path)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ that ``route`` re-wrapped wire by wire; two rules decided "this path
 crosses an over-capacity edge", one through the grid's ``("h", ex, ey)``
 edge tuples, one through boolean overuse masks.  The references below are
 that code: the old ``route`` body with its counter flush, both result
-paths, both rules and the grid's tuple-keyed ``add_usage``.  Its flags
+paths, both rules and the grid's tuple-keyed ``add_usage``.  The
+negotiated reference ends with the router's later detour pass, appended
+as it stands, so the rounds before it stay pinned bit for bit.  Its flags
 follow today's one rule: once either router returns, every wire whose
 path crosses an edge past the base capacity is flagged and reported by a
 ``routing.overflow`` event, in wire order.  Every check
@@ -224,6 +226,20 @@ def _old_negotiate_routes(pins, grid, workspace, order):
         present *= negotiated.PRESENT_GROWTH
         for index in victims:
             search(index)
+    # The detour pass that followed the old rounds: each wire longer than
+    # its pin bins' Manhattan distance is re-routed once by the shortest
+    # path under base capacity, and kept when shorter.
+    for index in order:
+        path, start, goal = paths[index], starts[index], goals[index]
+        if len(path) - 1 <= abs(start[0] - goal[0]) + abs(start[1] - goal[1]):
+            continue
+        _old_add_usage(grid, path, amount=-1)
+        shorter = maze.maze_route(grid, start, goal, congestion_weight=0.0, workspace=workspace)
+        if shorter is not None and len(shorter) < len(path):
+            path = shorter
+            paths[index] = path
+            lengths[index] = grid.path_length_um(path)
+        _old_add_usage(grid, path)
     return paths, lengths, iterations, ripups
 
 
