@@ -48,7 +48,11 @@ DEFAULT_SELECTION_QUANTILE = 0.75
 
 @dataclass
 class IscIterationRecord:
-    """Per-iteration statistics driving the Fig. 7–9 analysis panels."""
+    """Per-iteration statistics driving the Fig. 7–9 analysis panels.
+
+    ``clusters_formed`` counts the clusters holding a neuron with a
+    remaining connection, not the clusterer's chunks of isolated neurons.
+    """
 
     iteration: int
     clusters_formed: int
@@ -214,9 +218,8 @@ def iterative_spectral_clustering(
     while iteration < max_iterations and remaining.num_connections > 0:
         iteration += 1
         with recorder.span("isc.iteration", iteration=iteration, neurons=remaining.size) as span:
-            if recorder.enabled:
-                live = remaining.out_degrees() + remaining.in_degrees()
-                span.annotate(live_neurons=int(np.count_nonzero(live)))
+            connected = (remaining.out_degrees() + remaining.in_degrees()) > 0
+            span.annotate(live_neurons=int(np.count_nonzero(connected)))
             # Algorithm 3 line 3: cluster the remaining network, size-capped.
             clustering = clusterer(remaining, max_s, rng=rng)
             calls = clustering.metadata.get("kmeans_calls", 0)
@@ -267,7 +270,8 @@ def iterative_spectral_clustering(
             records.append(
                 IscIterationRecord(
                     iteration=iteration,
-                    clusters_formed=clustering.k,
+                    # GCP's chunks of isolated neurons are not clusters formed.
+                    clusters_formed=int(np.unique(labels[connected]).size),
                     crossbars_placed=len(placed),
                     connections_clustered=clustered_connections(placed),
                     average_utilization=avg_u,

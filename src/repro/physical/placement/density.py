@@ -11,23 +11,21 @@ sigmoid overlap indicator along x.  With half-extent ``h = (w̃_i + w̃_j)/2``
 controls the transition sharpness.  |Δ| is smoothed as ``sqrt(Δ² + ε)`` so
 the gradient is defined at coincident centers.
 
-The sum runs over the pairs inside an ``8τ`` cutoff, at every netlist
-size: a pair is kept when ``|Δx|`` and ``|Δy|`` are both at most
-``reach_i + reach_j``, with ``reach = max(w̃/2, h̃/2) + 4τ`` (the rule of
-:func:`~repro.physical.placement.spatial.candidate_pairs`).  A dropped
-pair is more than 8τ from touching on some axis, so its O there is below
-σ(-8) ≈ 3.4e-4: it would have added less than that to ``D`` and less
-than σ(-8)/τ to a gradient component.
+The sum runs over the pairs inside an ``8τ`` cutoff: a pair is kept when
+``|Δx|`` and ``|Δy|`` are both at most ``reach_i + reach_j``, with
+``reach = max(w̃/2, h̃/2) + 4τ``.  A dropped pair is more than 8τ from
+touching on some axis, so its O there is below σ(-8) ≈ 3.4e-4: it would
+have added less than that to ``D`` and less than σ(-8)/τ to a gradient
+component.
 
-An evaluation runs over a :class:`PairSet` of candidate pairs and keeps
-the candidates inside the cutoff at its positions.  Up to
-:data:`~repro.physical.placement.spatial.PAIRWISE_LIMIT` cells the
-candidates are every pair; cell sizes are fixed, so a placement builds
-that set once (:func:`placement_pairs`) and every evaluation masks it.
-Beyond the limit, spatial binning finds the pairs inside the cutoff at
-the current positions, so each evaluation builds a throwaway set of them.
-The limit decides how the pairs are found, not which density is
-evaluated.
+A placement evaluates over one :class:`PairSet`, a Verlet candidate list:
+the pairs within ``reach_i + reach_j`` plus a skin of :data:`SKIN_TAUS` τ
+on both axes, found by one sweep (:func:`sweep_pairs`) in row-major
+order.  The list is rebuilt only once some cell has moved more than half
+the skin on either axis since the last build; until then no pair outside
+it can have come inside the cutoff.  Every evaluation keeps the
+candidates inside the cutoff at its positions, so at every netlist size
+the kept pairs are the cutoff pairs in ``np.triu_indices`` order.
 
 An evaluation comes in two halves: :func:`density_value` leaves the
 kept pairs and their terms in the set, and :func:`density_grad` finishes
@@ -43,12 +41,19 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.special
 
-from repro.physical.placement.spatial import PAIRWISE_LIMIT, candidate_pairs
-
 _EPSILON = 1e-6
 
 #: Sigmoid cutoff margin in units of τ: σ(-8) ≈ 3.4e-4.
 _CUTOFF_TAUS = 8.0
+
+#: Verlet skin in units of τ.  A wider skin rebuilds the list less often
+#: but masks more candidates per evaluation (DESIGN.md gives the measurement).
+SKIN_TAUS = 16.0
+
+#: Relative padding of the swept extents: far above the rounding of the
+#: sweep's interval ends, so rounding never drops a pair the rebuild rule
+#: vouches for.
+_ROUNDING_SLACK = 1e-12
 
 
 def _check_tau(tau: float) -> None:
@@ -70,50 +75,108 @@ def _reach(half_w: np.ndarray, half_h: np.ndarray, tau: float) -> np.ndarray:
     return np.maximum(half_w, half_h) + _CUTOFF_TAUS * tau / 2.0
 
 
-def _interaction_pairs(
-    x: np.ndarray, y: np.ndarray, reach: np.ndarray
+def sweep_pairs(
+    x: np.ndarray, y: np.ndarray, reach_x: np.ndarray, reach_y: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Every pair for small n; beyond the limit the binned pairs within ``reach``."""
+    """Every pair ``ii < jj`` of cells whose boxes ``x ± reach_x``, ``y ± reach_y`` meet.
+
+    Sweep and prune: sorted by ``x - reach_x``, a cell's x-partners are
+    the cells after it up to the first whose low end lies past its high
+    end (``searchsorted``); those pairs then take the test
+    ``|Δy| <= reach_y[ii] + reach_y[jj]``.  Returns the pairs in row-major
+    (``np.triu_indices``) order.  A cell with a non-finite coordinate
+    meets no other.
+    """
     n = x.shape[0]
-    if n <= PAIRWISE_LIMIT:
-        return np.triu_indices(n, k=1)
-    return candidate_pairs(x, y, reach)
+    cells = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
+    low = x[cells] - reach_x[cells]
+    order = np.argsort(low, kind="stable")
+    cells = cells[order]
+    low = low[order]
+    end = np.searchsorted(low, x[cells] + reach_x[cells], side="right")
+    # Sorted position p pairs with positions p + 1 .. end[p] - 1; the y
+    # test reads the sorted arrays, so ``first``'s side is a repeat.
+    after = np.arange(1, cells.shape[0] + 1)
+    counts = end - after
+    first = np.repeat(after - 1, counts)
+    second = np.arange(first.shape[0]) + np.repeat(after - (np.cumsum(counts) - counts), counts)
+    sorted_y = y[cells]
+    sorted_reach = reach_y[cells]
+    near = np.abs(np.repeat(sorted_y, counts) - sorted_y[second]) <= (
+        np.repeat(sorted_reach, counts) + sorted_reach[second]
+    )
+    a = cells[first[near]]
+    b = cells[second[near]]
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    return np.divmod(keys, n)
 
 
 class PairSet:
-    """Candidate cell pairs ``ii < jj`` of density evaluations, with their scratch space.
+    """The Verlet candidate list of one placement's density evaluations, with their scratch space.
 
-    An evaluation first keeps the candidates inside the cutoff at its
-    positions (:meth:`keep`).  Then ``kept`` counts them, ``scatter`` is
-    their scatter index ``concat(ii, jj)`` (``kept_ii`` and ``kept_jj``
-    view its two halves), ``hx``/``hy`` hold their half-extent sums, and
-    the term buffers (``dx`` ... ``oy``, ``weights``) are views of their
-    length.  Every buffer is preallocated to the candidate count, so the
-    only array an evaluation allocates is the index of its kept pairs.
-    Every evaluation overwrites the buffers: a set serves one evaluation
-    at a time.
+    Holds the candidate pairs ``ii < jj`` (row-major) of the cells these
+    widths and heights describe.  An evaluation first keeps the
+    candidates inside the cutoff at its positions (:meth:`keep`), which
+    rebuilds the list first when τ changed or a cell has moved more than
+    half the skin since the last build (``rebuilds`` counts the builds).
+    Then ``kept`` counts the kept pairs, ``scatter`` is their scatter
+    index ``concat(ii, jj)`` (``kept_ii`` and ``kept_jj`` view its two
+    halves), ``hx``/``hy`` hold their half-extent sums, and the term
+    buffers (``dx`` ... ``oy``, ``weights``) are views of their length.
+    Every buffer is allocated with the list, so between rebuilds the only
+    array an evaluation allocates is the index of its kept pairs.  Every
+    evaluation overwrites the buffers: a set serves one evaluation at a
+    time.
     """
 
-    def __init__(
-        self, ii: np.ndarray, jj: np.ndarray, half_w: np.ndarray, half_h: np.ndarray
-    ) -> None:
-        m = ii.shape[0]
-        self.n = half_w.shape[0]
-        self.ii = ii
-        self.jj = jj
-        self.half_w = half_w
-        self.half_h = half_h
-        self.hx_all = half_w[ii] + half_w[jj]
-        self.hy_all = half_h[ii] + half_h[jj]
-        #: ``reach_i + reach_j`` per candidate, for the τ in ``_reach_tau``.
-        self.reach_sum = np.empty(m)
-        self._reach_tau: Optional[float] = None
+    def __init__(self, widths: np.ndarray, heights: np.ndarray) -> None:
+        self.half_w = np.asarray(widths, dtype=float) / 2.0
+        self.half_h = np.asarray(heights, dtype=float) / 2.0
+        self.n = self.half_w.shape[0]
+        self.rebuilds = 0
+        self._tau: Optional[float] = None  # τ of the list; None before the first build
+        self._half_skin = 0.0
+        # Positions at the last build, and the per-axis move from them.
+        self._anchor = np.empty((2, self.n))
+        self._moved = np.empty((2, self.n))
+
+    def _stale(self, x: np.ndarray, y: np.ndarray, tau: float) -> bool:
+        """Whether τ changed or some cell moved more than half the skin since the build."""
+        if tau != self._tau:
+            return True
+        moved = self._moved
+        np.subtract(x, self._anchor[0], out=moved[0])
+        np.subtract(y, self._anchor[1], out=moved[1])
+        np.abs(moved, out=moved)
+        # ``not <=`` also reads a NaN move (a non-finite point, now or at
+        # the build) as stale.
+        return not moved.max(initial=0.0) <= self._half_skin
+
+    def _build(self, x: np.ndarray, y: np.ndarray, tau: float) -> None:
+        """Sweep the pairs within the cutoff plus the skin at ``(x, y)`` into the list."""
+        reach = _reach(self.half_w, self.half_h, tau)
+        self._half_skin = SKIN_TAUS * tau / 2.0
+        swept = reach + self._half_skin
+        self.ii, self.jj = sweep_pairs(
+            x,
+            y,
+            swept + _ROUNDING_SLACK * (np.abs(x) + swept),
+            swept + _ROUNDING_SLACK * (np.abs(y) + swept),
+        )
+        self._anchor[0] = x
+        self._anchor[1] = y
+        self._tau = tau
+        self.rebuilds += 1
+        m = self.ii.shape[0]
+        self.hx_all = self.half_w[self.ii] + self.half_w[self.jj]
+        self.hy_all = self.half_h[self.ii] + self.half_h[self.jj]
+        #: ``reach_i + reach_j`` per candidate.
+        self.reach_sum = reach[self.ii] + reach[self.jj]
         self.inside, self.inside_y = np.empty((2, m), dtype=bool)
         # Full-length buffers; the kept pairs' own are views of their fronts.
         self._scatter = np.empty(2 * m, dtype=np.intp)
         self._terms = np.empty((8, m))
         self._weights = np.empty(2 * m)
-        self._view(0)
 
     def _view(self, k: int) -> None:
         """Point the kept-pair names at the first ``k`` entries of the buffers."""
@@ -130,16 +193,12 @@ class PairSet:
 
     def keep(self, x: np.ndarray, y: np.ndarray, tau: float) -> None:
         """Keep the candidates with ``|Δx|, |Δy| <= reach_i + reach_j`` at ``(x, y)``."""
+        if self._stale(x, y, tau):
+            self._build(x, y, tau)
         # Two term rows are free until the kept pairs' terms fill them.
         # mode="clip" never clips here (the indices are in range); the
         # default "raise" would stage ``out`` through a temporary copy.
         delta, other = self._terms[:2]
-        if tau != self._reach_tau:
-            reach = _reach(self.half_w, self.half_h, tau)
-            np.take(reach, self.ii, out=self.reach_sum, mode="clip")
-            np.take(reach, self.jj, out=other, mode="clip")
-            np.add(self.reach_sum, other, out=self.reach_sum)
-            self._reach_tau = tau
         for coords, inside in ((x, self.inside), (y, self.inside_y)):
             np.take(coords, self.ii, out=delta, mode="clip")
             np.take(coords, self.jj, out=other, mode="clip")
@@ -153,38 +212,6 @@ class PairSet:
         np.take(self.jj, index, out=self.kept_jj, mode="clip")
         np.take(self.hx_all, index, out=self.hx, mode="clip")
         np.take(self.hy_all, index, out=self.hy, mode="clip")
-
-
-def placement_pairs(widths: np.ndarray, heights: np.ndarray) -> Optional[PairSet]:
-    """The reusable all-pairs candidate set of a placement of these cells.
-
-    ``None`` beyond :data:`~repro.physical.placement.spatial.PAIRWISE_LIMIT`
-    cells, where the candidates follow the positions and each evaluation
-    builds its own (:func:`evaluation_pairs`).
-    """
-    n = len(widths)
-    if n > PAIRWISE_LIMIT:
-        return None
-    ii, jj = np.triu_indices(n, k=1)
-    half_w = np.asarray(widths, dtype=float) / 2.0
-    half_h = np.asarray(heights, dtype=float) / 2.0
-    return PairSet(ii, jj, half_w, half_h)
-
-
-def evaluation_pairs(
-    x: np.ndarray, y: np.ndarray, widths: np.ndarray, heights: np.ndarray, tau: float
-) -> PairSet:
-    """A throwaway candidate set for one evaluation at ``(x, y)``.
-
-    Every pair up to :data:`~repro.physical.placement.spatial.PAIRWISE_LIMIT`
-    cells; beyond it the binned pairs inside the cutoff at these positions.
-    """
-    half_w = np.asarray(widths, dtype=float) / 2.0
-    half_h = np.asarray(heights, dtype=float) / 2.0
-    ii, jj = _interaction_pairs(
-        np.asarray(x, dtype=float), np.asarray(y, dtype=float), _reach(half_w, half_h, tau)
-    )
-    return PairSet(ii, jj, half_w, half_h)
 
 
 def _axis_overlap(
@@ -247,16 +274,17 @@ def density_value(
     """Pairwise sigmoid density ``D``, keeping its per-pair terms for the gradient.
 
     Takes the arguments of :func:`density_value_and_grad` and returns
-    ``(value, pairs)``: the set this call evaluated over (``pairs``, or the
-    throwaway set built when it is ``None``), holding the kept pairs and
-    their terms, which :func:`density_grad` turns into the gradient at
-    this point.  The next evaluation over the same set overwrites them.
+    ``(value, pairs)``: the set this call evaluated over (``pairs``, or a
+    new one for these widths and heights when it is ``None``), holding
+    the kept pairs and their terms, which :func:`density_grad` turns into
+    the gradient at this point.  The next evaluation over the same set
+    overwrites them.
     """
     _check_tau(tau)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if pairs is None:
-        pairs = evaluation_pairs(x, y, widths, heights, tau)
+        pairs = PairSet(widths, heights)
     elif pairs.n != x.shape[0]:
         raise ValueError(f"pair set is for {pairs.n} cells, got {x.shape[0]}")
 
@@ -298,10 +326,10 @@ def density_value_and_grad(
     tau:
         Sigmoid smoothing length in µm.
     pairs:
-        A set from :func:`placement_pairs` for these widths and heights,
-        reused across calls; ``None`` builds a throwaway set for this call
-        (:func:`evaluation_pairs`).  Either way the sum runs over the
-        pairs inside the cutoff.
+        A :class:`PairSet` for these widths and heights, reused across
+        calls so its candidate list outlives them; ``None`` evaluates over
+        a new set.  Either way the sum runs over the pairs inside the
+        cutoff.
 
     Returns
     -------
@@ -334,15 +362,10 @@ def true_overlap(
     """Exact total pairwise rectangle-overlap area (the loop's stop metric)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.shape[0]
-    if n < 2:
-        return 0.0
     half_w = np.asarray(widths, dtype=float) / 2.0
     half_h = np.asarray(heights, dtype=float) / 2.0
-    # No margin: overlapping rectangles always sit within this reach.
-    ii, jj = _interaction_pairs(x, y, np.maximum(half_w, half_h))
-    if ii.size == 0:
-        return 0.0
+    # No skin: only rectangles that touch can overlap.
+    ii, jj = sweep_pairs(x, y, half_w, half_h)
     ox = _interval_overlap(x, half_w, ii, jj)
     oy = _interval_overlap(y, half_h, ii, jj)
     return float(np.sum(ox * oy))

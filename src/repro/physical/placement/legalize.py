@@ -14,22 +14,26 @@ from typing import Tuple
 
 import numpy as np
 
+#: Target area utilization of the grid-snap occupancy map; the map grows
+#: when quantization overhead exhausts it.
+SNAP_FILL = 0.72
+
+#: Alternating x/y scanline passes of :func:`compact`.
+COMPACTION_PASSES = 2
+
 
 def grid_snap(
     x: np.ndarray,
     y: np.ndarray,
     widths: np.ndarray,
     heights: np.ndarray,
-    fill: float = 0.72,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Structure-preserving legalization: nearest-free-site assignment.
 
     Cells (largest first) are snapped onto an occupancy grid at the free
     site closest to their current position — a Tetris-style legalizer that
-    keeps the global structure of even a heavily overlapped seed.
-
-    ``fill`` is the target area utilization of the occupancy map; the map
-    grows automatically if quantization overhead exhausts it.
+    keeps the global structure of even a heavily overlapped seed.  The map
+    starts at :data:`SNAP_FILL` utilization and grows until every cell fits.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -38,15 +42,13 @@ def grid_snap(
     n = x.shape[0]
     if n == 0:
         return x.copy(), y.copy()
-    if not 0.0 < fill < 1.0:
-        raise ValueError(f"fill must lie in (0, 1), got {fill}")
     resolution = max(float(np.median(np.minimum(widths, heights))), 0.25)
     # Size the map from the *quantized* footprints, so ceil() overhead is
     # already budgeted.
     w_bins_all = np.ceil(widths / resolution).astype(int)
     h_bins_all = np.ceil(heights / resolution).astype(int)
     quantized_area = float(np.sum(w_bins_all * h_bins_all)) * resolution * resolution
-    side = np.sqrt(quantized_area / fill)
+    side = np.sqrt(quantized_area / SNAP_FILL)
     side = max(side, float(widths.max()) + resolution, float(heights.max()) + resolution)
     while True:
         bins = int(np.ceil(side / resolution)) + 2
@@ -95,14 +97,14 @@ def compact(
     y: np.ndarray,
     widths: np.ndarray,
     heights: np.ndarray,
-    passes: int = 2,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Constraint-graph compaction: squeeze out whitespace, keep order.
 
-    Alternating 1-D scanline compactions along x and y: each cell slides
-    toward the origin until it abuts a cell it overlaps in the other axis.
-    Legal input stays legal; the bounding box only shrinks.  The O(n²)
-    scanline runs over Python lists of the cell extents.
+    :data:`COMPACTION_PASSES` rounds of alternating 1-D scanline
+    compactions along x and y: each cell slides toward the origin until it
+    abuts a cell it overlaps in the other axis.  Legal input stays legal;
+    the bounding box only shrinks.  The O(n²) scanline runs over Python
+    lists of the cell extents.
     """
     x = np.asarray(x, dtype=float).copy()
     y = np.asarray(y, dtype=float).copy()
@@ -111,9 +113,7 @@ def compact(
     n = x.shape[0]
     if n == 0:
         return x, y
-    if passes < 1:
-        raise ValueError(f"passes must be >= 1, got {passes}")
-    for _ in range(passes):
+    for _ in range(COMPACTION_PASSES):
         for axis in (0, 1):
             if axis == 0:
                 primary, secondary, p_dim, s_dim = x, y, widths, heights

@@ -11,8 +11,6 @@ from repro.physical.placement.density import (
     density_grad,
     density_value,
     density_value_and_grad,
-    evaluation_pairs,
-    placement_pairs,
 )
 from repro.physical.placement.wirelength import wa_wirelength_and_grad
 
@@ -60,10 +58,9 @@ class PlacementObjective:
         self.tau = float(tau)
         self.lam = 0.0
         self.n = self.virtual_widths.shape[0]
-        # Cell sizes are fixed, so the density's all-pairs candidate set is
-        # built once per placement (None when the density bins its pairs
-        # per call).
-        self.pairs = placement_pairs(self.virtual_widths, self.virtual_heights)
+        # Cell sizes are fixed, so one candidate list serves the whole
+        # placement; it rebuilds itself as the cells move.
+        self.pairs = PairSet(self.virtual_widths, self.virtual_heights)
         # What gradient() needs from the last value() call: the WA
         # gradients, the pair set holding the density terms (None when
         # λ was 0) and that λ.
@@ -105,13 +102,10 @@ class PlacementObjective:
         # value() left there.
         self._pending = None
         x, y = self.unpack(z)
-        pairs = self.pairs
-        if pairs is None:
-            pairs = evaluation_pairs(x, y, self.virtual_widths, self.virtual_heights, self.tau)
         value, gx, gy = density_value_and_grad(
-            x, y, self.virtual_widths, self.virtual_heights, self.tau, pairs
+            x, y, self.virtual_widths, self.virtual_heights, self.tau, self.pairs
         )
-        self.density_pairs += pairs.kept
+        self.density_pairs += self.pairs.kept
         return value, np.concatenate([gx, gy])
 
     def value(self, z: np.ndarray) -> float:

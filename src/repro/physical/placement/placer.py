@@ -86,9 +86,9 @@ def place(
     """Place a netlist and return a legalized, compacted placement.
 
     The returned :class:`Placement` stores *physical* cell dimensions; its
-    metadata records the λ schedule, the winning snapshot, HPWL at the
-    pipeline milestones, and ``"diverged"``: ``None``, or why the penalty
-    loop stopped at a non-finite stage.
+    metadata records the λ schedule (with each stage's weighted HPWL), the
+    winning snapshot, HPWL at the pipeline milestones, and ``"diverged"``:
+    ``None``, or why the penalty loop stopped at a non-finite stage.
     """
     if config is None:
         config = PlacementConfig()
@@ -112,6 +112,12 @@ def place(
     gamma = max(0.01 * side_estimate, 0.5)
     tau = max(0.005 * side_estimate, 0.25)
 
+    def weighted_hpwl(px: np.ndarray, py: np.ndarray) -> float:
+        if not sources.size:
+            return 0.0
+        return hpwl(px, py, sources, targets, weights=wire_weights)
+
+    hpwl_seed = weighted_hpwl(seed_x, seed_y)
     recorder = get_recorder()
     stage_log = []
     objective = None
@@ -153,22 +159,22 @@ def place(
                         "objective": result.value,
                         "cg_iterations": result.iterations,
                         "overlap_ratio": overlap_ratio,
+                        "hpwl": weighted_hpwl(x, y),
                     }
                 )
                 if overlap_ratio <= OVERLAP_THRESHOLD:
                     break
                 lam *= 2.0  # Algorithm 4 line 5
+            # Where the wirelength goes: the seed, each λ stage, the refined layout.
             loop_span.annotate(
                 lambda_stages=len(stage_log),
                 final_overlap_ratio=stage_log[-1]["overlap_ratio"] if stage_log else 0.0,
+                hpwl_seed=hpwl_seed,
+                hpwl_stages=[entry["hpwl"] for entry in stage_log],
+                hpwl_refined=stage_log[-1]["hpwl"] if stage_log else hpwl_seed,
             )
             if diverged is not None:
                 loop_span.annotate(diverged=diverged)
-
-    def weighted_hpwl(px: np.ndarray, py: np.ndarray) -> float:
-        if not sources.size:
-            return 0.0
-        return hpwl(px, py, sources, targets, weights=wire_weights)
 
     # Two legal candidates: snap of the seed and snap of the refined layout.
     # min() keeps the first of equal values, so a tie picks the seed.
@@ -196,6 +202,7 @@ def place(
         recorder.count("placement.wa_evals", objective.wa_evals)
         recorder.count("placement.density_evals", objective.density_evals)
         recorder.count("placement.density_pairs", objective.density_pairs)
+        recorder.count("placement.pair_rebuilds", objective.pairs.rebuilds)
         recorder.count("placement.gradient_evals", objective.gradient_evals)
     if "refined" in candidates:
         # The analytic refinement lost to its own snapped starting point.
@@ -220,7 +227,7 @@ def place(
             "tau_um": tau,
             "routing_space_factor": omega,
             "chosen_snapshot": chosen_name,
-            "hpwl_seed": weighted_hpwl(seed_x, seed_y),
+            "hpwl_seed": hpwl_seed,
             "hpwl_after_legalization": hpwl_after_snap,
             "hpwl_after_compaction": hpwl_after_compact,
             "diverged": diverged,

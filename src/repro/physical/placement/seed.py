@@ -25,13 +25,16 @@ from repro.clustering.spectral import dense_embedding
 from repro.mapping.netlist import CellKind, Netlist
 from repro.utils.rng import RngLike, ensure_rng
 
+#: Seed-region inflation over the total virtual cell area: crossbar slots
+#: tile a square of this many times that area.
+SEED_FILL_TARGET = 1.2
+
 
 def connectivity_seed(
     netlist: Netlist,
     virtual_widths: np.ndarray,
     virtual_heights: np.ndarray,
     rng: RngLike = None,
-    fill_target: float = 1.2,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Seed coordinates exploiting the known cluster structure.
 
@@ -47,7 +50,7 @@ def connectivity_seed(
     kinds = netlist.kinds
     crossbars = np.flatnonzero(kinds == CellKind.CROSSBAR)
     total_area = float(np.sum(virtual_widths * virtual_heights))
-    side = float(np.sqrt(max(total_area, 1e-9) * fill_target))
+    side = float(np.sqrt(max(total_area, 1e-9) * SEED_FILL_TARGET))
     x = np.zeros(n)
     y = np.zeros(n)
 

@@ -256,9 +256,8 @@ def iterative_spectral_clustering(
     while iteration < max_iterations and remaining.num_connections > 0:
         iteration += 1
         with recorder.span("isc.iteration", iteration=iteration, neurons=remaining.size) as span:
-            if recorder.enabled:
-                live = remaining.out_degrees() + remaining.in_degrees()
-                span.annotate(live_neurons=int(np.count_nonzero(live)))
+            connected = (remaining.out_degrees() + remaining.in_degrees()) > 0
+            span.annotate(live_neurons=int(np.count_nonzero(connected)))
             clustering = as_parent(clusterer(remaining, max_s, rng=rng))
             calls = clustering.metadata.get("kmeans_calls", 0)
             span.annotate(kmeans_calls=calls)
@@ -301,7 +300,10 @@ def iterative_spectral_clustering(
             records.append(
                 IscIterationRecord(
                     iteration=iteration,
-                    clusters_formed=len(clustering.clusters),
+                    clusters_formed=sum(
+                        bool(connected[list(cluster.members)].any())
+                        for cluster in clustering.clusters
+                    ),
                     crossbars_placed=len(placed),
                     connections_clustered=clustered_connections(placed),
                     average_utilization=avg_u,

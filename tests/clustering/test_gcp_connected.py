@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import repro.clustering.gcp as gcp_module
 from repro.clustering.gcp import greedy_cluster_size_prediction
+from repro.clustering.isc import iterative_spectral_clustering
 from repro.core import AutoNCS
 from repro.networks import ConnectionMatrix, random_sparse_network, scale_free_network
 from repro.observability import Recorder, recording
@@ -110,3 +111,24 @@ def test_isc_kmeans_calls_stay_below_the_cliff():
     with recording(recorder):
         AutoNCS().cluster(scale_free_network(500, 2, rng=42), rng=42)
     assert recorder.snapshot().counters["isc.kmeans_calls"] <= 1000
+
+
+def test_isc_counts_only_clusters_with_a_connection():
+    # Late ISC iterations leave most neurons without a connection, and GCP
+    # chunks those apart; a chunk is not a cluster formed.
+    seen = []
+
+    def clusterer(remaining, max_size, rng):
+        result = greedy_cluster_size_prediction(remaining, max_size, rng=rng)
+        seen.append((result.k, np.unique(result.labels[_connected(remaining)]).size))
+        return result
+
+    records = iterative_spectral_clustering(
+        scale_free_network(500, 2, rng=42), utilization_threshold=0.05, rng=42,
+        clusterer=clusterer,
+    ).records
+    assert [record.clusters_formed for record in records] == [
+        formed for _, formed in seen[: len(records)]
+    ]
+    # Some iteration had chunks of isolated neurons to leave out.
+    assert any(k > formed for k, formed in seen[: len(records)])

@@ -1,4 +1,4 @@
-"""Tests for the sigmoid density model and spatial pruning."""
+"""Tests for the sigmoid density model and its candidate pairs."""
 
 import tracemalloc
 
@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 
 import repro.physical.placement.density as density_module
 from repro.physical.placement.density import (
+    PairSet,
     density_value,
     density_value_and_grad,
-    placement_pairs,
     sigmoid_overlap,
+    sweep_pairs,
     true_overlap,
 )
-from repro.physical.placement.spatial import candidate_pairs
+from tests.physical.density_reference import (
+    assert_identical as _assert_identical,
+    cutoff_pairs as _cutoff_pairs,
+    per_call_density as _per_call_density,
+)
 
 #: σ(-8): the most a pair beyond the 8τ cutoff adds to D.
 SIGMA_CUTOFF = 1.0 / (1.0 + np.exp(8.0))
@@ -133,7 +138,7 @@ class TestSpatialPruning:
         x = rng.random(n) * 50
         y = rng.random(n) * 50
         half = rng.uniform(0.5, 3.0, n)
-        ii, jj = candidate_pairs(x, y, half)
+        ii, jj = sweep_pairs(x, y, half, half)
         found = set(zip(ii.tolist(), jj.tolist()))
         for i in range(n):
             for j in range(i + 1, n):
@@ -144,117 +149,63 @@ class TestSpatialPruning:
                 if interacting:
                     assert (i, j) in found
 
-    def test_binned_matches_full_density(self):
-        # Both ways of finding the pairs (the masked all-pairs set and the
-        # bins) stay within the bound the cutoff allows of the exact sum
-        # over every pair.
+    @pytest.mark.parametrize("n", [150, 700])
+    def test_cutoff_matches_full_density(self, n):
+        # The cutoff sum stays within the bound the cutoff allows of the
+        # exact sum over every pair, on both sides of the old 600-cell split.
+        side = 80.0 * np.sqrt(n / 150)
         for seed in (4, 9, 21):
             rng = np.random.default_rng(seed)
-            n = 150
-            x = rng.random(n) * 80
-            y = rng.random(n) * 80
+            x = rng.random(n) * side
+            y = rng.random(n) * side
             w = rng.uniform(1, 6, n)
             h = rng.uniform(1, 6, n)
             ii, jj = np.triu_indices(n, k=1)
             v_exact, gx_exact, gy_exact = _per_call_density(x, y, w, h, 0.8, ii, jj)
-            with pytest.MonkeyPatch.context() as patch:
-                for limit in (10**9, 1):
-                    patch.setattr(density_module, "PAIRWISE_LIMIT", limit)
-                    v_cut, gx_cut, gy_cut = density_value_and_grad(x, y, w, h, tau=0.8)
-                    assert v_cut == pytest.approx(v_exact, rel=1e-3, abs=1e-6)
-                    np.testing.assert_allclose(gx_cut, gx_exact, atol=1e-3)
-                    np.testing.assert_allclose(gy_cut, gy_exact, atol=1e-3)
+            v_cut, gx_cut, gy_cut = density_value_and_grad(x, y, w, h, tau=0.8)
+            assert v_cut == pytest.approx(v_exact, rel=1e-3, abs=1e-6)
+            np.testing.assert_allclose(gx_cut, gx_exact, atol=1e-3)
+            np.testing.assert_allclose(gy_cut, gy_exact, atol=1e-3)
 
-    def test_binned_overlap_exact(self):
+    @pytest.mark.parametrize("n", [120, 700])
+    def test_swept_overlap_exact(self, n):
+        # The swept pairs hold every touching pair: the sum over them is
+        # the exact all-pairs overlap.
         rng = np.random.default_rng(5)
-        n = 120
-        x = rng.random(n) * 60
-        y = rng.random(n) * 60
+        side = 60.0 * np.sqrt(n / 120)
+        x = rng.random(n) * side
+        y = rng.random(n) * side
         w = rng.uniform(1, 8, n)
         h = rng.uniform(1, 8, n)
-        original = density_module.PAIRWISE_LIMIT
-        try:
-            density_module.PAIRWISE_LIMIT = 10**9
-            full = true_overlap(x, y, w, h)
-            density_module.PAIRWISE_LIMIT = 1
-            binned = true_overlap(x, y, w, h)
-        finally:
-            density_module.PAIRWISE_LIMIT = original
-        assert binned == pytest.approx(full)
+        ii, jj = np.triu_indices(n, k=1)
+
+        def spans(centres, dims):
+            reach = dims[ii] / 2 + dims[jj] / 2 - np.abs(centres[ii] - centres[jj])
+            return np.clip(reach, 0, np.minimum(dims[ii], dims[jj]))
+
+        full = float(np.sum(spans(x, w) * spans(y, h)))
+        assert full > 0
+        assert true_overlap(x, y, w, h) == pytest.approx(full)
+
+    def test_sweep_skips_non_finite_cells(self):
+        x = np.array([0.0, 0.5, np.nan, 1.0, np.inf])
+        y = np.zeros(5)
+        ii, jj = sweep_pairs(x, y, np.ones(5), np.ones(5))
+        assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1), (0, 3), (1, 3)]
 
     def test_empty_input(self):
-        ii, jj = candidate_pairs(np.zeros(0), np.zeros(0), np.zeros(0))
+        ii, jj = sweep_pairs(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
         assert ii.size == 0 and jj.size == 0
 
     def test_single_cell(self):
-        ii, jj = candidate_pairs(np.zeros(1), np.zeros(1), np.ones(1))
+        ii, jj = sweep_pairs(np.zeros(1), np.zeros(1), np.ones(1), np.ones(1))
         assert ii.size == 0
-
-
-def _per_call_density(x, y, widths, heights, tau, ii, jj):
-    """Reference: the per-call density body, over the given pairs.
-
-    Evaluates ``sigmoid_overlap`` over the pairs and scatters with four
-    ``np.add.at`` calls.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    grad_x = np.zeros_like(x)
-    grad_y = np.zeros_like(y)
-    half_w = np.asarray(widths, dtype=float) / 2.0
-    half_h = np.asarray(heights, dtype=float) / 2.0
-    ii = np.asarray(ii, dtype=int)
-    jj = np.asarray(jj, dtype=int)
-    if ii.size == 0:
-        return 0.0, grad_x, grad_y
-    dx = x[ii] - x[jj]
-    dy = y[ii] - y[jj]
-    hx = half_w[ii] + half_w[jj]
-    hy = half_h[ii] + half_h[jj]
-    ox = sigmoid_overlap(dx, hx, tau)
-    oy = sigmoid_overlap(dy, hy, tau)
-    value = float(np.sum(ox * oy))
-    soft_abs_x = np.sqrt(dx * dx + 1e-6)
-    soft_abs_y = np.sqrt(dy * dy + 1e-6)
-    dox = -(ox * (1.0 - ox) / tau) * (dx / soft_abs_x)
-    doy = -(oy * (1.0 - oy) / tau) * (dy / soft_abs_y)
-    gx_pair = dox * oy
-    gy_pair = doy * ox
-    np.add.at(grad_x, ii, gx_pair)
-    np.add.at(grad_x, jj, -gx_pair)
-    np.add.at(grad_y, ii, gy_pair)
-    np.add.at(grad_y, jj, -gy_pair)
-    return value, grad_x, grad_y
-
-
-def _reach(widths, heights, tau):
-    """The cutoff reach per cell, ``max(w/2, h/2) + 4τ``."""
-    return np.maximum(np.asarray(widths) / 2.0, np.asarray(heights) / 2.0) + 4.0 * tau
-
-
-def _cutoff_pairs(x, y, widths, heights, tau):
-    """Brute force: the pairs ``i < j`` inside the cutoff, in row order."""
-    reach = _reach(widths, heights, tau)
-    kept = [
-        (i, j)
-        for i in range(len(x))
-        for j in range(i + 1, len(x))
-        if abs(x[i] - x[j]) <= reach[i] + reach[j]
-        and abs(y[i] - y[j]) <= reach[i] + reach[j]
-    ]
-    return [i for i, _ in kept], [j for _, j in kept]
 
 
 def _pair_set(ii, jj):
     pairs = set(zip(np.asarray(ii).tolist(), np.asarray(jj).tolist()))
     assert len(pairs) == len(ii)  # no pair twice
     return pairs
-
-
-def _assert_identical(actual, expected):
-    assert actual[0] == expected[0]
-    np.testing.assert_array_equal(actual[1], expected[1])
-    np.testing.assert_array_equal(actual[2], expected[2])
 
 
 # Few distinct sizes and coordinates, so identical cells and coincident
@@ -282,7 +233,7 @@ class TestPairSetEquivalence:
     @given(design=_designs())
     def test_reused_pair_set_matches_per_call_body(self, design):
         widths, heights, tau, positions = design
-        pairs = placement_pairs(widths, heights)
+        pairs = PairSet(widths, heights)
         for x, y in positions:
             ii, jj = _cutoff_pairs(x, y, widths, heights, tau)
             expected = _per_call_density(x, y, widths, heights, tau, ii, jj)
@@ -293,17 +244,21 @@ class TestPairSetEquivalence:
 
     @settings(max_examples=60, deadline=None)
     @given(design=_designs())
-    def test_binned_path_matches_per_call_body(self, design):
+    def test_rebuilt_list_matches_per_call_body(self, design):
+        # With no skin the list is rebuilt at every new position, so each
+        # evaluation runs over a freshly swept list.
         widths, heights, tau, positions = design
+        pairs = PairSet(widths, heights)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(density_module, "PAIRWISE_LIMIT", 1)
-            assert placement_pairs(widths, heights) is None
+            patch.setattr(density_module, "SKIN_TAUS", 0.0)
             for x, y in positions:
-                ii, jj = candidate_pairs(x, y, _reach(widths, heights, tau))
+                ii, jj = _cutoff_pairs(x, y, widths, heights, tau)
                 _assert_identical(
-                    density_value_and_grad(x, y, widths, heights, tau),
+                    density_value_and_grad(x, y, widths, heights, tau, pairs),
                     _per_call_density(x, y, widths, heights, tau, ii, jj),
                 )
+                assert pairs.kept_ii.tolist() == ii.tolist()
+                assert pairs.kept_jj.tolist() == jj.tolist()
 
 
 class TestCutoff:
@@ -311,27 +266,26 @@ class TestCutoff:
 
     @settings(max_examples=80, deadline=None)
     @given(design=_designs())
-    def test_masked_selection_matches_candidate_pairs(self, design):
+    def test_masked_selection_matches_cutoff_pairs(self, design):
+        # The kept pairs are the brute-force cutoff pairs in row-major
+        # order, whether the list was swept at this point or earlier.
         widths, heights, tau, positions = design
-        reused = placement_pairs(widths, heights)
+        reused = PairSet(widths, heights)
         for x, y in positions:
-            expected = _pair_set(*candidate_pairs(x, y, _reach(widths, heights, tau)))
-            assert expected == _pair_set(*_cutoff_pairs(x, y, widths, heights, tau))
-            _, pairs = density_value(x, y, widths, heights, tau, reused)
-            assert _pair_set(pairs.kept_ii, pairs.kept_jj) == expected
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(density_module, "PAIRWISE_LIMIT", 1)
-                _, binned = density_value(x, y, widths, heights, tau)
-            # The bins found exactly the kept pairs, so the mask drops none.
-            assert binned.kept == binned.ii.shape[0]
-            assert _pair_set(binned.kept_ii, binned.kept_jj) == expected
+            ii, jj = _cutoff_pairs(x, y, widths, heights, tau)
+            for pairs in (reused, None):
+                _, kept = density_value(x, y, widths, heights, tau, pairs)
+                assert kept.kept_ii.tolist() == ii.tolist()
+                assert kept.kept_jj.tolist() == jj.tolist()
+                # The list holds each pair once, in row-major order.
+                assert np.all(np.diff(kept.ii * len(x) + kept.jj) > 0)
 
     def test_coincident_centres_all_kept(self):
         widths = np.array([1.0, 1.0, 4.0, 1.0])
         heights = np.array([1.0, 2.0, 4.0, 1.0])
         x = np.array([5.0, 5.0, 5.0, 90.0])
         y = np.array([5.0, 5.0, 5.0, 5.0])
-        pairs = placement_pairs(widths, heights)
+        pairs = PairSet(widths, heights)
         _, kept = density_value(x, y, widths, heights, 0.5, pairs)
         assert _pair_set(kept.kept_ii, kept.kept_jj) == {(0, 1), (0, 2), (1, 2)}
 
@@ -370,7 +324,7 @@ class TestPairSetReuse:
     def test_results_outlive_the_next_call(self, design):
         # Conjugate gradient holds gradients of several evaluations at once.
         widths, heights, ((x1, y1), (x2, y2)) = design
-        pairs = placement_pairs(widths, heights)
+        pairs = PairSet(widths, heights)
         value1, gx1, gy1 = density_value_and_grad(x1, y1, widths, heights, 0.7, pairs)
         first = (value1, gx1.copy(), gy1.copy())
         second = density_value_and_grad(x2, y2, widths, heights, 0.7, pairs)
@@ -381,25 +335,33 @@ class TestPairSetReuse:
 
     def test_evaluations_allocate_nothing_pair_sized(self):
         # A temporary the length of the candidate list would be mapped and
-        # faulted in afresh on every evaluation; only the kept-pair index
-        # and the gradients may be allocated.
+        # faulted in afresh on every evaluation.  Between rebuilds only the
+        # kept-pair index and the gradients may be allocated.
         rng = np.random.default_rng(12)
         n = 200
         widths = rng.uniform(1, 6, n)
         heights = rng.uniform(1, 6, n)
-        x, y = rng.random(n) * 400, rng.random(n) * 400
-        pairs = placement_pairs(widths, heights)
+        x, y = rng.random(n) * 60, rng.random(n) * 60
+        pairs = PairSet(widths, heights)
+        density_value_and_grad(x, y, widths, heights, 0.7, pairs)  # builds the list
+        # Moves well inside half the skin keep the list.
+        moves = [rng.uniform(-1, 1, (2, n)) * 0.1 for _ in range(3)]
         tracemalloc.start()
         try:
-            for _ in range(3):
-                density_value_and_grad(x, y, widths, heights, 0.7, pairs)
+            for dx, dy in moves:
+                density_value_and_grad(x + dx, y + dy, widths, heights, 0.7, pairs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < pairs.ii.nbytes // 4
+        assert pairs.rebuilds == 1
+        # The kept index, the shifted inputs and the gradients fit in the
+        # allowance; one candidate-length temporary would not.
+        allowance = 8 * pairs.kept + 8 * 8 * n + 4096
+        assert allowance < 8 * pairs.ii.shape[0]
+        assert peak < allowance
 
     def test_rejects_pair_set_of_another_size(self, design):
         widths, heights, ((x, y), _) = design
-        pairs = placement_pairs(widths[:-1], heights[:-1])
+        pairs = PairSet(widths[:-1], heights[:-1])
         with pytest.raises(ValueError):
             density_value_and_grad(x, y, widths, heights, 0.7, pairs)

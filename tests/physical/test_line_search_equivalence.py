@@ -168,14 +168,14 @@ def _run_both(inputs, z0, lam, iterations):
 
 class TestLineSearchEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(problem=_problems(), binned=st.booleans())
-    def test_value_then_gradient_matches_summed_terms(self, problem, binned):
+    @given(problem=_problems(), rebuilt=st.booleans())
+    def test_value_then_gradient_matches_summed_terms(self, problem, rebuilt):
         # The objective's value_and_grad as it used to be: the WL and
         # density terms each with its gradient, summed.
         inputs, z, lam, _ = problem
         with pytest.MonkeyPatch.context() as patch:
-            if binned:
-                patch.setattr(density_module, "PAIRWISE_LIMIT", 1)
+            if rebuilt:
+                patch.setattr(density_module, "SKIN_TAUS", 0.0)
             objective = PlacementObjective(**inputs)
             objective.lam = lam
             wl, wl_grad = objective.wirelength_and_grad(z)
@@ -195,9 +195,10 @@ class TestLineSearchEquivalence:
 
     @settings(max_examples=40, deadline=None)
     @given(problem=_problems())
-    def test_binned_density(self, problem):
+    def test_rebuilt_density(self, problem):
+        # With no skin the candidate list is swept afresh at every trial point.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(density_module, "PAIRWISE_LIMIT", 1)
+            patch.setattr(density_module, "SKIN_TAUS", 0.0)
             _run_both(*problem)
 
     def test_wrapped_function_matches(self):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.physical.placement.legalize as legalize
 import repro.physical.routing.maze as maze_module
 from repro.physical.placement.legalize import compact, grid_snap
 from repro.physical.routing.grid import RoutingGrid
@@ -324,7 +325,9 @@ class TestCompactEquivalence:
     @given(layout=_layouts())
     def test_matches_numpy_body(self, layout):
         x, y, widths, heights, passes = layout
-        actual = compact(x, y, widths, heights, passes=passes)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(legalize, "COMPACTION_PASSES", passes)
+            actual = compact(x, y, widths, heights)
         expected = _numpy_compact(x, y, widths, heights, passes=passes)
         assert actual[0].tobytes() == expected[0].tobytes()
         assert actual[1].tobytes() == expected[1].tobytes()

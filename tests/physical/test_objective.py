@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.physical.placement.density as density_module
 from repro.physical.placement.objective import PlacementObjective
 
 
@@ -63,17 +62,19 @@ class TestValueAndGrad:
             vm, _ = objective.value_and_grad(minus)
             assert grad[i] == pytest.approx((vp - vm) / (2 * eps), abs=1e-3)
 
-    @pytest.mark.parametrize("limit", [600, 1])
-    def test_counts_pairs_inside_the_cutoff(self, objective, limit, monkeypatch):
-        # Cells 0 and 1 touch; cell 2 lies far beyond the 8τ cutoff of both,
-        # with the all-pairs set and with the binned one.
-        monkeypatch.setattr(density_module, "PAIRWISE_LIMIT", limit)
+    @pytest.mark.parametrize("far", [1, 600])
+    def test_counts_pairs_inside_the_cutoff(self, objective, far):
+        # Cells 0 and 1 touch; the ``far`` others lie beyond the 8τ cutoff
+        # of every cell, in designs on both sides of 600 cells.
+        n = 2 + far
+        dims = np.full(n, 2.0)
         objective = PlacementObjective(
             sources=objective.sources, targets=objective.targets,
-            weights=objective.weights, virtual_widths=objective.virtual_widths,
-            virtual_heights=objective.virtual_heights, gamma=1.0, tau=0.5,
+            weights=objective.weights, virtual_widths=dims,
+            virtual_heights=dims, gamma=1.0, tau=0.5,
         )
-        z = objective.pack(np.array([0.0, 1.0, 50.0]), np.zeros(3))
+        x = np.concatenate([[0.0, 1.0], 50.0 * np.arange(1, far + 1)])
+        z = objective.pack(x, np.zeros(n))
         objective.lam = 1.0
         objective.value(z)
         objective.density_and_grad(z)

@@ -127,6 +127,22 @@ class TestPlace:
         lost = int(placement.metadata["chosen_snapshot"] == "seed")
         assert counts.get("placement.seed_snapshot_chosen") == lost
 
+    def test_trace_shows_where_the_wirelength_goes(self, small_netlist):
+        config = PlacementConfig(max_lambda_stages=3, cg_iterations_per_stage=10)
+        with recording() as recorder:
+            placement = place(small_netlist, config=config, rng=7)
+        stages = placement.metadata["stages"]
+        (loop,) = recorder.tracer.named("placement.penalty_loop")
+        assert loop.attributes["hpwl_seed"] == placement.metadata["hpwl_seed"]
+        assert loop.attributes["hpwl_stages"] == [stage["hpwl"] for stage in stages]
+        assert loop.attributes["hpwl_refined"] == stages[-1]["hpwl"]
+        assert all(stage["hpwl"] > 0 for stage in stages)
+        # The list is swept at least once, and at most once per evaluation.
+        counts = recorder.snapshot()
+        assert 1 <= counts.get("placement.pair_rebuilds") <= counts.get(
+            "placement.density_evals"
+        )
+
     def test_deterministic_given_seed(self, small_netlist):
         config = PlacementConfig(max_lambda_stages=3, cg_iterations_per_stage=10)
         a = place(small_netlist, config=config, rng=7)

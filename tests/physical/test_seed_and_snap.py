@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.physical.placement.legalize as legalize
 from repro.physical.placement.density import true_overlap
 from repro.physical.placement.legalize import compact, grid_snap
 from repro.physical.placement.seed import connectivity_seed
@@ -61,18 +62,22 @@ class TestGridSnap:
         nx, ny = grid_snap(np.zeros(1), np.zeros(1), np.ones(1), np.ones(1))
         assert nx.shape == (1,)
 
-    def test_grows_map_when_needed(self, rng):
+    def test_grows_map_when_needed(self, rng, monkeypatch):
         # tight fill forces at least one growth iteration but must succeed
+        monkeypatch.setattr(legalize, "SNAP_FILL", 0.9)
         n = 30
         x = np.zeros(n)
         y = np.zeros(n)
         dims = rng.uniform(3, 9, n)
-        nx, ny = grid_snap(x, y, dims, dims, fill=0.9)
+        nx, ny = grid_snap(x, y, dims, dims)
         assert true_overlap(nx, ny, dims, dims) < 1e-9
 
-    def test_rejects_bad_fill(self):
-        with pytest.raises(ValueError):
-            grid_snap(np.zeros(2), np.zeros(2), np.ones(2), np.ones(2), fill=1.5)
+    def test_overfull_fill_still_legalizes(self, monkeypatch):
+        # A map sized below the cell area grows until every cell fits.
+        monkeypatch.setattr(legalize, "SNAP_FILL", 1.5)
+        dims = np.array([1.0, 2.0, 3.0])
+        nx, ny = grid_snap(np.zeros(3), np.zeros(3), dims, dims)
+        assert true_overlap(nx, ny, dims, dims) == 0.0
 
 
 class TestCompact:
@@ -99,9 +104,13 @@ class TestCompact:
         cx, cy = compact(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
         assert cx.size == 0
 
-    def test_rejects_bad_passes(self):
-        with pytest.raises(ValueError):
-            compact(np.zeros(2), np.zeros(2), np.ones(2), np.ones(2), passes=0)
+    def test_zero_passes_keep_the_layout(self, monkeypatch):
+        monkeypatch.setattr(legalize, "COMPACTION_PASSES", 0)
+        x = np.array([0.0, 50.0])
+        y = np.array([3.0, 9.0])
+        cx, cy = compact(x, y, np.ones(2), np.ones(2))
+        np.testing.assert_array_equal(cx, x)
+        np.testing.assert_array_equal(cy, y)
 
     def test_preserves_order(self):
         x = np.array([0.0, 50.0, 100.0])
