@@ -59,7 +59,7 @@ from repro.observability import (
     write_metrics_text,
 )
 
-__version__ = "9.1.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "AutoNCS",

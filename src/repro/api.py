@@ -12,9 +12,7 @@ the package top level::
     check  = repro.verify(result)
 
 All flow settings live in one documented :class:`FlowOptions` dataclass,
-so every entry point shares a single configuration surface and the
-runtime cache can key on ``options.cache_key()`` together with
-``network.digest()``.
+so every entry point shares a single configuration surface.
 
 Return types are the documented result dataclasses
 (:class:`~repro.core.autoncs.AutoNcsResult`,
@@ -51,6 +49,7 @@ from repro.mapping.netlist import MappingResult
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.physical.layout import PhysicalDesign
 from repro.utils.rng import RngLike
+from repro.utils.validation import check_whole_number
 from repro.verify.report import VerificationReport
 
 __all__ = ["FlowOptions", "compare", "load_network", "map_network", "verify"]
@@ -86,9 +85,7 @@ class FlowOptions:
     checks:
         ``verify`` only: subset of check names to run (``"coverage"``,
         ``"hardware"``, ``"physical"``, ``"functional"``); ``None`` runs
-        all.  Large-network flows typically restrict to
-        ``("coverage", "hardware")`` — the functional check simulates a
-        dense ``n × n`` weight matrix.
+        all.
     hopfield:
         ``verify`` only: optional :class:`~repro.networks.hopfield.
         HopfieldNetwork` enabling the Hopfield-recall functional check.
@@ -114,44 +111,13 @@ class FlowOptions:
     resilience: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
+        self.n_jobs = check_whole_number("n_jobs", self.n_jobs)
         if self.checks is not None:
             self.checks = tuple(str(c) for c in self.checks)
 
     def resolved_config(self) -> AutoNcsConfig:
         """The effective :class:`AutoNcsConfig` (defaults when unset)."""
         return self.config if self.config is not None else AutoNcsConfig()
-
-    def cache_key(self) -> str:
-        """A stable content hash over the **result-determining** fields.
-
-        Covers ``config`` (via its own :meth:`~repro.core.config.
-        AutoNcsConfig.cache_key`), ``seed``, ``verify``, ``baseline`` and
-        ``checks``.  Excluded by design: ``n_jobs`` and ``resilience``
-        (execution strategy — results are seed-reproducible regardless),
-        ``label`` (cosmetic) and ``hopfield`` (an in-memory object whose
-        influence is already captured by the functional-check flag in
-        ``checks``).  Combine with :meth:`~repro.networks.
-        connection_matrix.ConnectionMatrix.digest` to address cached flow
-        results.
-        """
-        from repro.utils.canonical import stable_hash
-
-        seed = self.seed
-        if seed is not None and not isinstance(seed, int):
-            # A live Generator has no stable content identity; callers
-            # wanting cache hits should pass int seeds.
-            seed = f"generator:{id(seed)}"
-        return stable_hash(
-            {
-                "config": self.resolved_config().cache_key(),
-                "seed": seed,
-                "verify": self.verify,
-                "baseline": self.baseline,
-                "checks": self.checks,
-            }
-        )
 
 
 def load_network(

@@ -43,10 +43,9 @@ from typing import Iterator, List, Optional
 
 from repro.api import FlowOptions
 from repro.api import compare as api_compare
-from repro.clustering import iterative_spectral_clustering
+from repro.core.autoncs import AutoNCS
 from repro.core.config import AutoNcsConfig, fast_config
 from repro.experiments.testbenches import build_testbench
-from repro.mapping import fullcro_utilization
 from repro.networks import random_sparse_network
 from repro.networks.connection_matrix import ConnectionMatrix
 from repro.networks.io import load_network_npz, save_network_npz
@@ -234,12 +233,9 @@ def _cmd_testbench(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     network = _load_or_generate(args)
-    threshold = fullcro_utilization(network, 64)
+    isc = AutoNCS().cluster(network, rng=args.seed)
     print(f"network: {network}")
-    print(f"ISC stop threshold (FullCro utilization): {threshold:.4f}")
-    isc = iterative_spectral_clustering(
-        network, utilization_threshold=threshold, rng=args.seed
-    )
+    print(f"ISC stop threshold (FullCro utilization): {isc.utilization_threshold:.4f}")
     for record in isc.records:
         print(
             f"  iter {record.iteration:2d}: +{record.crossbars_placed:3d} crossbars, "
@@ -402,10 +398,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     network = load_network_npz(args.network)
     clusters = None
     if args.clustered:
-        threshold = fullcro_utilization(network, 64)
-        isc = iterative_spectral_clustering(
-            network, utilization_threshold=threshold, rng=args.seed
-        )
+        isc = AutoNCS().cluster(network, rng=args.seed)
         clusters = [crossbar.rows for crossbar in isc.crossbars]
     svg = matrix_to_svg(network, clusters=clusters, title=network.name)
     save_svg(svg, args.output)

@@ -23,7 +23,7 @@ tractable end-to-end (see DESIGN.md and BENCH_clustering.json).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -153,7 +153,7 @@ def cluster_hierarchical(
 
     crossbars: List[CrossbarInstance] = []
     records: List[IscIterationRecord] = []
-    outlier_parts: List[Tuple[np.ndarray, np.ndarray]] = []
+    outlier_parts: List[np.ndarray] = []
     iteration_offset = 0
     tier_summaries = []
     for tier, tier_rng in enumerate(tier_rngs):
@@ -176,14 +176,13 @@ def cluster_hierarchical(
             )
         # Tier-local neuron ids → global ids, through ``members``.
         for crossbar in tier_result.crossbars:
-            rows = tuple(members[list(crossbar.rows)].tolist())
-            pairs = members[np.asarray(crossbar.connections, dtype=np.int64).reshape(-1, 2)]
+            rows = members[crossbar.rows]
             crossbars.append(
                 CrossbarInstance(
                     rows=rows,
                     cols=rows,
                     size=crossbar.size,
-                    connections=tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())),
+                    connections=members[crossbar.connections],
                 )
             )
         records.extend(
@@ -191,21 +190,17 @@ def cluster_hierarchical(
             for record in tier_result.records
         )
         iteration_offset += tier_result.iterations
-        if tier_result.outliers:
-            local = np.asarray(tier_result.outliers, dtype=np.int64)
-            outlier_parts.append((members[local[:, 0]], members[local[:, 1]]))
+        outlier_parts.append(members[tier_result.outliers])
         tier_summaries.append(
             {"neurons": int(members.size), "crossbars": len(tier_result.crossbars)}
         )
 
     # Cross-tier connections: everything the coarse cut severed.
     cut = network.remove_clusters(partition.labels)
-    outlier_parts.append(cut.connection_arrays())
+    outlier_parts.append(np.stack(cut.connection_arrays(), axis=1))
 
-    out_rows = np.concatenate([part[0] for part in outlier_parts])
-    out_cols = np.concatenate([part[1] for part in outlier_parts])
-    order = np.lexsort((out_cols, out_rows))  # global row-major, deterministic
-    outliers = list(zip(out_rows[order].tolist(), out_cols[order].tolist()))
+    outliers = np.concatenate(outlier_parts)
+    outliers = outliers[np.lexsort((outliers[:, 1], outliers[:, 0]))]  # global row-major
 
     total = network.num_connections
     result = IscResult(

@@ -34,6 +34,7 @@ from repro.hardware.crossbar import (
     check_exact_cover,
     clustered_connections,
     mean_utilization,
+    pair_array,
     size_histogram,
 )
 from repro.hardware.library import DEFAULT_CROSSBAR_SIZES, check_crossbar_sizes
@@ -64,23 +65,29 @@ class IscIterationRecord:
     quartile_preference: float
 
 
-@dataclass
+@dataclass(eq=False)
 class IscResult:
     """Full output of an ISC run: the hybrid implementation topology.
 
     Each crossbar is a :class:`~repro.hardware.crossbar.CrossbarInstance`
     whose rows and columns are one cluster's neurons (``rows == cols``)
     and whose size is the cluster's minimum satisfiable library size;
-    the mapping places these very instances.
+    the mapping places these very instances.  ``outliers`` holds the
+    connections left to discrete synapses as a read-only ``(k, 2)``
+    ``int64`` array in row-major order (see
+    :func:`~repro.hardware.crossbar.pair_array`).
     """
 
     network: ConnectionMatrix
     crossbars: List[CrossbarInstance]
-    outliers: List[Tuple[int, int]]
+    outliers: np.ndarray
     records: List[IscIterationRecord]
     utilization_threshold: float
     sizes: Tuple[int, ...] = DEFAULT_CROSSBAR_SIZES
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.outliers = pair_array(self.outliers, "outliers")
 
     @property
     def iterations(self) -> int:
@@ -134,20 +141,19 @@ def _crossbars(
     rows, cols, within = remaining.within_clusters(chosen)
     groups = chosen[rows[within]]
     order = np.argsort(groups, kind="stable")  # keeps row-major order per group
-    rows, cols = rows[within][order].tolist(), cols[within][order].tolist()
-    pair_bounds = [0] + np.cumsum(np.bincount(groups, minlength=len(sizes))).tolist()
-    neurons = np.argsort(chosen, kind="stable").tolist()  # the -1 neurons come first
-    member_bounds = np.cumsum(np.bincount(chosen + 1, minlength=len(sizes) + 1)).tolist()
+    pairs = np.stack([rows[within], cols[within]], axis=1)[order]
+    pair_bounds = np.cumsum(np.bincount(groups + 1, minlength=len(sizes) + 1))
+    neurons = np.argsort(chosen, kind="stable")  # the -1 neurons come first
+    member_bounds = np.cumsum(np.bincount(chosen + 1, minlength=len(sizes) + 1))
     crossbars = []
     for index, size in enumerate(sizes):
-        members = tuple(neurons[member_bounds[index] : member_bounds[index + 1]])
-        start, stop = pair_bounds[index], pair_bounds[index + 1]
+        members = neurons[member_bounds[index] : member_bounds[index + 1]]
         crossbars.append(
             CrossbarInstance(
                 rows=members,
                 cols=members,
                 size=size,
-                connections=tuple(zip(rows[start:stop], cols[start:stop])),
+                connections=pairs[pair_bounds[index] : pair_bounds[index + 1]],
             )
         )
     return crossbars
@@ -289,7 +295,7 @@ def iterative_spectral_clustering(
                 break
 
     # Line 18: whatever is left becomes discrete memristor synapses.
-    outliers = remaining.connection_list()
+    outliers = np.stack(remaining.connection_arrays(), axis=1)
     result = IscResult(
         network=network,
         crossbars=crossbars,

@@ -28,7 +28,7 @@ from typing import Any, Iterator, Optional
 
 from repro.clustering.hierarchical import cluster_hierarchical
 from repro.clustering.isc import IscResult, iterative_spectral_clustering
-from repro.core.config import AutoNcsConfig
+from repro.core.config import HIERARCHICAL_THRESHOLD, AutoNcsConfig
 from repro.core.report import ComparisonReport
 from repro.hardware.library import CrossbarLibrary
 from repro.mapping.autoncs_mapping import autoncs_mapping
@@ -264,37 +264,30 @@ class AutoNCS:
 
     # ------------------------------------------------------------------
     def cluster(self, network: ConnectionMatrix, rng: RngLike = None) -> IscResult:
-        """Run the configured clustering driver (flat ISC or tiered).
+        """Cluster ``network`` the way the flow does: flat ISC or tiered.
 
-        ``config.clustering`` picks the driver; the default (``"auto"``)
-        runs the paper's flat ISC up to
+        Runs the paper's flat ISC up to
         :data:`~repro.core.config.HIERARCHICAL_THRESHOLD` neurons — so all
         paper-scale results are untouched — and the tiered
         :func:`~repro.clustering.hierarchical.cluster_hierarchical` pass
-        above it.
+        (tiers of :data:`~repro.clustering.hierarchical.DEFAULT_TIER_SIZE`)
+        above it.  ISC stops at ``config.utilization_threshold``, by default
+        the FullCro utilization of ``network``.
         """
         _require_connections(network, stage="isc")
         threshold = self.config.utilization_threshold
         if threshold is None:
             threshold = fullcro_utilization(network, self.library.max_size)
-        if self.config.clustering_for(network.size) == "hierarchical":
-            return cluster_hierarchical(
-                network,
-                sizes=self.config.crossbar_sizes,
-                utilization_threshold=threshold,
-                selection_quantile=self.config.selection_quantile,
-                max_iterations=self.config.max_isc_iterations,
-                tier_size=self.config.tier_size,
-                rng=rng,
-            )
-        return iterative_spectral_clustering(
-            network,
+        options = dict(
             sizes=self.config.crossbar_sizes,
             utilization_threshold=threshold,
             selection_quantile=self.config.selection_quantile,
             max_iterations=self.config.max_isc_iterations,
             rng=rng,
         )
+        if network.size > HIERARCHICAL_THRESHOLD:
+            return cluster_hierarchical(network, **options)
+        return iterative_spectral_clustering(network, **options)
 
     def run(
         self,

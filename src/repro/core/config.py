@@ -13,8 +13,8 @@ from repro.physical.placement.placer import PlacementConfig
 from repro.physical.routing.router import RoutingConfig
 from repro.utils.validation import check_whole_number
 
-#: Network size above which ``clustering="auto"`` switches from flat ISC to
-#: the tiered pass.
+#: Network size above which :meth:`~repro.core.autoncs.AutoNCS.cluster`
+#: switches from flat ISC to the tiered pass.
 HIERARCHICAL_THRESHOLD = 4096
 
 
@@ -34,13 +34,6 @@ class AutoNcsConfig:
         Partial-selection quantile (0.75 → realize the top 25 % CP).
     max_isc_iterations:
         Safety cap on ISC iterations.
-    clustering:
-        Which clustering driver runs: ``"isc"`` (flat, the paper's
-        Algorithm 3), ``"hierarchical"`` (tiered Group-Scissor-style pass
-        for very large networks), or ``"auto"`` (default) — flat ISC up to
-        :data:`HIERARCHICAL_THRESHOLD` neurons, tiered above it.
-    tier_size:
-        Maximum neurons per tier of the hierarchical pass.
     technology:
         Physical technology model (45 nm default).
     placement / routing:
@@ -53,8 +46,6 @@ class AutoNcsConfig:
     utilization_threshold: Optional[float] = None
     selection_quantile: float = DEFAULT_SELECTION_QUANTILE
     max_isc_iterations: int = 50
-    clustering: str = "auto"
-    tier_size: int = 1024
     technology: Technology = field(default_factory=lambda: DEFAULT_TECHNOLOGY)
     placement: Optional[PlacementConfig] = None
     routing: Optional[RoutingConfig] = None
@@ -69,19 +60,9 @@ class AutoNcsConfig:
             )
         if not 0.0 < self.selection_quantile < 1.0:
             raise ValueError("selection_quantile must lie in (0, 1)")
-        for name in ("max_isc_iterations", "tier_size"):
-            setattr(self, name, check_whole_number(name, getattr(self, name)))
-        if self.clustering not in ("auto", "isc", "hierarchical"):
-            raise ValueError(
-                "clustering must be 'auto', 'isc' or 'hierarchical', "
-                f"got {self.clustering!r}"
-            )
-
-    def clustering_for(self, n: int) -> str:
-        """Resolve the clustering driver for a network of ``n`` neurons."""
-        if self.clustering != "auto":
-            return self.clustering
-        return "hierarchical" if n > HIERARCHICAL_THRESHOLD else "isc"
+        self.max_isc_iterations = check_whole_number(
+            "max_isc_iterations", self.max_isc_iterations
+        )
 
     def cache_key(self) -> str:
         """A stable content hash over every knob of this configuration.

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from repro.clustering.isc import iterative_spectral_clustering
+from repro.core.autoncs import AutoNCS
 from repro.experiments.testbenches import build_testbench, scaled_testbench
 from repro.mapping.autoncs_mapping import autoncs_mapping
-from repro.mapping.fullcro import fullcro_utilization
 from repro.reliability.yield_eval import YieldCurve, evaluate_yield
 from repro.utils.rng import RngLike, spawn_rng
 
@@ -90,11 +89,7 @@ def run_reliability_experiment(
     build_rng, yield_rng = spawn_rng(rng, 2)
     bench = scaled_testbench(testbench, dimension)
     instance = build_testbench(bench, rng=build_rng)
-    network = instance.network
-    threshold = fullcro_utilization(network, 64)
-    isc = iterative_spectral_clustering(
-        network, utilization_threshold=threshold, rng=build_rng
-    )
+    isc = AutoNCS().cluster(instance.network, rng=build_rng)
     mapping = autoncs_mapping(isc)
     curve = evaluate_yield(
         instance.hopfield,
@@ -116,7 +111,7 @@ def run_reliability_experiment(
         curve=curve,
         metadata={
             "outlier_ratio": isc.outlier_ratio,
-            "utilization_threshold": threshold,
+            "utilization_threshold": isc.utilization_threshold,
             "samples": samples,
             "spare_instances": spare_instances,
             "n_jobs": n_jobs,

@@ -7,11 +7,13 @@ Technology` model (:class:`CrossbarSpec`).  A :class:`CrossbarInstance` is
 one crossbar of a hybrid topology: ISC emits them, the mappings turn them
 into netlist cells, and :func:`check_exact_cover` asserts that a topology's
 crossbars plus its discrete synapses implement a network exactly.
+
+Neuron pairs are ``(m, 2)`` ``int64`` arrays everywhere (:func:`pair_array`):
+a crossbar's connections, ISC's outliers and a mapping's discrete synapses.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
@@ -19,9 +21,50 @@ from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 import numpy as np
 
 from repro.hardware.technology import Technology
+from repro.utils.validation import check_whole_number
 
 if TYPE_CHECKING:
     from repro.networks.connection_matrix import ConnectionMatrix
+
+
+def _id_array(name: str, values, pairs: bool) -> np.ndarray:
+    """``values`` as a read-only ``int64`` array of neuron ids: ``(m, 2)``
+    when ``pairs``, else 1-D.  Raises ``ValueError`` naming ``name``."""
+    shape = (-1, 2) if pairs else (-1,)
+    array = np.asarray(values)
+    if array.size == 0:
+        array = np.empty(0, dtype=np.int64).reshape(shape)
+    if (
+        array.ndim != len(shape)
+        or array.shape[1:] != shape[1:]
+        or not np.issubdtype(array.dtype, np.integer)
+    ):
+        expected = "(i, j) pairs of integer" if pairs else "integer"
+        raise ValueError(
+            f"{name} must be {expected} neuron ids, got a {array.dtype} array "
+            f"of shape {array.shape}"
+        )
+    array = array.astype(np.int64)
+    array.flags.writeable = False
+    return array
+
+
+def pair_array(pairs, name: str = "pairs") -> np.ndarray:
+    """``pairs`` as a read-only ``(m, 2)`` ``int64`` array, one ``(i, j)`` per row.
+
+    Accepts an ``(m, 2)`` integer array or a sequence of ``(i, j)`` pairs,
+    empty ones included, and keeps their order.
+    """
+    return _id_array(name, pairs, pairs=True)
+
+
+def _positions(ids: np.ndarray, neurons: np.ndarray) -> np.ndarray:
+    """Each of ``neurons``' index in the distinct ``ids``, -1 where absent."""
+    if ids.size == 0:
+        return np.full(neurons.shape, -1, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    positions = order[np.minimum(np.searchsorted(ids[order], neurons), ids.size - 1)]
+    return np.where(ids[positions] == neurons, positions, -1)
 
 
 @dataclass(frozen=True)
@@ -64,40 +107,64 @@ class CrossbarSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossbarInstance:
     """A placed crossbar connecting row neurons to column neurons.
 
     AutoNCS clusters yield ``rows == cols`` (a neuron set's mutual
     connections); FullCro block tiles have distinct row/column groups.
+    ``rows`` and ``cols`` are read-only ``int64`` arrays of distinct
+    non-negative neuron ids and ``connections`` is a read-only ``(m, 2)``
+    ``int64`` array of distinct ``(i, j)`` pairs, each with ``i`` in
+    ``rows`` and ``j`` in ``cols``; the constructor accepts any sequences
+    and keeps their order.
     """
 
-    rows: Tuple[int, ...]
-    cols: Tuple[int, ...]
+    rows: np.ndarray
+    cols: np.ndarray
     size: int
-    connections: Tuple[Tuple[int, int], ...]
+    connections: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if len(self.rows) > self.size or len(self.cols) > self.size:
+        object.__setattr__(self, "size", check_whole_number("size", self.size))
+        object.__setattr__(self, "rows", _id_array("rows", self.rows, pairs=False))
+        object.__setattr__(self, "cols", _id_array("cols", self.cols, pairs=False))
+        object.__setattr__(self, "connections", pair_array(self.connections, "connections"))
+        rows, cols, connections = self.rows, self.cols, self.connections
+        for name, ids in (("rows", rows), ("cols", cols)):
+            if ids.size and ids.min() < 0:
+                raise ValueError(f"{name} must be non-negative neuron ids, got {ids.min()}")
+        if rows.size > self.size or cols.size > self.size:
             raise ValueError(
-                f"{len(self.rows)} rows / {len(self.cols)} cols exceed "
-                f"crossbar size {self.size}"
+                f"{rows.size} rows / {cols.size} cols exceed crossbar size {self.size}"
             )
-        if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
+        if np.unique(rows).size != rows.size or np.unique(cols).size != cols.size:
             raise ValueError("row/column neuron lists must be unique")
-        row_set, col_set = set(self.rows), set(self.cols)
-        for i, j in self.connections:
-            if i not in row_set or j not in col_set:
-                raise ValueError(f"connection ({i}, {j}) outside the crossbar's rows/cols")
-        if len(set(self.connections)) != len(self.connections):
+        row_cells, col_cells = self.local_cells()
+        outside = np.flatnonzero((row_cells < 0) | (col_cells < 0))
+        if outside.size:
+            i, j = connections[outside[0]].tolist()
+            raise ValueError(f"connection ({i}, {j}) outside the crossbar's rows/cols")
+        if np.unique(row_cells * cols.size + col_cells).size != connections.shape[0]:
             raise ValueError("duplicate connections in a crossbar instance")
+
+    def local_cells(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The local ``(row, col)`` cell of each connection, in connection order.
+
+        Connection ``(i, j)`` sits at ``i``'s position in :attr:`rows` and
+        ``j``'s position in :attr:`cols` — the one rule by which the
+        simulator programs a crossbar and the defect model finds the
+        connections a dead cell loses.
+        """
+        return (
+            _positions(self.rows, self.connections[:, 0]),
+            _positions(self.cols, self.connections[:, 1]),
+        )
 
     @property
     def utilized_connections(self) -> int:
         """The paper's ``m`` for this crossbar."""
-        return len(self.connections)
+        return int(self.connections.shape[0])
 
     @property
     def utilization(self) -> float:
@@ -124,23 +191,22 @@ def clustered_connections(instances: Sequence[CrossbarInstance]) -> int:
 
 def check_exact_cover(
     instances: Sequence[CrossbarInstance],
-    synapses: Sequence[Tuple[int, int]],
+    synapses,
     network: "ConnectionMatrix",
 ) -> None:
     """Assert that the crossbar connections plus the synapses are exactly
     the edges of ``network``, each implemented once.
 
+    ``synapses`` holds ``(i, j)`` pairs (an ``(k, 2)`` array or a sequence).
     Raises ``AssertionError`` naming the first phantom pair (one that is
     not an edge of the network), else the first pair implemented twice
     (crossbar connections first, in instance order, then synapses), else
     the first missing edge in row-major order.
     """
-    pairs = itertools.chain(
-        itertools.chain.from_iterable(instance.connections for instance in instances),
-        synapses,
+    implemented = np.concatenate(
+        [instance.connections for instance in instances]
+        + [pair_array(synapses, "synapses")]
     )
-    implemented = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64)
-    implemented = implemented.reshape(-1, 2)
     n = network.size
     rows, cols = network.connection_arrays()
     edges = rows * n + cols

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.hardware.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.utils.validation import check_positive
 
@@ -137,7 +139,7 @@ def evaluate_energy(
     )
     # Crossbars program row-by-row (selected cells of a row share a pulse);
     # discrete synapses each need their own pulse.
-    row_pulses = sum(len(set(i for i, _ in inst.connections)) for inst in mapping.instances)
+    row_pulses = sum(np.unique(inst.connections[:, 0]).size for inst in mapping.instances)
     pulses = row_pulses + mapping.num_synapses
     programming_time_us = pulses * parameters.write_pulse_ns * 1e-3
 

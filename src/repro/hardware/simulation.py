@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse as sp
 
+from repro.hardware.crossbar import pair_array
 from repro.hardware.memristor import weights_to_conductances
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_probability
@@ -204,11 +206,12 @@ class HybridProgram:
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def compile(
-        cls, topology: "MappingResult", signed_weights: Optional[np.ndarray] = None
-    ) -> "HybridProgram":
+    def compile(cls, topology: "MappingResult", signed_weights=None) -> "HybridProgram":
         """Assemble the weight planes for ``topology`` (no RNG draws).
 
+        ``signed_weights`` is a dense ``(n, n)`` array or a scipy sparse
+        matrix, by default the network's CSR adjacency; only the weights of
+        the implemented pairs are read, so no ``n × n`` array is built.
         Raises ``TypeError`` unless ``topology`` has a mapping's
         ``instances``, ``synapse_connections`` and ``network``.
         """
@@ -219,48 +222,49 @@ class HybridProgram:
             raise TypeError(f"topology must be a MappingResult, got {type(topology).__name__}")
         n = network.size
         if signed_weights is None:
-            signed_weights = network.matrix.astype(float)
-        signed_weights = np.asarray(signed_weights, dtype=float)
-        if signed_weights.shape != (n, n):
-            raise ValueError(
-                f"signed_weights must have shape ({n}, {n}), got {signed_weights.shape}"
-            )
-        scale = float(np.max(np.abs(signed_weights)))
+            weights = network.adjacency()
+        elif sp.issparse(signed_weights):
+            weights = sp.csr_array(signed_weights).astype(float)
+        else:
+            weights = np.asarray(signed_weights, dtype=float)
+        if weights.shape != (n, n):
+            raise ValueError(f"signed_weights must have shape ({n}, {n}), got {weights.shape}")
+        scale = max_abs_weight(weights)
         scale = scale if scale > 0 else 1.0
-        normalized = signed_weights / scale
 
         compiled = []
         for instance in instances:
             s = instance.size
-            rows = np.asarray(instance.rows, dtype=int)
-            cols = np.asarray(instance.cols, dtype=int)
+            values = _pair_weights(weights, instance.connections) / scale
+            rows_local, cols_local = instance.local_cells()
+            positive = values >= 0
             pos = np.zeros((s, s))
             neg = np.zeros((s, s))
-            row_of = {int(g): local for local, g in enumerate(rows)}
-            col_of = {int(g): local for local, g in enumerate(cols)}
-            for gi, gj in instance.connections:
-                value = normalized[gi, gj]
-                if value >= 0:
-                    pos[row_of[gi], col_of[gj]] = value
-                else:
-                    neg[row_of[gi], col_of[gj]] = -value
-            compiled.append((rows, cols, pos, neg))
+            pos[rows_local[positive], cols_local[positive]] = values[positive]
+            neg[rows_local[~positive], cols_local[~positive]] = -values[~positive]
+            compiled.append((instance.rows, instance.cols, pos, neg))
 
-        synapse_rows = np.array([i for i, _ in synapse_connections], dtype=int)
-        synapse_cols = np.array([j for _, j in synapse_connections], dtype=int)
-        synapse_values = (
-            normalized[synapse_rows, synapse_cols]
-            if synapse_connections
-            else np.array([])
-        )
+        synapses = pair_array(synapse_connections, "synapse_connections")
         return cls(
             n=n,
             scale=scale,
             blocks=compiled,
-            synapse_rows=synapse_rows,
-            synapse_cols=synapse_cols,
-            synapse_values=synapse_values,
+            synapse_rows=synapses[:, 0],
+            synapse_cols=synapses[:, 1],
+            synapse_values=_pair_weights(weights, synapses) / scale,
         )
+
+
+def max_abs_weight(weights) -> float:
+    """``max |w|`` over a dense array or a sparse matrix (implicit zeros included)."""
+    return float(abs(weights).max())
+
+
+def _pair_weights(weights, pairs: np.ndarray) -> np.ndarray:
+    """The weight ``weights[i, j]`` of each ``(i, j)`` row of ``pairs``."""
+    if not pairs.shape[0]:
+        return np.zeros(0)
+    return np.asarray(weights[pairs[:, 0], pairs[:, 1]], dtype=float).ravel()
 
 
 class HybridNcsSimulator:
@@ -280,8 +284,8 @@ class HybridNcsSimulator:
         The hybrid topology: a :class:`~repro.mapping.netlist.MappingResult`
         (any other input raises ``TypeError``).
     signed_weights:
-        Optional real weight matrix (e.g. the Hopfield weights); defaults to
-        the binary connection matrix of the topology.
+        Optional real weight matrix, dense or scipy sparse (e.g. the
+        Hopfield weights); defaults to the topology's binary CSR adjacency.
     defect_map:
         Optional :class:`~repro.reliability.defects.DefectMap` whose entry
         ``k`` describes the physical crossbar serving block ``k``: stuck-off

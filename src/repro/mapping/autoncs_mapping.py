@@ -29,13 +29,12 @@ def autoncs_mapping(
                 f"offers {library.sizes}"
             )
     instances = list(isc_result.crossbars)
-    synapses = list(isc_result.outliers)
-    netlist = build_netlist(isc_result.network.size, instances, synapses, library)
+    netlist = build_netlist(isc_result.network.size, instances, isc_result.outliers, library)
     result = MappingResult(
         name=name,
         network=isc_result.network,
         instances=instances,
-        synapse_connections=synapses,
+        synapse_connections=isc_result.outliers,
         netlist=netlist,
         library=library,
         metadata={

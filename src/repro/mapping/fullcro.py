@@ -58,21 +58,19 @@ def fullcro_instances(
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     rows, cols, counts = _block_sorted_edges(network, max_size)
+    pairs = np.stack([rows, cols], axis=1)
+    stops = np.cumsum(counts)
     instances: List[CrossbarInstance] = []
-    start = 0
-    for count in counts:
-        stop = start + int(count)
-        block_rows = rows[start:stop]
-        block_cols = cols[start:stop]
+    for start, stop in zip(stops - counts, stops):
+        block = pairs[start:stop]
         instances.append(
             CrossbarInstance(
-                rows=tuple(np.unique(block_rows).tolist()),
-                cols=tuple(np.unique(block_cols).tolist()),
+                rows=np.unique(block[:, 0]),
+                cols=np.unique(block[:, 1]),
                 size=max_size,
-                connections=tuple(zip(block_rows.tolist(), block_cols.tolist())),
+                connections=block,
             )
         )
-        start = stop
     return instances
 
 
@@ -102,7 +100,7 @@ def fullcro_mapping(
     if library is None:
         library = CrossbarLibrary()
     instances = fullcro_instances(network, library.max_size)
-    synapses: List[Tuple[int, int]] = []
+    synapses = np.empty((0, 2), dtype=np.int64)
     netlist = build_netlist(network.size, instances, synapses, library)
     result = MappingResult(
         name=name,

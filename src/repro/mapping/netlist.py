@@ -21,9 +21,8 @@ wire; placement, routing, the cost model and the verifier all read them.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from repro.hardware.crossbar import (
     check_exact_cover,
     clustered_connections,
     mean_utilization,
+    pair_array,
     size_histogram,
 )
 from repro.hardware.library import CrossbarLibrary
@@ -166,29 +166,28 @@ class FaninFanoutBreakdown:
         return float(self.total.mean()) if self.total.size else 0.0
 
 
+def _port_neurons(instances: Sequence[CrossbarInstance]) -> np.ndarray:
+    """The neuron on each crossbar port: per instance its rows, then its columns."""
+    ports = [ids for instance in instances for ids in (instance.rows, instance.cols)]
+    return np.concatenate([np.empty(0, dtype=np.int64)] + ports)
+
+
 def fanin_fanout_breakdown(
     n_neurons: int,
     instances: Sequence[CrossbarInstance],
-    synapse_connections: Sequence[Tuple[int, int]],
+    synapse_connections,
 ) -> FaninFanoutBreakdown:
     """Count per-neuron crossbar-port and synapse wires."""
-    crossbar = np.zeros(n_neurons, dtype=int)
-    synapse = np.zeros(n_neurons, dtype=int)
-    for instance in instances:
-        for neuron in instance.rows:
-            crossbar[neuron] += 1
-        for neuron in instance.cols:
-            crossbar[neuron] += 1
-    for i, j in synapse_connections:
-        synapse[i] += 1
-        synapse[j] += 1
-    return FaninFanoutBreakdown(crossbar=crossbar, synapse=synapse)
+    return FaninFanoutBreakdown(
+        crossbar=np.bincount(_port_neurons(instances), minlength=n_neurons),
+        synapse=np.bincount(pair_array(synapse_connections).ravel(), minlength=n_neurons),
+    )
 
 
 def build_netlist(
     n_neurons: int,
     instances: Sequence[CrossbarInstance],
-    synapse_connections: Sequence[Tuple[int, int]],
+    synapse_connections,
     library: CrossbarLibrary,
 ) -> Netlist:
     """Construct the physical netlist for a mapped design.
@@ -197,11 +196,12 @@ def build_netlist(
     one cell per crossbar instance, then one cell per discrete synapse.
     Wire order: per instance a neuron → crossbar wire for each of its rows,
     then a crossbar → neuron wire for each of its columns; then per synapse
-    ``i → synapse`` and ``synapse → j``.
+    ``i → synapse`` and ``synapse → j``.  ``synapse_connections`` holds
+    ``(i, j)`` pairs (see :func:`~repro.hardware.crossbar.pair_array`).
     """
     if n_neurons < 1:
         raise ValueError(f"n_neurons must be >= 1, got {n_neurons}")
-    pairs = np.array(synapse_connections, dtype=np.intp).reshape(-1, 2)
+    pairs = pair_array(synapse_connections, "synapse_connections")
     outside = np.flatnonzero(~np.all((pairs >= 0) & (pairs < n_neurons), axis=1))
     if outside.size:
         i, j = pairs[outside[0]]
@@ -222,14 +222,10 @@ def build_netlist(
     )
 
     # Crossbar ports: each instance's rows, then its columns.
-    row_counts = np.array([len(x.rows) for x in instances], dtype=np.intp)
-    col_counts = np.array([len(x.cols) for x in instances], dtype=np.intp)
+    row_counts = np.array([x.rows.size for x in instances], dtype=np.intp)
+    col_counts = np.array([x.cols.size for x in instances], dtype=np.intp)
     port_counts = row_counts + col_counts
-    port_neurons = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain(x.rows, x.cols) for x in instances),
-        dtype=np.intp,
-        count=int(port_counts.sum()),
-    )
+    port_neurons = _port_neurons(instances)
     outside = np.flatnonzero((port_neurons < 0) | (port_neurons >= n))
     if outside.size:
         instance = int(np.searchsorted(np.cumsum(port_counts), outside[0], side="right"))
@@ -259,17 +255,25 @@ def build_netlist(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class MappingResult:
-    """A network fully mapped to hardware: instances + synapses + netlist."""
+    """A network fully mapped to hardware: instances + synapses + netlist.
+
+    ``synapse_connections`` holds the discrete synapses' ``(i, j)`` pairs as
+    a read-only ``(k, 2)`` ``int64`` array in netlist order; the
+    constructor accepts any sequence of pairs.
+    """
 
     name: str
     network: ConnectionMatrix
     instances: List[CrossbarInstance]
-    synapse_connections: List[Tuple[int, int]]
+    synapse_connections: np.ndarray
     netlist: Netlist
     library: CrossbarLibrary
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.synapse_connections = pair_array(self.synapse_connections, "synapse_connections")
 
     # ------------------------------------------------------------------
     @property
@@ -280,7 +284,7 @@ class MappingResult:
     @property
     def num_synapses(self) -> int:
         """Number of discrete synapses."""
-        return len(self.synapse_connections)
+        return int(self.synapse_connections.shape[0])
 
     @property
     def average_utilization(self) -> float:

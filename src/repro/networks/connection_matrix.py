@@ -27,15 +27,16 @@ Every count is an integer sum over the edges.
 Construction goes through :meth:`~ConnectionMatrix.from_dense`,
 :meth:`~ConnectionMatrix.from_sparse` and
 :meth:`~ConnectionMatrix.from_edges`.  :attr:`~ConnectionMatrix.matrix`
-materializes the dense array for rendering and simulation;
+materializes the dense array for rendering;
 :meth:`~ConnectionMatrix.adjacency` and :meth:`~ConnectionMatrix.similarity`
-are the CSR forms the clustering code builds Laplacians from.
+are the CSR forms the clustering code builds Laplacians from and the
+simulator reads weights from.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse as sp
@@ -151,7 +152,7 @@ class ConnectionMatrix:
         """A read-only dense ``uint8`` copy of the 0/1 matrix.
 
         This **materializes** the full ``n × n`` array — fine for rendering
-        or simulating small networks, ruinous at 100k neurons.
+        small networks, ruinous at 100k neurons.
         Scale-sensitive code should use :meth:`connection_arrays`,
         :meth:`submatrix` or :meth:`adjacency` instead.
         """
@@ -337,11 +338,6 @@ class ConnectionMatrix:
         return ConnectionMatrix.from_edges(
             self.size, (rows[~within], cols[~within]), name=self.name
         )
-
-    def connection_list(self) -> List[Tuple[int, int]]:
-        """All ``(i, j)`` pairs with ``w_ij == 1`` in row-major order."""
-        rows, cols = self.connection_arrays()
-        return list(zip(rows.tolist(), cols.tolist()))
 
     def permuted(self, order: Sequence[int]) -> "ConnectionMatrix":
         """Reorder neurons by ``order`` (used to draw clustered matrices)."""

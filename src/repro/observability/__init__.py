@@ -3,7 +3,7 @@
 Zero-dependency instrumentation layer for the AutoNCS flow:
 
 * :class:`Span` / :class:`Tracer` — hierarchical, thread-safe timed
-  regions (context-manager and :func:`traced` decorator forms);
+  regions, opened as context managers;
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` in a
   process-local :class:`MetricsRegistry`, read as immutable
   :class:`MetricsSnapshot` objects;
@@ -41,7 +41,7 @@ from repro.observability.recorder import (
     recording,
     set_recorder,
 )
-from repro.observability.spans import Span, Tracer, traced
+from repro.observability.spans import Span, Tracer
 
 __all__ = [
     "NULL_RECORDER",
@@ -60,7 +60,6 @@ __all__ = [
     "read_chrome_trace",
     "recording",
     "set_recorder",
-    "traced",
     "write_chrome_trace",
     "write_metrics_text",
 ]

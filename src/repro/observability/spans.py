@@ -15,13 +15,12 @@ processes land on one comparable axis; durations are measured with
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 
 @dataclass
@@ -155,29 +154,3 @@ class Tracer:
         """Drop all completed spans."""
         with self._lock:
             self.spans.clear()
-
-
-def traced(name: Optional[str] = None) -> Callable:
-    """Decorator form: run the function inside a span on the current recorder.
-
-    >>> from repro.observability import traced
-    >>> @traced("demo.add")
-    ... def add(a, b):
-    ...     return a + b
-    >>> add(1, 2)
-    3
-    """
-
-    def decorator(fn: Callable) -> Callable:
-        label = name if name is not None else fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            from repro.observability.recorder import get_recorder
-
-            with get_recorder().span(label):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorator

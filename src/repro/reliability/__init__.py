@@ -18,7 +18,7 @@ from repro.reliability.defects import (
     DefectRates,
     InstanceDefects,
     count_lost_connections,
-    local_cells,
+    lost_connection_mask,
     lost_connections,
     sample_defect_map,
     sample_instance_defects,
@@ -41,7 +41,7 @@ __all__ = [
     "count_lost_connections",
     "evaluate_yield",
     "hardware_recognition_rate",
-    "local_cells",
+    "lost_connection_mask",
     "lost_connections",
     "repair_mapping",
     "sample_defect_map",

@@ -11,17 +11,17 @@ lines are dead.  A defect map is the input to the fault-aware repair pass
 
 Conventions
 -----------
-A connection ``(i, j)`` of a :class:`~repro.hardware.crossbar.
-CrossbarInstance` occupies the local cell ``(rows.index(i), cols.index(j))``
-of its physical crossbar; a cell is *dead* when it is stuck (either way) or
-lies on a dead row/column line.  A connection landing on a dead cell is
-functionally lost until repaired.
+A connection of a :class:`~repro.hardware.crossbar.CrossbarInstance`
+occupies the local cell that :meth:`~repro.hardware.crossbar.
+CrossbarInstance.local_cells` gives it on its physical crossbar; a cell is
+*dead* when it is stuck (either way) or lies on a dead row/column line.  A
+connection landing on a dead cell is functionally lost until repaired.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -173,45 +173,32 @@ class DefectMap:
         return mapping
 
 
-def local_cells(instance: CrossbarInstance) -> Tuple[np.ndarray, np.ndarray]:
-    """Local ``(row, col)`` cell coordinates of each instance connection.
+def lost_connection_mask(instance: CrossbarInstance, defects: InstanceDefects) -> np.ndarray:
+    """Per connection of ``instance``, whether it lands on a dead cell of ``defects``.
 
-    Connection ``(i, j)`` sits at ``(rows.index(i), cols.index(j))`` — the
-    same convention :class:`~repro.hardware.simulation.HybridNcsSimulator`
-    uses when programming the crossbar.
+    Raises ``ValueError`` when ``defects`` is too small to host ``instance``.
     """
-    row_index = {int(neuron): local for local, neuron in enumerate(instance.rows)}
-    col_index = {int(neuron): local for local, neuron in enumerate(instance.cols)}
-    rows_local = np.array([row_index[i] for i, _ in instance.connections], dtype=int)
-    cols_local = np.array([col_index[j] for _, j in instance.connections], dtype=int)
-    return rows_local, cols_local
-
-
-def lost_connections(
-    instance: CrossbarInstance, defects: InstanceDefects
-) -> List[Tuple[int, int]]:
-    """Connections of ``instance`` that land on dead cells of ``defects``."""
-    if defects.size < max(len(instance.rows), len(instance.cols)):
+    if defects.size < max(instance.rows.size, instance.cols.size):
         raise ValueError(
             f"physical crossbar of size {defects.size} cannot host an instance "
-            f"with {len(instance.rows)} rows / {len(instance.cols)} cols"
+            f"with {instance.rows.size} rows / {instance.cols.size} cols"
         )
-    if not instance.connections:
-        return []
-    rows_local, cols_local = local_cells(instance)
-    dead = defects.dead_mask()
-    hit = dead[rows_local, cols_local]
-    return [pair for pair, lost in zip(instance.connections, hit) if lost]
+    rows_local, cols_local = instance.local_cells()
+    return defects.dead_mask()[rows_local, cols_local]
+
+
+def lost_connections(instance: CrossbarInstance, defects: InstanceDefects) -> np.ndarray:
+    """Connections of ``instance`` that land on dead cells of ``defects``, as
+    an ``(k, 2)`` array in connection order."""
+    return instance.connections[lost_connection_mask(instance, defects)]
 
 
 def count_lost_connections(instance: CrossbarInstance, defects: InstanceDefects) -> int:
-    """Number of instance connections landing on dead cells (fast path)."""
-    if defects.size < max(len(instance.rows), len(instance.cols)):
-        return len(instance.connections) + 1  # infeasible binding sentinel
-    if not instance.connections:
-        return 0
-    rows_local, cols_local = local_cells(instance)
-    return int(defects.dead_mask()[rows_local, cols_local].sum())
+    """Number of instance connections landing on dead cells; one more than
+    the instance's connections when ``defects`` cannot host it."""
+    if defects.size < max(instance.rows.size, instance.cols.size):
+        return instance.utilized_connections + 1  # infeasible binding sentinel
+    return int(lost_connection_mask(instance, defects).sum())
 
 
 def sample_instance_defects(

@@ -24,13 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.hardware.crossbar import CrossbarInstance
 from repro.mapping.netlist import MappingResult, build_netlist
 from repro.reliability.defects import (
     DefectMap,
     DefectRates,
     count_lost_connections,
-    lost_connections,
+    lost_connection_mask,
 )
 
 
@@ -185,17 +187,13 @@ def repair_mapping(
 
     new_instances: List[CrossbarInstance] = []
     surviving_physical: List[int] = []
-    demoted: List[Tuple[int, int]] = []
-    lost_after = 0
+    synapse_parts = [mapping.synapse_connections]
     clusters_demoted = 0
     for k, instance in enumerate(instances):
         physical = defect_map.instances[binding[k]]
-        lost = lost_connections(instance, physical)
-        lost_after += len(lost)
-        lost_set = set(lost)
-        remaining = [pair for pair in instance.connections if pair not in lost_set]
-        demoted.extend(lost)
-        if not remaining:
+        lost = lost_connection_mask(instance, physical)
+        synapse_parts.append(instance.connections[lost])  # demoted
+        if lost.all():
             clusters_demoted += 1
             continue  # whole cluster demoted; drop the instance
         new_instances.append(
@@ -203,12 +201,13 @@ def repair_mapping(
                 rows=instance.rows,
                 cols=instance.cols,
                 size=physical.size,
-                connections=tuple(remaining),
+                connections=instance.connections[~lost],
             )
         )
         surviving_physical.append(binding[k])
 
-    new_synapses = list(mapping.synapse_connections) + demoted
+    new_synapses = np.concatenate(synapse_parts)
+    lost_after = new_synapses.shape[0] - mapping.num_synapses  # the demoted connections
     netlist = build_netlist(
         mapping.network.size, new_instances, new_synapses, mapping.library
     )
@@ -229,7 +228,7 @@ def repair_mapping(
         rates=defect_map.rates,
         connections_lost_before=lost_before,
         connections_lost_after_rebinding=lost_after,
-        synapses_added=len(demoted),
+        synapses_added=lost_after,
         clusters_rebound=sum(1 for k, p in enumerate(binding) if p != k),
         clusters_demoted=clusters_demoted,
         spares_used=sum(1 for p in binding if p >= len(instances)),

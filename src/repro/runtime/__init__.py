@@ -57,7 +57,6 @@ from repro.runtime.resilience import (
 from repro.runtime.runner import (
     Runner,
     SweepResult,
-    default_n_jobs,
     register_executor,
     registered_kinds,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "UnknownJobKindError",
     "chaos_point",
     "chaos_scope",
-    "default_n_jobs",
     "follow_trace",
     "job_cache_key",
     "tail_trace",

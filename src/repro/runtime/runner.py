@@ -41,7 +41,6 @@ worker, so chaos decisions are identical on every path.
 from __future__ import annotations
 
 import heapq
-import os
 import time as _time
 from collections import deque
 from contextlib import nullcontext
@@ -71,6 +70,7 @@ from repro.runtime.resilience import (
     UnknownJobKindError,
 )
 from repro.utils.canonical import stable_hash
+from repro.utils.validation import check_whole_number
 
 #: kind -> executor(rng=..., **payload).  Module-level so that worker
 #: processes rebuild it on import, even under the 'spawn' start method.
@@ -202,14 +202,6 @@ def _execute_job(
     return index, value, span.duration, state
 
 
-def default_n_jobs() -> int:
-    """A sensible worker count: ``REPRO_N_JOBS`` env or the CPU count."""
-    env = os.environ.get("REPRO_N_JOBS", "")
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
-
-
 @dataclass
 class _JobState:
     """Mutable per-pending-job bookkeeping for the resilient paths."""
@@ -258,9 +250,7 @@ class Runner:
         chaos: Optional[FaultPlan] = None,
         journal: Optional[SweepJournal] = None,
     ) -> None:
-        if n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        self.n_jobs = int(n_jobs)
+        self.n_jobs = check_whole_number("n_jobs", n_jobs)
         self.cache = cache
         self.events = events if events is not None else EventLog()
         self.resilience = resilience

@@ -9,7 +9,6 @@ buggy producer alike).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -53,6 +52,11 @@ def _add_capped(
     return len(items)
 
 
+def _pair(pair: np.ndarray) -> Tuple[int, int]:
+    """One row of a pair array as the ``(i, j)`` tuple the messages print."""
+    return tuple(pair.tolist())
+
+
 # ----------------------------------------------------------------------
 # 1. Coverage — the mapping realizes the network, exactly
 # ----------------------------------------------------------------------
@@ -64,36 +68,41 @@ def check_coverage(mapping: MappingResult) -> CheckResult:
     of 1-entries of the source connection matrix.
     """
     violations: List[Violation] = []
-    realized: Counter = Counter()
-    for index, instance in enumerate(mapping.instances):
-        for pair in instance.connections:
-            realized[tuple(int(v) for v in pair)] += 1
-    crossbar_realized = sum(realized.values())
-    for pair in mapping.synapse_connections:
-        realized[tuple(int(v) for v in pair)] += 1
-
-    expected = set(mapping.network.connection_list())
-    duplicated = sorted(pair for pair, count in realized.items() if count > 1)
-    missing = sorted(expected - set(realized))
-    extra = sorted(set(realized) - expected)
+    crossbar_pairs = [instance.connections for instance in mapping.instances]
+    realized, counts = np.unique(
+        np.concatenate(crossbar_pairs + [mapping.synapse_connections]),
+        axis=0,
+        return_counts=True,
+    )  # sorted row-major
+    n = mapping.network.size
+    rows, cols = mapping.network.connection_arrays()
+    edges = rows * n + cols
+    in_range = np.all((realized >= 0) & (realized < n), axis=1)
+    keys = np.where(in_range, realized[:, 0] * n + realized[:, 1], -1)
+    extra = realized[~np.isin(keys, edges)]
+    missing = np.stack([rows, cols], axis=1)[~np.isin(edges, keys)]
+    duplicated = np.flatnonzero(counts > 1)
 
     _add_capped(
         violations,
         "coverage",
-        (f"connection {pair} realized {realized[pair]} times" for pair in duplicated),
+        (
+            f"connection {_pair(realized[index])} realized {counts[index]} times"
+            for index in duplicated
+        ),
         "double-realized connections",
     )
     _add_capped(
         violations,
         "coverage",
-        (f"connection {pair} of the network is not realized anywhere" for pair in missing),
+        (f"connection {_pair(pair)} of the network is not realized anywhere" for pair in missing),
         "unrealized connections",
     )
     _add_capped(
         violations,
         "coverage",
         (
-            f"realized connection {pair} does not exist in network "
+            f"realized connection {_pair(pair)} does not exist in network "
             f"{mapping.network.name!r}"
             for pair in extra
         ),
@@ -103,9 +112,9 @@ def check_coverage(mapping: MappingResult) -> CheckResult:
         name="coverage",
         violations=violations,
         stats={
-            "expected": len(expected),
-            "realized_crossbar": crossbar_realized,
-            "realized_synapse": len(mapping.synapse_connections),
+            "expected": int(edges.size),
+            "realized_crossbar": sum(pairs.shape[0] for pairs in crossbar_pairs),
+            "realized_synapse": mapping.num_synapses,
         },
     )
 
@@ -125,18 +134,17 @@ def _check_instances(mapping: MappingResult, violations: List[Violation]) -> Non
                     {"instance": index, "size": instance.size},
                 )
             )
-        if len(instance.rows) > instance.size or len(instance.cols) > instance.size:
+        rows, cols, connections = instance.rows, instance.cols, instance.connections
+        if rows.size > instance.size or cols.size > instance.size:
             violations.append(
                 Violation(
                     "hardware",
-                    f"crossbar {index} hosts {len(instance.rows)} rows / "
-                    f"{len(instance.cols)} cols on a size-{instance.size} array",
+                    f"crossbar {index} hosts {rows.size} rows / "
+                    f"{cols.size} cols on a size-{instance.size} array",
                     {"instance": index},
                 )
             )
-        if len(set(instance.rows)) != len(instance.rows) or len(set(instance.cols)) != len(
-            instance.cols
-        ):
+        if np.unique(rows).size != rows.size or np.unique(cols).size != cols.size:
             violations.append(
                 Violation(
                     "hardware",
@@ -145,57 +153,49 @@ def _check_instances(mapping: MappingResult, violations: List[Violation]) -> Non
                     {"instance": index},
                 )
             )
-        out_of_range = [
-            neuron
-            for neuron in (*instance.rows, *instance.cols)
-            if not 0 <= int(neuron) < n
-        ]
-        if out_of_range:
+        ports = np.concatenate((rows, cols))
+        out_of_range = np.unique(ports[(ports < 0) | (ports >= n)])
+        if out_of_range.size:
             violations.append(
                 Violation(
                     "hardware",
-                    f"crossbar {index} references neurons {sorted(set(out_of_range))} "
+                    f"crossbar {index} references neurons {out_of_range.tolist()} "
                     f"outside [0, {n})",
                     {"instance": index},
                 )
             )
-        row_set = set(instance.rows)
-        col_set = set(instance.cols)
-        bad_cells = [
-            pair
-            for pair in instance.connections
-            if pair[0] not in row_set or pair[1] not in col_set
-        ]
+        rows_local, cols_local = instance.local_cells()
         _add_capped(
             violations,
             "hardware",
             (
-                f"crossbar {index}: connection {pair} uses a neuron with no "
+                f"crossbar {index}: connection {_pair(pair)} uses a neuron with no "
                 "row/column port on this array"
-                for pair in bad_cells
+                for pair in connections[(rows_local < 0) | (cols_local < 0)]
             ),
             f"crossbar {index} portless connections",
             {"instance": index},
         )
-        if len(instance.connections) > instance.size * instance.size:
+        if connections.shape[0] > instance.size * instance.size:
             violations.append(
                 Violation(
                     "hardware",
-                    f"crossbar {index} claims {len(instance.connections)} cells "
+                    f"crossbar {index} claims {connections.shape[0]} cells "
                     f"on a size-{instance.size} array (capacity "
                     f"{instance.size * instance.size})",
                     {"instance": index},
                 )
             )
-    for index, (i, j) in enumerate(mapping.synapse_connections):
-        if not (0 <= int(i) < n and 0 <= int(j) < n):
-            violations.append(
-                Violation(
-                    "hardware",
-                    f"discrete synapse {index} connects ({i}, {j}) outside [0, {n})",
-                    {"synapse": index},
-                )
+    synapses = mapping.synapse_connections
+    for index in np.flatnonzero(~np.all((synapses >= 0) & (synapses < n), axis=1)).tolist():
+        i, j = synapses[index].tolist()
+        violations.append(
+            Violation(
+                "hardware",
+                f"discrete synapse {index} connects ({i}, {j}) outside [0, {n})",
+                {"synapse": index},
             )
+        )
 
 
 def _check_netlist(mapping: MappingResult, violations: List[Violation]) -> None:
@@ -315,7 +315,7 @@ def _check_defect_binding(mapping: MappingResult, violations: List[Violation]) -
             violations,
             "hardware",
             (
-                f"repaired crossbar {index}: connection {pair} still sits on a "
+                f"repaired crossbar {index}: connection {_pair(pair)} still sits on a "
                 "dead cell of its bound physical array"
                 for pair in dead
             ),
@@ -604,7 +604,7 @@ def check_functional(
     trajectories without any hardware defect.  Per-step activation
     equivalence is the invariant the hardware can actually guarantee.
     """
-    from repro.hardware.simulation import HybridNcsSimulator
+    from repro.hardware.simulation import HybridNcsSimulator, max_abs_weight
 
     violations: List[Violation] = []
     n = mapping.network.size
@@ -617,13 +617,12 @@ def check_functional(
             )
         )
         return CheckResult(name="functional", violations=violations)
-    weights = (
-        hopfield.weights if hopfield is not None else mapping.network.matrix.astype(float)
-    )
+    # The network's own weights stay sparse: nothing here builds an n × n array.
+    weights = hopfield.weights if hopfield is not None else mapping.network.adjacency()
     simulator = HybridNcsSimulator(mapping, signed_weights=weights)
     generator = ensure_rng(rng)
     max_error = 0.0
-    scale = max(1.0, float(np.max(np.abs(weights))) * n)
+    scale = max(1.0, max_abs_weight(weights) * n)
     for probe_index in range(max(1, probes)):
         x = generator.choice([-1.0, 1.0], size=n)
         ideal = x @ weights

@@ -318,7 +318,8 @@ def iterative_spectral_clustering(
             )
             if avg_u < utilization_threshold:
                 break
-    outliers = remaining.connection_list()
+    out_rows, out_cols = remaining.connection_arrays()
+    outliers = list(zip(out_rows.tolist(), out_cols.tolist()))
     result = IscResult(
         network=network,
         crossbars=crossbars,
@@ -414,7 +415,7 @@ def cluster_hierarchical(
             for record in tier_result.records
         )
         iteration_offset += tier_result.iterations
-        if tier_result.outliers:
+        if len(tier_result.outliers):
             local = np.asarray(tier_result.outliers, dtype=np.int64)
             outlier_parts.append((members[local[:, 0]], members[local[:, 1]]))
         tier_summaries.append(

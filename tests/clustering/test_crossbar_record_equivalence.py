@@ -11,7 +11,7 @@ construction, the tiered stitch, the mapping's conversion, both set-based
 bodies and both copies of the crossbar statistics.  They read clusters as
 member lists, through the test-local ``parent_partition`` copies.  Every check runs the
 reference and the current code from equal seeds and asserts equal
-``(rows, cols, size, connections)`` lists of Python ints, outliers,
+crossbar sizes and ``int64`` rows, cols and connections arrays, outliers,
 records (by repr), metadata, statistics, metrics and trace spans, and
 byte-equal netlist arrays; and that the array-based cover check rejects
 exactly the tampered covers the set-based bodies rejected.
@@ -39,7 +39,7 @@ from repro.clustering.preference import (
     minimum_satisfiable_size,
 )
 from repro.experiments.testbenches import build_testbench, scaled_testbench
-from repro.hardware.crossbar import CrossbarInstance, check_exact_cover
+from repro.hardware.crossbar import CrossbarInstance, check_exact_cover, pair_array
 from repro.hardware.library import DEFAULT_CROSSBAR_SIZES, CrossbarLibrary
 from repro.mapping import autoncs_mapping, fullcro_utilization
 from repro.mapping.netlist import build_netlist
@@ -52,8 +52,20 @@ from repro.networks import (
 from repro.observability import get_recorder, recording
 from repro.utils.rng import ensure_rng, spawn_rng
 from tests.clustering import parent_partition as parent
+from tests.crossbar_asserts import assert_same_crossbars, assert_same_pairs
 
 SIZE_LIBRARIES = [DEFAULT_CROSSBAR_SIZES, (4, 8, 12, 16), (6, 10), (8,)]
+
+
+def _edge_list(network):
+    """The network's ``(i, j)`` edges as Python-int tuples, row-major."""
+    rows, cols = network.connection_arrays()
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _tuples(pairs):
+    """A pair array (or sequence) as a list of Python-int tuples."""
+    return [tuple(pair) for pair in np.asarray(pairs).reshape(-1, 2).tolist()]
 
 
 # ----------------------------------------------------------------------
@@ -130,13 +142,13 @@ class _OldIscResult:
     def validate(self) -> None:
         implemented: set = set()
         for assignment in self.crossbars:
-            for pair in assignment.connections:
+            for pair in _tuples(assignment.connections):
                 assert pair not in implemented, f"connection {pair} implemented twice"
                 implemented.add(pair)
-        for pair in self.outliers:
+        for pair in _tuples(self.outliers):
             assert pair not in implemented, f"outlier {pair} also on a crossbar"
             implemented.add(pair)
-        expected = set(self.network.connection_list())
+        expected = set(_edge_list(self.network))
         assert implemented == expected, (
             f"implementation covers {len(implemented)} connections, "
             f"network has {len(expected)}"
@@ -172,13 +184,13 @@ class _OldMapping:
     def validate(self) -> None:
         implemented: set = set()
         for instance in self.instances:
-            for pair in instance.connections:
+            for pair in _tuples(instance.connections):
                 assert pair not in implemented, f"connection {pair} implemented twice"
                 implemented.add(pair)
-        for pair in self.synapse_connections:
+        for pair in _tuples(self.synapse_connections):
             assert pair not in implemented, f"synapse {pair} duplicates a crossbar connection"
             implemented.add(pair)
-        expected = set(self.network.connection_list())
+        expected = set(_edge_list(self.network))
         assert implemented == expected, (
             f"mapping implements {len(implemented)} connections, "
             f"network has {len(expected)}"
@@ -273,7 +285,7 @@ def _old_iterative_spectral_clustering(
             )
             if avg_u < utilization_threshold:
                 break
-    outliers = remaining.connection_list()
+    outliers = _edge_list(remaining)
     result = _OldIscResult(
         network=network,
         crossbars=crossbars,
@@ -452,13 +464,6 @@ def _spans(recorder):
     return [(span.name, span.attributes, span.depth) for span in recorder.tracer.spans]
 
 
-def _assert_python_ints(crossbar):
-    values = list(crossbar.rows) + list(crossbar.cols) + [crossbar.size]
-    values += [v for pair in crossbar.connections for v in pair]
-    assert all(type(v) is int for v in values)
-    assert all(type(pair) is tuple for pair in crossbar.connections)
-
-
 def _assert_same_records(new_run, old_run, network, **kwargs):
     """Cluster with the current and the reference code from equal seeds;
     assert equal ISC results and mappings."""
@@ -466,13 +471,17 @@ def _assert_same_records(new_run, old_run, network, **kwargs):
         new = new_run(network, **kwargs)
     with recording() as old_recorder:
         old = old_run(network, **kwargs)
-    assert [(c.rows, c.cols, c.size, c.connections) for c in new.crossbars] == [
-        (a.members, a.members, a.size, a.connections) for a in old.crossbars
-    ]
-    assert all(type(c) is CrossbarInstance for c in new.crossbars)
-    for crossbar in new.crossbars:
-        _assert_python_ints(crossbar)
-    assert new.outliers == old.outliers
+    assert_same_crossbars(
+        new.crossbars,
+        [
+            CrossbarInstance(
+                rows=a.members, cols=a.members, size=a.size, connections=a.connections
+            )
+            for a in old.crossbars
+        ],
+    )
+    assert all(type(c) is CrossbarInstance and type(c.size) is int for c in new.crossbars)
+    assert_same_pairs(new.outliers, pair_array(old.outliers))
     assert repr(new.records) == repr(old.records)
     assert new.metadata == old.metadata and new.sizes == old.sizes
     assert repr(new.average_utilization) == repr(old.average_utilization)
@@ -485,10 +494,10 @@ def _assert_same_records(new_run, old_run, network, **kwargs):
 
     mapping = autoncs_mapping(new)
     old_mapping, old_netlist = _old_autoncs_mapping(old)
-    assert mapping.instances == old_mapping.instances
+    assert_same_crossbars(mapping.instances, old_mapping.instances)
     assert mapping.instances is not new.crossbars
     assert all(a is b for a, b in zip(mapping.instances, new.crossbars))
-    assert mapping.synapse_connections == old_mapping.synapse_connections
+    assert_same_pairs(mapping.synapse_connections, pair_array(old_mapping.synapse_connections))
     for name in NETLIST_ARRAYS:
         mine, theirs = getattr(mapping.netlist, name), getattr(old_netlist, name)
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
@@ -585,7 +594,7 @@ TAMPERS = (
 def _tampered(instance, connections):
     """``instance`` with its connections replaced, bypassing the constructor's checks."""
     tampered = dataclasses.replace(instance)
-    object.__setattr__(tampered, "connections", tuple(connections))
+    object.__setattr__(tampered, "connections", pair_array(connections))
     return tampered
 
 
@@ -593,7 +602,7 @@ def _tampered(instance, connections):
 def covers(draw, tamper):
     """A network and an exact cover of it by crossbars and synapses, tampered."""
     network = draw(small_networks(min_n=4, max_n=24))
-    edges = network.connection_list()
+    edges = _edge_list(network)
     assume(edges)
     groups = draw(st.lists(st.integers(-1, 3), min_size=len(edges), max_size=len(edges)))
     instances = []
@@ -611,25 +620,26 @@ def covers(draw, tamper):
             CrossbarInstance(rows=rows, cols=cols, size=size, connections=tuple(pairs))
         )
     synapses = draw(st.permutations([pair for pair, g in zip(edges, groups) if g == -1]))
-    on_crossbars = [k for k, x in enumerate(instances) if x.connections]
+    on_crossbars = [k for k, x in enumerate(instances) if x.connections.size]
     if tamper == "duplicate_within_crossbar":
         assume(on_crossbars)
         k = draw(st.sampled_from(on_crossbars))
-        pair = draw(st.sampled_from(instances[k].connections))
-        position = draw(st.integers(0, len(instances[k].connections)))
-        connections = list(instances[k].connections)
-        connections.insert(position, pair)
+        connections = _tuples(instances[k].connections)
+        pair = draw(st.sampled_from(connections))
+        connections.insert(draw(st.integers(0, len(connections))), pair)
         instances[k] = _tampered(instances[k], connections)
     elif tamper == "duplicate_across_crossbars":
         assume(on_crossbars)
         k = draw(st.sampled_from(on_crossbars))
         other = draw(st.sampled_from([x for x in range(4) if x != k]))
-        pair = draw(st.sampled_from(instances[k].connections))
-        instances[other] = _tampered(instances[other], instances[other].connections + (pair,))
+        pair = draw(st.sampled_from(_tuples(instances[k].connections)))
+        instances[other] = _tampered(
+            instances[other], _tuples(instances[other].connections) + [pair]
+        )
     elif tamper == "crossbar_and_synapse":
         assume(on_crossbars)
         k = draw(st.sampled_from(on_crossbars))
-        pair = draw(st.sampled_from(instances[k].connections))
+        pair = draw(st.sampled_from(_tuples(instances[k].connections)))
         synapses.insert(draw(st.integers(0, len(synapses))), pair)
     elif tamper == "duplicate_synapse":
         assume(synapses)
@@ -638,7 +648,9 @@ def covers(draw, tamper):
         pair = draw(st.sampled_from(edges))
         synapses = [p for p in synapses if p != pair]
         instances = [
-            _tampered(x, [p for p in x.connections if p != pair]) if pair in x.connections else x
+            _tampered(x, [p for p in _tuples(x.connections) if p != pair])
+            if pair in _tuples(x.connections)
+            else x
             for x in instances
         ]
     elif tamper in ("phantom", "out_of_range"):
@@ -654,7 +666,7 @@ def covers(draw, tamper):
             synapses.insert(draw(st.integers(0, len(synapses))), pair)
         else:
             k = draw(st.integers(0, 3))
-            instances[k] = _tampered(instances[k], instances[k].connections + (pair,))
+            instances[k] = _tampered(instances[k], _tuples(instances[k].connections) + [pair])
     return network, instances, synapses
 
 

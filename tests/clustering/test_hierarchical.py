@@ -11,10 +11,11 @@ from repro.clustering import (
     coarse_partition,
     iterative_spectral_clustering,
 )
+import repro.core.autoncs as autoncs_module
 from repro.core.autoncs import AutoNCS
-from repro.core.config import HIERARCHICAL_THRESHOLD, AutoNcsConfig
-from repro.mapping import autoncs_mapping
-from repro.networks import block_diagonal_network, scale_free_network
+from repro.core.config import HIERARCHICAL_THRESHOLD
+from repro.mapping import autoncs_mapping, fullcro_utilization
+from repro.networks import block_diagonal_network, random_sparse_network, scale_free_network
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +59,10 @@ class TestClusterHierarchical:
     def test_small_network_delegates_to_flat_isc(self, tiered_network):
         tiered = cluster_hierarchical(tiered_network, rng=0)  # size < tier_size
         flat = iterative_spectral_clustering(tiered_network, rng=0)
-        assert [
-            (a.rows, a.size) for a in tiered.crossbars
-        ] == [(a.rows, a.size) for a in flat.crossbars]
-        assert tiered.outliers == flat.outliers
+        assert [a.size for a in tiered.crossbars] == [a.size for a in flat.crossbars]
+        for a, b in zip(tiered.crossbars, flat.crossbars):
+            np.testing.assert_array_equal(a.rows, b.rows)
+        np.testing.assert_array_equal(tiered.outliers, flat.outliers)
 
     def test_tiered_result_validates(self, tiered_network):
         result = cluster_hierarchical(tiered_network, tier_size=32, rng=0)
@@ -77,10 +78,10 @@ class TestClusterHierarchical:
     def test_deterministic(self, tiered_network):
         a = cluster_hierarchical(tiered_network, tier_size=32, rng=7)
         b = cluster_hierarchical(tiered_network, tier_size=32, rng=7)
-        assert [(x.rows, x.size) for x in a.crossbars] == [
-            (x.rows, x.size) for x in b.crossbars
-        ]
-        assert a.outliers == b.outliers
+        assert [x.size for x in a.crossbars] == [x.size for x in b.crossbars]
+        for x, y in zip(a.crossbars, b.crossbars):
+            np.testing.assert_array_equal(x.rows, y.rows)
+        np.testing.assert_array_equal(a.outliers, b.outliers)
 
     def test_maps_downstream_unchanged(self, tiered_network):
         result = cluster_hierarchical(tiered_network, tier_size=32, rng=0)
@@ -117,21 +118,26 @@ class TestConfigRouting:
     def test_default_tier_size_exported(self):
         assert DEFAULT_TIER_SIZE == 1024
 
-    def test_clustering_for_resolves(self):
-        config = AutoNcsConfig()
-        assert config.clustering_for(HIERARCHICAL_THRESHOLD) == "isc"
-        assert config.clustering_for(HIERARCHICAL_THRESHOLD + 1) == "hierarchical"
+    @pytest.fixture()
+    def clusterers(self, monkeypatch):
+        """Spy on the two clustering functions ``AutoNCS.cluster`` may call."""
+        calls = []
+        for name in ("iterative_spectral_clustering", "cluster_hierarchical"):
+            monkeypatch.setattr(
+                autoncs_module, name,
+                lambda network, name=name, **options: calls.append((name, options)),
+            )
+        return calls
 
-    def test_explicit_modes_override_auto(self):
-        assert AutoNcsConfig(clustering="isc").clustering_for(10**6) == "isc"
-        assert AutoNcsConfig(clustering="hierarchical").clustering_for(10) == "hierarchical"
+    def test_autoncs_cluster_runs_flat_isc_up_to_threshold(self, clusterers):
+        # Flat ISC up to and including the threshold.
+        AutoNCS().cluster(random_sparse_network(HIERARCHICAL_THRESHOLD, 1e-3, rng=0), rng=0)
+        assert [name for name, _ in clusterers] == ["iterative_spectral_clustering"]
 
-    def test_invalid_clustering_rejected(self):
-        with pytest.raises(ValueError, match="clustering"):
-            AutoNcsConfig(clustering="magic")
-
-    def test_autoncs_cluster_routes_hierarchical(self, tiered_network):
-        config = AutoNcsConfig(clustering="hierarchical", tier_size=32)
-        result = AutoNCS(config).cluster(tiered_network, rng=0)
-        assert result.metadata["method"] == "hierarchical"
-        result.validate()
+    def test_autoncs_cluster_routes_hierarchical(self, clusterers):
+        network = random_sparse_network(HIERARCHICAL_THRESHOLD + 1, 1e-3, rng=0)
+        AutoNCS().cluster(network, rng=0)
+        [(name, options)] = clusterers
+        assert name == "cluster_hierarchical"
+        assert "tier_size" not in options  # tiers of DEFAULT_TIER_SIZE
+        assert options["utilization_threshold"] == fullcro_utilization(network)

@@ -47,6 +47,7 @@ from repro.clustering.kmeans import kmeans
 from repro.clustering.spectral import _similarity, spectral_embedding
 from repro.experiments.figures import figure3, figure4, figure5
 from repro.experiments.testbenches import build_testbench, scaled_testbench
+from repro.hardware.crossbar import pair_array
 from repro.hardware.library import DEFAULT_CROSSBAR_SIZES
 from repro.mapping import fullcro_utilization
 from repro.networks import (
@@ -58,6 +59,7 @@ from repro.networks import (
 from repro.observability import recording
 from repro.utils.rng import ensure_rng
 from tests.clustering import parent_partition as parent
+from tests.crossbar_asserts import assert_same_crossbars, assert_same_pairs
 
 
 # ----------------------------------------------------------------------
@@ -218,14 +220,11 @@ def _assert_same_isc(new_run, old_run, network, **kwargs):
         new = new_run(network, **kwargs)
     with recording() as old_recorder:
         old = old_run(network, **kwargs)
-    rows = [(c.rows, c.cols, c.size, c.connections) for c in new.crossbars]
-    assert rows == [(c.rows, c.cols, c.size, c.connections) for c in old.crossbars]
+    assert_same_crossbars(new.crossbars, old.crossbars)
     for crossbar in new.crossbars:
-        values = list(crossbar.rows) + [crossbar.size]
-        values += [v for pair in crossbar.connections for v in pair]
-        assert all(type(v) is int for v in values)
-        assert crossbar.rows is crossbar.cols
-    assert new.outliers == old.outliers
+        assert type(crossbar.size) is int
+        np.testing.assert_array_equal(crossbar.rows, crossbar.cols)
+    assert_same_pairs(new.outliers, old.outliers)
     assert repr(new.records) == repr(old.records)
     assert new.metadata == old.metadata and new.sizes == old.sizes
     assert new_recorder.snapshot().to_dict() == old_recorder.snapshot().to_dict()
@@ -382,9 +381,11 @@ def test_crossbar_extraction_matches_member_lists(case):
     sizes = [network.size] * values.size
     crossbars = _crossbars(network, chosen, sizes)
     pairs = parent.clusters_connections(member_lists, network)
-    assert [(x.rows, x.cols, x.connections) for x in crossbars] == [
-        (members, members, group) for members, group in zip(member_lists, pairs)
-    ]
+    assert len(crossbars) == len(member_lists) == len(pairs)
+    for crossbar, members, group in zip(crossbars, member_lists, pairs):
+        np.testing.assert_array_equal(crossbar.rows, members)
+        np.testing.assert_array_equal(crossbar.cols, members)
+        assert_same_pairs(crossbar.connections, pair_array(group))
 
 
 # ----------------------------------------------------------------------

@@ -53,16 +53,10 @@ class TestAutoNcsConfig:
             with pytest.raises(ValueError, match="max_isc_iterations"):
                 AutoNcsConfig(max_isc_iterations=value)
 
-    def test_rejects_nan_or_fractional_tier_size(self):
-        # Under NaN the tier cap vanished; 2.5 failed deep inside k-means.
-        for value in (0, float("nan"), 2.5):
-            with pytest.raises(ValueError, match="tier_size"):
-                AutoNcsConfig(tier_size=value)
-
     def test_whole_number_fields_stored_as_int(self):
-        config = AutoNcsConfig(max_isc_iterations=7.0, tier_size=256.0)
-        assert (config.max_isc_iterations, config.tier_size) == (7, 256)
-        assert all(type(v) is int for v in (config.max_isc_iterations, config.tier_size))
+        config = AutoNcsConfig(max_isc_iterations=7.0)
+        assert config.max_isc_iterations == 7
+        assert type(config.max_isc_iterations) is int
 
     def test_fast_config_reduced_budgets(self):
         config = fast_config()

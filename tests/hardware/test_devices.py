@@ -99,7 +99,7 @@ class TestCheckExactCover:
 
     def test_names_pair_implemented_twice(self):
         doubled = self.crossbar((0, 1), (1, 0), (1, 2))
-        object.__setattr__(doubled, "connections", doubled.connections + ((1, 0),))
+        object.__setattr__(doubled, "connections", np.vstack([doubled.connections, [(1, 0)]]))
         with pytest.raises(AssertionError, match=r"connection \(1, 0\) implemented twice"):
             self.check([doubled], [(3, 4), (4, 3)])
         with pytest.raises(AssertionError, match=r"connection \(1, 2\) implemented twice"):

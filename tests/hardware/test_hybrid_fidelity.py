@@ -14,6 +14,7 @@ from repro.clustering import iterative_spectral_clustering
 from repro.experiments.testbenches import build_testbench, scaled_testbench
 from repro.hardware.simulation import HybridNcsSimulator
 from repro.mapping import autoncs_mapping, fullcro_mapping, fullcro_utilization
+from tests.crossbar_asserts import assert_same_pairs
 
 #: (testbench index, scaled dimension) — small enough to keep the suite fast.
 CASES = [(1, 60), (2, 64), (3, 80)]
@@ -44,7 +45,7 @@ def test_isc_topology_is_exact(index, dimension):
     mapping = autoncs_mapping(isc)
     assert len(mapping.instances) == len(isc.crossbars)
     assert all(a is b for a, b in zip(mapping.instances, isc.crossbars))
-    assert mapping.synapse_connections == isc.outliers
+    assert_same_pairs(mapping.synapse_connections, isc.outliers)
     simulator = HybridNcsSimulator(mapping, signed_weights=weights)
     rng = np.random.default_rng(index)
     for x in _probe_inputs(instance.network.size, rng):

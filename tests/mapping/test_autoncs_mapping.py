@@ -1,5 +1,6 @@
 """Tests for the AutoNCS hybrid mapping."""
 
+import numpy as np
 import pytest
 
 from repro.hardware.library import CrossbarLibrary
@@ -18,7 +19,7 @@ class TestAutoncsMapping:
 
     def test_instances_square_clusters(self, small_mapping):
         for inst in small_mapping.instances:
-            assert inst.rows == inst.cols
+            np.testing.assert_array_equal(inst.rows, inst.cols)
 
     def test_utilization_better_than_baseline(self, small_mapping, small_fullcro):
         assert small_mapping.average_utilization > small_fullcro.average_utilization

@@ -32,8 +32,8 @@ class TestFullcroInstances:
         m[0, 1] = 1
         net = ConnectionMatrix.from_dense(m)
         (inst,) = fullcro_instances(net, 64)
-        assert inst.rows == (0,)
-        assert inst.cols == (1,)
+        np.testing.assert_array_equal(inst.rows, [0])
+        np.testing.assert_array_equal(inst.cols, [1])
 
     def test_rejects_bad_size(self, block_network):
         with pytest.raises(ValueError):

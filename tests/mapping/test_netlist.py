@@ -42,6 +42,43 @@ class TestCrossbarInstance:
             CrossbarInstance(rows=(0,), cols=(1,), size=16,
                              connections=((0, 1), (0, 1)))
 
+    @pytest.mark.parametrize("size", [16.5, float("nan"), 0])
+    def test_rejects_fractional_or_nan_size(self, size):
+        # 16.5 used to construct, and NaN reported a utilization of nan.
+        with pytest.raises(ValueError, match="size must be a whole number"):
+            CrossbarInstance(rows=(0, 1), cols=(0, 1), size=size, connections=((0, 1),))
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_rejects_negative_ids(self, field):
+        # An id of -1 would index the last neuron, row or cell of an array.
+        ports = {"rows": (0,), "cols": (0,), field: (-1,)}
+        with pytest.raises(ValueError, match=f"{field} must be non-negative neuron ids"):
+            CrossbarInstance(size=16, connections=(), **ports)
+
+    def test_rejects_non_integer_ids(self):
+        with pytest.raises(ValueError, match="rows must be integer neuron ids"):
+            CrossbarInstance(rows=(0.5,), cols=(0,), size=16, connections=())
+        with pytest.raises(ValueError, match=r"connections must be \(i, j\) pairs"):
+            CrossbarInstance(rows=(0,), cols=(1,), size=16, connections=((0, 1, 2),))
+
+    def test_fields_are_read_only_int64_arrays(self):
+        inst = CrossbarInstance(rows=[3, 5], cols=(5,), size=16.0, connections=[(3, 5)])
+        assert type(inst.size) is int
+        for array, shape in ((inst.rows, (2,)), (inst.cols, (1,)), (inst.connections, (1, 2))):
+            assert array.dtype == np.int64 and array.shape == shape
+            assert not array.flags.writeable
+        assert inst.connections.tolist() == [[3, 5]]
+        assert CrossbarInstance(rows=(), cols=(), size=4, connections=()).connections.shape == (
+            0, 2,
+        )
+
+    def test_local_cells_are_positions_in_rows_and_cols(self):
+        inst = CrossbarInstance(rows=(7, 2, 5), cols=(5, 7), size=4,
+                                connections=((2, 7), (5, 5), (7, 7)))
+        rows_local, cols_local = inst.local_cells()
+        assert rows_local.tolist() == [1, 2, 0]
+        assert cols_local.tolist() == [1, 0, 1]
+
 
 def two_cells(**arrays):
     """A two-neuron, one-wire netlist with some arrays replaced."""
@@ -121,21 +158,21 @@ class TestBuildNetlist:
             build_netlist(3, [], [(0, 9)], library)
 
     @pytest.mark.parametrize(
-        "instances, message",
+        "ports, message",
         [
-            ([CrossbarInstance(rows=(3,), cols=(), size=16, connections=())],
-             r"^crossbar instance 0: neuron 3 outside neuron range \[0, 2\)"),
-            ([CrossbarInstance(rows=(0,), cols=(1,), size=16, connections=()),
-              CrossbarInstance(rows=(1,), cols=(-1,), size=16, connections=())],
-             r"^crossbar instance 1: neuron -1 outside"),
-            ([CrossbarInstance(rows=(), cols=(), size=16, connections=()),
-              CrossbarInstance(rows=(), cols=(2,), size=16, connections=())],
-             r"^crossbar instance 1: neuron 2 outside"),
+            ([((3,), ())], r"^crossbar instance 0: neuron 3 outside neuron range \[0, 2\)"),
+            # A negative id never reaches the netlist: the instance rejects it.
+            ([((0,), (1,)), ((1,), (-1,))], r"^cols must be non-negative neuron ids, got -1"),
+            ([((), ()), ((), (2,))], r"^crossbar instance 1: neuron 2 outside"),
         ],
         ids=["row-past-range", "negative-column", "column-of-second-instance"],
     )
-    def test_rejects_crossbar_port_outside_neuron_range(self, library, instances, message):
+    def test_rejects_crossbar_port_outside_neuron_range(self, library, ports, message):
         with pytest.raises(ValueError, match=message):
+            instances = [
+                CrossbarInstance(rows=rows, cols=cols, size=16, connections=())
+                for rows, cols in ports
+            ]
             build_netlist(2, instances, [(0, 1)], library)
 
     def test_rejects_zero_neurons(self, library):

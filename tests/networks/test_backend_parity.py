@@ -27,6 +27,7 @@ from repro.clustering import (
 from repro.mapping import autoncs_mapping
 from repro.networks import ConnectionMatrix, random_sparse_network
 from tests.clustering import parent_partition as parent
+from tests.crossbar_asserts import assert_same_crossbars, assert_same_pairs
 
 
 class DenseReference:
@@ -137,7 +138,6 @@ def test_views_and_degrees_match(seed, n, density, symmetric):
     r_rows, r_cols = ref.connection_arrays()
     np.testing.assert_array_equal(c_rows, r_rows)
     np.testing.assert_array_equal(c_cols, r_cols)
-    assert csr.connection_list() == list(zip(r_rows.tolist(), r_cols.tolist()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -249,10 +249,8 @@ def test_clustering_and_mapping_backend_independent(seed):
     isc_dense = iterative_spectral_clustering(
         net, utilization_threshold=0.02, max_iterations=5, rng=seed, clusterer=_dense_gcp
     )
-    assert [
-        (a.rows, a.size, a.connections) for a in isc_csr.crossbars
-    ] == [(a.rows, a.size, a.connections) for a in isc_dense.crossbars]
-    assert isc_csr.outliers == isc_dense.outliers
+    assert_same_crossbars(isc_csr.crossbars, isc_dense.crossbars)
+    assert_same_pairs(isc_csr.outliers, isc_dense.outliers)
     map_csr = autoncs_mapping(isc_csr)
     map_dense = autoncs_mapping(isc_dense)
     map_csr.validate()

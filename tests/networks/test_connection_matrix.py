@@ -46,7 +46,7 @@ class TestConstruction:
 
     def test_from_edges_collapses_duplicates(self):
         net = ConnectionMatrix.from_edges(3, [(0, 1), (1, 2), (0, 1)])
-        assert net.connection_list() == [(0, 1), (1, 2)]
+        np.testing.assert_array_equal(np.stack(net.connection_arrays(), 1), [(0, 1), (1, 2)])
 
     def test_matrix_view_readonly(self):
         net = simple_matrix()
@@ -127,11 +127,12 @@ class TestClusterOperations:
         net = simple_matrix()
         reduced = net.remove_clusters([0, 0, 1, 1])
         assert reduced.connections_within_many([0, 0, 1, 1]).tolist() == [0, 0]
-        assert reduced.connection_list() == [(1, 2), (3, 0)]
+        np.testing.assert_array_equal(np.stack(reduced.connection_arrays(), 1), [(1, 2), (3, 0)])
 
     def test_within_clusters_is_the_one_edge_test(self):
         rows, cols, within = simple_matrix().within_clusters([0, 0, 1, 1])
-        assert list(zip(rows.tolist(), cols.tolist())) == simple_matrix().connection_list()
+        edges = simple_matrix().connection_arrays()
+        np.testing.assert_array_equal(np.stack([rows, cols]), np.stack(edges))
         assert within.tolist() == [True, True, False, True, False]
 
     def test_remove_clusters_rejects_overlap(self):
@@ -172,13 +173,12 @@ class TestClusterOperations:
         with pytest.raises(IndexError):
             simple_matrix().submatrix([0, 9])
 
-    def test_connection_list_roundtrip(self):
+    def test_connection_arrays_roundtrip(self):
         net = simple_matrix()
-        pairs = net.connection_list()
-        assert len(pairs) == net.num_connections
+        rows, cols = net.connection_arrays()
+        assert rows.size == cols.size == net.num_connections
         rebuilt = np.zeros((4, 4), dtype=np.uint8)
-        for i, j in pairs:
-            rebuilt[i, j] = 1
+        rebuilt[rows, cols] = 1
         assert np.array_equal(rebuilt, net.matrix)
 
 

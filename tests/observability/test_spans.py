@@ -11,7 +11,7 @@ from repro.observability import (
     recording,
     set_recorder,
 )
-from repro.observability.spans import Span, Tracer, traced
+from repro.observability.spans import Span, Tracer
 
 
 class TestTracer:
@@ -117,12 +117,3 @@ class TestRecorderScoping:
         assert driver.snapshot().get("routing.ripup_retries") == 4
         assert driver.tracer.named("runner.job")
 
-    def test_traced_decorator_uses_current_recorder(self):
-        @traced("demo.fn")
-        def fn(x):
-            return x + 1
-
-        with recording() as recorder:
-            assert fn(1) == 2
-        assert recorder.tracer.named("demo.fn")
-        assert fn(1) == 2  # no-op outside a recording scope

@@ -8,7 +8,6 @@ from repro.reliability import (
     DefectMap,
     DefectRates,
     count_lost_connections,
-    local_cells,
     lost_connections,
     sample_defect_map,
     sample_instance_defects,
@@ -115,25 +114,25 @@ def instance():
 
 class TestLostConnections:
     def test_local_cells_follow_membership_order(self, instance):
-        rows_local, cols_local = local_cells(instance)
+        rows_local, cols_local = instance.local_cells()
         assert rows_local.tolist() == [0, 1]  # 3 -> 0, 5 -> 1
         assert cols_local.tolist() == [1, 0]
 
     def test_pristine_loses_nothing(self, instance):
         defects = InstanceDefects.pristine(4)
-        assert lost_connections(instance, defects) == []
+        np.testing.assert_array_equal(lost_connections(instance, defects), np.empty((0, 2)))
         assert count_lost_connections(instance, defects) == 0
 
     def test_stuck_cell_loses_exactly_its_connection(self, instance):
         defects = InstanceDefects.pristine(4)
         defects.stuck_off[0, 1] = True  # local cell of connection (3, 5)
-        assert lost_connections(instance, defects) == [(3, 5)]
+        np.testing.assert_array_equal(lost_connections(instance, defects), [(3, 5)])
         assert count_lost_connections(instance, defects) == 1
 
     def test_dead_row_loses_all_connections_of_that_neuron(self, instance):
         defects = InstanceDefects.pristine(4)
         defects.dead_rows[0] = True  # neuron 3's row
-        assert lost_connections(instance, defects) == [(3, 5)]
+        np.testing.assert_array_equal(lost_connections(instance, defects), [(3, 5)])
 
     def test_undersized_crossbar_is_infeasible(self, instance):
         defects = InstanceDefects.pristine(1)

@@ -77,6 +77,13 @@ class TestRunner:
         with pytest.raises(ValueError, match="n_jobs"):
             Runner(n_jobs=0)
 
+    def test_rejects_nan_or_fractional_n_jobs(self):
+        # 2.5 used to run two workers through ``int(n_jobs)``.
+        for value in (float("nan"), 2.5):
+            with pytest.raises(ValueError, match="n_jobs must be a whole number"):
+                Runner(n_jobs=value)
+        assert type(Runner(n_jobs=2.0).n_jobs) is int
+
     def test_unknown_kind_raises_with_label(self):
         runner = Runner()
         with pytest.raises(RuntimeError, match="mystery"):

@@ -72,8 +72,7 @@ def test_version_is_semver():
 CONFIG_FIELDS = {
     "repro.core.config.AutoNcsConfig": (
         "crossbar_sizes", "utilization_threshold", "selection_quantile",
-        "max_isc_iterations", "clustering", "tier_size", "technology",
-        "placement", "routing", "cost_weights",
+        "max_isc_iterations", "technology", "placement", "routing", "cost_weights",
     ),
     "repro.physical.placement.placer.PlacementConfig": (
         "max_lambda_stages", "cg_iterations_per_stage",

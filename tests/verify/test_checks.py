@@ -44,14 +44,12 @@ def _flip_cell(mapping):
     """Move one crossbar connection to a legal cell that the network lacks."""
     matrix = mapping.network.matrix
     for index, instance in enumerate(mapping.instances):
-        taken = set(instance.connections)
-        for i, j in instance.connections:
-            for j2 in instance.cols:
+        pairs = [tuple(pair) for pair in instance.connections.tolist()]
+        taken = set(pairs)
+        for i, j in pairs:
+            for j2 in instance.cols.tolist():
                 if j2 != j and matrix[i, j2] == 0 and (i, j2) not in taken:
-                    connections = tuple(
-                        (i, j2) if pair == (i, j) else pair
-                        for pair in instance.connections
-                    )
+                    connections = [(i, j2) if pair == (i, j) else pair for pair in pairs]
                     instances = list(mapping.instances)
                     instances[index] = dataclasses.replace(
                         instance, connections=connections
@@ -80,9 +78,9 @@ def test_flipped_cell_rejected(verified_flow):
 
 def test_duplicate_realization_rejected(verified_flow):
     mapping = verified_flow.mapping
-    duplicated = mapping.instances[0].connections[0]
+    duplicated = tuple(mapping.instances[0].connections[0].tolist())
     mutant = _clone_mapping(
-        mapping, synapse_connections=list(mapping.synapse_connections) + [duplicated]
+        mapping, synapse_connections=np.vstack([mapping.synapse_connections, [duplicated]])
     )
     result = check_coverage(mutant)
     assert not result.passed

@@ -101,9 +101,10 @@ def test_random_cell_flip_always_rejected(verified_flow, seed):
     matrix = mapping.network.matrix
     candidates = []
     for index, instance in enumerate(mapping.instances):
-        taken = set(instance.connections)
-        for i, j in instance.connections:
-            for j2 in instance.cols:
+        pairs = [tuple(pair) for pair in instance.connections.tolist()]
+        taken = set(pairs)
+        for i, j in pairs:
+            for j2 in instance.cols.tolist():
                 if j2 != j and matrix[i, j2] == 0 and (i, j2) not in taken:
                     candidates.append((index, (i, j), (i, j2)))
     index, old, new = candidates[rng.integers(len(candidates))]
@@ -111,7 +112,10 @@ def test_random_cell_flip_always_rejected(verified_flow, seed):
     instances = list(mapping.instances)
     instances[index] = dataclasses.replace(
         instance,
-        connections=tuple(new if pair == old else pair for pair in instance.connections),
+        connections=[
+            new if pair == old else pair
+            for pair in (tuple(pair) for pair in instance.connections.tolist())
+        ],
     )
     mutant = dataclasses.replace(mapping, instances=instances)
     report = verify_mapping(mutant, checks=("coverage",))
